@@ -28,13 +28,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, InvalidStepSizes, MaxItersExceeded
 from .game import GameSpec, validate_game
-from .operators import ExtendedPoint, KktResidual, kkt_residual
+from .operators import ExtendedPoint, KktResidual, extended_subdifferential, kkt_residual
 from .resolvents import (
     DEFAULT_PROX_TOL,
     ProxProblem,
     StepSizes,
-    batch_prox_eligible,
-    batched_quadratic_prox,
+    decoupled_prox,
     local_prox,
     resolvent_A,
     resolvent_B,
@@ -193,7 +192,7 @@ def dr_init(
     StepSizes.from_central(steps.gamma, steps.alpha, steps.delta_c, steps.beta_c)
 
     if x0 is None:
-        X = np.stack([agent.omega.default_point() for agent in game.agents])
+        X = game.default_points()
     else:
         X = np.asarray(x0, dtype=np.float64)
         if X.shape != (dims.N * dims.n,):
@@ -203,7 +202,7 @@ def dr_init(
         if not np.allclose(fixed, X, atol=1e-12):
             warnings.warn("x0 was outside the local sets and has been projected")
         X = fixed
-    Y = np.einsum("imn,in->im", game.A_stack, X) - game.stacks["b"]
+    Y = game.link_values(X)
 
     lam0 = np.zeros(dims.m) if config.lam0 is None else np.asarray(config.lam0, dtype=np.float64)
     if lam0.shape != (dims.m,):
@@ -230,27 +229,21 @@ def agent_update(
     n_agents: int,
     tol: float = DEFAULT_PROX_TOL,
 ) -> AgentState:
-    """One agent's round: proximal step against the last broadcast.
+    """One agent's round: its row of the round's decoupled-half prox.
 
     minimize over the local set:
         f_i(z, sigma) + (A_i' lam - mu / N)' z
         + ||z - x_i||^2 in the metric (I + A_i' A_i) / (2 gamma_i)
-    then recompute the link block.
+    then recompute the link block.  :meth:`DrEngine.step` solves all rows
+    at once through :func:`decoupled_prox`; this is the message-passing
+    view of one of them.
     """
     if np.any(bcast.lam < 0):
         raise ValueError("broadcast coupling multiplier must be nonnegative")
-    ata = agent.A.T @ agent.A
-    diag = np.diag(ata).copy()
-    if np.all(ata == np.diag(diag)):
-        metric = (1.0 + diag) / gamma_i
-    else:
-        metric = (np.eye(agent.A.shape[1]) + ata) / gamma_i
     linear = agent.A.T @ bcast.lam - bcast.mu / n_agents
-    problem = ProxProblem(
-        i=-1, sigma=bcast.sigma, linear=linear, center=state.x, metric=metric, tolerance=tol
-    )
+    problem = ProxProblem(bcast.sigma, linear, state.x, agent.unit_metric / gamma_i, tol)
     x_new = local_prox(agent, problem)
-    return AgentState(x=x_new, y=agent.A @ x_new - agent.b)
+    return AgentState(x=x_new, y=agent.link_value(x_new))
 
 
 def coordinator_update(
@@ -289,13 +282,7 @@ class DrEngine:
     :class:`AggregateMessage`; per-agent data never crosses that boundary.
     """
 
-    def __init__(
-        self,
-        game: GameSpec,
-        config: RunConfig,
-        x0: np.ndarray | None = None,
-        force_loop: bool = False,
-    ):
+    def __init__(self, game: GameSpec, config: RunConfig, x0: np.ndarray | None = None):
         self.game = game
         self.config = config
         agents, coord = dr_init(game, config, x0)
@@ -303,9 +290,6 @@ class DrEngine:
         self.Y = np.stack([a.y for a in agents])
         self.coord = coord
         self.bcast = BroadcastMessage(lam=coord.lam, mu=coord.mu, sigma=coord.sigma)
-        self._batch = batch_prox_eligible(game) and not force_loop
-        if self._batch:
-            self._metric_diag = (1.0 + game.stacks["ata_diag"]) / config.steps.gamma[:, None]
 
     def agent_states(self) -> list[AgentState]:
         return [AgentState(x=self.X[i].copy(), y=self.Y[i].copy()) for i in range(self.game.dims.N)]
@@ -320,32 +304,12 @@ class DrEngine:
         )
 
     def step(self) -> None:
-        game, config = self.game, self.config
-        dims = game.dims
-        if self._batch:
-            lin = (
-                np.einsum("imn,m->in", game.A_stack, self.bcast.lam)
-                - self.bcast.mu / dims.N
-            )
-            X_new = batched_quadratic_prox(
-                game, self.bcast.sigma, lin, self.X, self._metric_diag
-            )
-            Y_new = np.einsum("imn,in->im", game.A_stack, X_new) - game.stacks["b"]
-        else:
-            X_new = np.empty_like(self.X)
-            Y_new = np.empty_like(self.Y)
-            for i, agent in enumerate(game.agents):
-                st = agent_update(
-                    agent,
-                    AgentState(x=self.X[i], y=self.Y[i]),
-                    self.bcast,
-                    config.steps.gamma[i],
-                    dims.N,
-                    tol=config.prox_tol,
-                )
-                X_new[i], Y_new[i] = st.x, st.y
+        game, steps, bcast = self.game, self.config.steps, self.bcast
+        linear = np.einsum("imn,m->in", game.A_stack, bcast.lam) - bcast.mu / game.dims.N
+        X_new = decoupled_prox(game, bcast.sigma, linear, self.X, steps.gamma, self.config.prox_tol)
+        Y_new = game.link_values(X_new)
         agg = AggregateMessage(xhat=X_new.mean(axis=0), yhat=Y_new.mean(axis=0))
-        self.coord, self.bcast = coordinator_update(self.coord, agg, config.steps)
+        self.coord, self.bcast = coordinator_update(self.coord, agg, steps)
         self.X, self.Y = X_new, Y_new
 
 
@@ -379,16 +343,23 @@ def raw_dr_step(
 
 def raw_initial_tilde(game: GameSpec, config: RunConfig, x0: np.ndarray | None = None) -> ExtendedPoint:
     """Seed for the raw iteration matching the round-based initialization."""
-    agents, coord = dr_init(game, config, x0)
-    X = np.stack([a.x for a in agents])
-    Y = np.stack([a.y for a in agents])
-    Y_tilde = Y - config.steps.gamma[:, None] * coord.lam[None, :]
-    return ExtendedPoint(
-        x=X.ravel(), y=Y_tilde.ravel(), sigma=coord.sigma, mu=coord.mu, lam=coord.lam
-    )
+    return _raw_tilde(DrEngine(game, config, x0).point(), config.steps)
+
+
+def _raw_tilde(point: ExtendedPoint, steps: StepSizes) -> ExtendedPoint:
+    """The raw-iteration state of a round-based point: y_i - gamma_i * lam per block."""
+    Y_tilde = point.y_blocks(point.lam.shape[0]) - steps.gamma[:, None] * point.lam[None, :]
+    return ExtendedPoint(point.x, Y_tilde.ravel(), point.sigma, point.mu, point.lam)
 
 
 # -- shared run loop ---------------------------------------------------------------------
+
+
+def _require_valid(game: GameSpec) -> None:
+    """Raise :class:`Infeasible` unless the game passes :func:`validate_game`."""
+    report = validate_game(game)
+    if not report.ok:
+        raise Infeasible("game failed validation before the run:\n" + report.summary())
 
 
 def _run_loop(
@@ -503,20 +474,19 @@ def run_dr(
     same algorithm without the message-passing structure.
     """
     if validate:
-        report = validate_game(game)
-        if not report.ok:
-            raise Infeasible("game failed validation before the run:\n" + report.summary())
+        _require_valid(game)
 
+    engine = DrEngine(game, config, x0)
+    initial = engine.point()
     if config.relaxation == 1.0:
-        engine = DrEngine(game, config, x0)
 
         def advance() -> ExtendedPoint:
             engine.step()
             return engine.point()
 
-        return _run_loop(game, config, reference, "dr", engine.point(), advance)
+        return _run_loop(game, config, reference, "dr", initial, advance)
 
-    state = {"tilde": raw_initial_tilde(game, config, x0)}
+    state = {"tilde": _raw_tilde(initial, config.steps)}
 
     def advance_raw() -> ExtendedPoint:
         out = raw_dr_step(state["tilde"], game, config.steps, config.relaxation, config.prox_tol)
@@ -525,14 +495,6 @@ def run_dr(
             x=out.half.x, y=out.half.y, sigma=out.full.sigma, mu=out.full.mu, lam=out.full.lam
         )
 
-    agents0, coord0 = dr_init(game, config, x0)
-    initial = ExtendedPoint(
-        x=np.concatenate([a.x for a in agents0]),
-        y=np.concatenate([a.y for a in agents0]),
-        sigma=coord0.sigma,
-        mu=coord0.mu,
-        lam=coord0.lam,
-    )
     return _run_loop(game, config, reference, "dr", initial, advance_raw)
 
 
@@ -572,9 +534,7 @@ def run_pfb(
         lam+ = proj_{>=0}(lam + tau_lam (A (2 x+ - x) - b))
     """
     if validate:
-        report = validate_game(game)
-        if not report.ok:
-            raise Infeasible("game failed validation before the run:\n" + report.summary())
+        _require_valid(game)
     dims = game.dims
     agents_init, coord = dr_init(game, config, x0)
     X = np.stack([a.x for a in agents_init])
@@ -583,10 +543,9 @@ def run_pfb(
     tau_col = tau[:, None]
 
     def point_of(Xc, lamc) -> ExtendedPoint:
-        links = np.einsum("imn,in->im", game.A_stack, Xc) - game.stacks["b"]
         return ExtendedPoint(
             x=Xc.ravel().copy(),
-            y=links.ravel(),
+            y=game.link_values(Xc).ravel(),
             sigma=Xc.mean(axis=0),
             mu=np.zeros(dims.n),
             lam=lamc.copy(),
@@ -596,14 +555,7 @@ def run_pfb(
 
     def advance() -> ExtendedPoint:
         Xc, lamc = state["X"], state["lam"]
-        xhat = Xc.mean(axis=0)
-        if game.all_quadratic:
-            st = game.stacks
-            grad = st["a"][:, None] * (Xc - st["xtilde"]) + st["Q"] @ xhat
-        else:
-            grad = np.stack(
-                [agent.cost.grad(Xc[i], xhat) for i, agent in enumerate(game.agents)]
-            )
+        grad = extended_subdifferential(game, Xc.ravel(), Xc.mean(axis=0)).reshape(Xc.shape)
         grad = grad + np.einsum("imn,m->in", game.A_stack, lamc)
         X_new = game.project_each(Xc - tau_col * grad)
         resid = game.coupling_value((2.0 * X_new - Xc).ravel()) - game.b_total

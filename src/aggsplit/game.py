@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Union
 
@@ -233,6 +234,35 @@ class AgentSpec:
         """The link variable paired with x_i: A_i x_i - b_i."""
         return self.A @ x_i - self.b
 
+    @cached_property
+    def unit_metric(self) -> np.ndarray:
+        """The unit-step prox metric I + A_i' A_i, built once: 1-D (its diagonal)
+        when A_i' A_i is diagonal, as the closed-form prox needs, else dense."""
+        gram = self.A.T @ self.A
+        diag = np.diag(gram)
+        if np.all(gram == np.diag(diag)):
+            return 1.0 + diag
+        return np.eye(gram.shape[0]) + gram
+
+
+@dataclass(frozen=True)
+class AgentStacks:
+    """Per-agent arrays stacked along a leading agent axis, built once per game.
+
+    ``upper``/``total`` are set only when every local set is a box-simplex,
+    the cost fields only when every cost is quadratic, and
+    ``unit_metrics`` only when every agent's prox metric is diagonal.
+    """
+
+    b: np.ndarray  # (N, m) link offsets
+    metric_is_diag: np.ndarray  # (N,) bool: A_i' A_i is diagonal
+    unit_metrics: np.ndarray | None  # (N, n) stacked 1 + diag(A_i' A_i)
+    upper: np.ndarray | None  # (N, n) box caps
+    total: np.ndarray | None  # (N,) simplex totals
+    a: np.ndarray | None  # (N,) quadratic weights
+    xtilde: np.ndarray | None  # (N, n) quadratic targets
+    Q: np.ndarray | None  # (N, n, n) aggregate coupling matrices
+
 
 @dataclass(frozen=True)
 class GameSpec:
@@ -287,31 +317,44 @@ class GameSpec:
 
     @property
     def all_box_simplex(self) -> bool:
-        return all(isinstance(a.omega, BoxSimplex) for a in self.agents)
+        return self.stacks.upper is not None
 
     @property
     def all_quadratic(self) -> bool:
-        return all(isinstance(a.cost, QuadraticAgg) for a in self.agents)
+        return self.stacks.a is not None
 
     @property
-    def stacks(self) -> dict:
-        """Stacked per-agent arrays for vectorized updates (when uniform)."""
+    def stacks(self) -> AgentStacks:
+        """Stacked per-agent arrays for vectorized updates."""
         if "stacks" not in self._cache:
-            stacks = {"b": np.stack([a.b for a in self.agents])}
-            if self.all_box_simplex:
-                stacks["upper"] = np.stack([a.omega.upper for a in self.agents])
-                stacks["total"] = np.array([a.omega.total for a in self.agents])
-            if self.all_quadratic:
-                stacks["a"] = np.array([a.cost.a for a in self.agents])
-                stacks["xtilde"] = np.stack([a.cost.xtilde for a in self.agents])
-                stacks["Q"] = np.stack([a.cost.Q for a in self.agents])
-            ata = np.einsum("imk,iml->ikl", self.A_stack, self.A_stack)
-            diag = np.einsum("ikk->ik", ata)
-            off = ata - diag[:, :, None] * np.eye(self.dims.n)[None]
-            stacks["ata_diag"] = diag
-            stacks["ata_is_diag"] = bool(np.all(off == 0.0))
-            self._cache["stacks"] = stacks
+            agents = self.agents
+            metrics = [agent.unit_metric for agent in agents]
+            metric_is_diag = np.array([metric.ndim == 1 for metric in metrics])
+            box = all(isinstance(agent.omega, BoxSimplex) for agent in agents)
+            quad = all(isinstance(agent.cost, QuadraticAgg) for agent in agents)
+            self._cache["stacks"] = AgentStacks(
+                b=np.stack([agent.b for agent in agents]),
+                metric_is_diag=metric_is_diag,
+                unit_metrics=np.stack(metrics) if metric_is_diag.all() else None,
+                upper=np.stack([agent.omega.upper for agent in agents]) if box else None,
+                total=np.array([agent.omega.total for agent in agents]) if box else None,
+                a=np.array([agent.cost.a for agent in agents]) if quad else None,
+                xtilde=np.stack([agent.cost.xtilde for agent in agents]) if quad else None,
+                Q=np.stack([agent.cost.Q for agent in agents]) if quad else None,
+            )
         return self._cache["stacks"]
+
+    def link_values(self, X: np.ndarray) -> np.ndarray:
+        """(N, m) link rows A_i x_i - b_i of an (N, n) decision array."""
+        return np.einsum("imn,in->im", self.A_stack, X) - self.stacks.b
+
+    def default_points(self) -> np.ndarray:
+        """(N, n) read-only rows: each agent's projection of the origin, computed once."""
+        if "default_points" not in self._cache:
+            X = self.project_each(np.zeros((self.dims.N, self.dims.n)))
+            X.flags.writeable = False
+            self._cache["default_points"] = X
+        return self._cache["default_points"]
 
     def project_each(self, X: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Per-agent projection of the rows of an (N, n) array onto the local sets."""
@@ -320,8 +363,7 @@ class GameSpec:
         if X.shape != (self.dims.N, self.dims.n):
             raise DimensionMismatch("expected an (N, n) block matrix")
         if self.all_box_simplex:
-            st = self.stacks
-            return project_box_simplex_batch(X, st["upper"], st["total"], weights)
+            return project_box_simplex_batch(X, self.stacks.upper, self.stacks.total, weights)
         out = np.empty_like(X)
         for i, agent in enumerate(self.agents):
             w_i = None if weights is None else weights[i]
@@ -399,7 +441,7 @@ def find_feasible_point(
     ``A x <= b`` (no margin) was reached; raises :class:`Infeasible` when
     even that fails within the iteration budget.
     """
-    X = np.stack([agent.omega.default_point() for agent in game.agents])
+    X = game.default_points().copy()  # the caller owns the returned point
     A_full = game.full_matrix()
     lip = float(np.linalg.norm(A_full, 2)) ** 2
     step = 1.0 / max(lip, 1e-12)
@@ -492,8 +534,7 @@ def validate_game(game: GameSpec, check_feasibility: bool = True) -> ValidationR
 
     grad_errs = []
     sigma_probe = np.full(dims.n, 0.25)
-    for agent in game.agents:
-        x_probe = agent.omega.default_point()
+    for agent, x_probe in zip(game.agents, game.default_points()):
         err = _fd_gradient_error(agent.cost, x_probe, sigma_probe)
         if np.isfinite(err):
             grad_errs.append(err)

@@ -114,7 +114,7 @@ def extended_subdifferential(game: GameSpec, x: np.ndarray, sigma: np.ndarray) -
         raise DimensionMismatch("aggregate has the wrong length")
     if game.all_quadratic:
         st = game.stacks
-        G = st["a"][:, None] * (X - st["xtilde"]) + st["Q"] @ sigma
+        G = st.a[:, None] * (X - st.xtilde) + st.Q @ sigma
         return G.ravel()
     out = np.empty_like(X)
     for i, agent in enumerate(game.agents):
@@ -138,8 +138,7 @@ def pseudo_subdifferential(game: GameSpec, x: np.ndarray) -> np.ndarray:
     base = extended_subdifferential(game, x, sigma).reshape(dims.N, dims.n)
     X = x.reshape(dims.N, dims.n)
     if game.all_quadratic:
-        st = game.stacks
-        chain = np.einsum("ikj,ik->ij", st["Q"], X) / dims.N
+        chain = np.einsum("ikj,ik->ij", game.stacks.Q, X) / dims.N
         return (base + chain).ravel()
     for i, agent in enumerate(game.agents):
         base[i] = base[i] + agent.cost.grad_sigma(X[i], sigma) / dims.N
@@ -253,7 +252,7 @@ def kkt_residual(game: GameSpec, w: ExtendedPoint) -> KktResidual:
     resid = game.coupling_value(w.x) - game.b_total
     Y = w.y.reshape(dims.N, dims.m)
     X = w.x.reshape(dims.N, dims.n)
-    links = np.einsum("imn,in->im", game.A_stack, X) - game.stacks["b"]
+    links = np.einsum("imn,in->im", game.A_stack, X) - game.stacks.b
     return KktResidual(
         stationarity=stationarity_residual(game, w.x, w.lam),
         primal=float(np.max(np.maximum(resid, 0.0), initial=0.0)),

@@ -116,7 +116,6 @@ class ProxProblem:
     ``metric`` is either a 1-D diagonal (fast path) or a dense SPD matrix.
     """
 
-    i: int
     sigma: np.ndarray
     linear: np.ndarray
     center: np.ndarray
@@ -174,7 +173,7 @@ def local_prox(agent: AgentSpec, p: ProxProblem) -> np.ndarray:
 
 def batch_prox_eligible(game: GameSpec) -> bool:
     """True when every agent admits the vectorized projection fast path."""
-    return game.all_quadratic and game.all_box_simplex and game.stacks["ata_is_diag"]
+    return game.all_quadratic and game.all_box_simplex and game.stacks.unit_metrics is not None
 
 
 def batched_quadratic_prox(
@@ -184,12 +183,39 @@ def batched_quadratic_prox(
     center: np.ndarray,
     metric_diag: np.ndarray,
 ) -> np.ndarray:
-    """All agents' fast-path prox solves at once; bit-identical to the loop."""
+    """All agents' fast-path prox solves at once; bit-identical to :func:`local_prox` per row."""
     st = game.stacks
-    a = st["a"][:, None]
+    a = st.a[:, None]
     weights = a + metric_diag
-    v = (a * st["xtilde"] + metric_diag * center - st["Q"] @ sigma - linear) / weights
-    return project_box_simplex_batch(v, st["upper"], st["total"], weights)
+    v = (a * st.xtilde + metric_diag * center - st.Q @ sigma - linear) / weights
+    return project_box_simplex_batch(v, st.upper, st.total, weights)
+
+
+def decoupled_prox(
+    game: GameSpec,
+    sigma: np.ndarray,
+    linear: np.ndarray,
+    center: np.ndarray,
+    gamma: np.ndarray,
+    tol: float = DEFAULT_PROX_TOL,
+) -> np.ndarray:
+    """All agents' proximal subproblems of the decoupled half, as (N, n) rows.
+
+    Row i minimizes over agent i's local set
+        f_i(z, sigma) + linear_i' z
+        + ||z - center_i||^2 in the metric (I + A_i' A_i) / (2 gamma_i).
+    Games that admit the fast path for every agent take one batched closed
+    form; otherwise each agent runs :func:`local_prox` in its own diagonal
+    or dense metric.
+    """
+    if batch_prox_eligible(game):
+        metric_diag = game.stacks.unit_metrics / gamma[:, None]
+        return batched_quadratic_prox(game, sigma, linear, center, metric_diag)
+    X_new = np.empty_like(center)
+    for i, agent in enumerate(game.agents):
+        metric = agent.unit_metric / gamma[i]
+        X_new[i] = local_prox(agent, ProxProblem(sigma, linear[i], center[i], metric, tol))
+    return X_new
 
 
 def resolvent_A(
@@ -209,27 +235,11 @@ def resolvent_A(
     X = w.x_blocks(dims.n)
     Y = w.y_blocks(dims.m)
     gamma = steps.gamma[:, None]
-    links = np.einsum("imn,in->im", game.A_stack, X) - game.stacks["b"]
-    linear = np.einsum("imn,im->in", game.A_stack, links - Y) / gamma
-    if batch_prox_eligible(game):
-        metric_diag = (1.0 + game.stacks["ata_diag"]) / gamma
-        X_new = batched_quadratic_prox(game, w.sigma, linear, X, metric_diag)
-    else:
-        X_new = np.empty_like(X)
-        eye = np.eye(dims.n)
-        for i, agent in enumerate(game.agents):
-            ata = agent.A.T @ agent.A
-            diag = np.diag(ata)
-            is_diag = bool(np.all(ata == np.diag(diag)))
-            metric = (1.0 + diag) / steps.gamma[i] if is_diag else (eye + ata) / steps.gamma[i]
-            problem = ProxProblem(
-                i=i, sigma=w.sigma, linear=linear[i], center=X[i], metric=metric, tolerance=tol
-            )
-            X_new[i] = local_prox(agent, problem)
-    Y_new = np.einsum("imn,in->im", game.A_stack, X_new) - game.stacks["b"]
+    linear = np.einsum("imn,im->in", game.A_stack, game.link_values(X) - Y) / gamma
+    X_new = decoupled_prox(game, w.sigma, linear, X, steps.gamma, tol)
     return ExtendedPoint(
         x=X_new.ravel(),
-        y=Y_new.ravel(),
+        y=game.link_values(X_new).ravel(),
         sigma=w.sigma.copy(),
         mu=w.mu.copy(),
         lam=w.lam.copy(),

@@ -19,9 +19,6 @@ from .game import GameSpec
 from .operators import ExtendedPoint, apply_S, apply_A_selection, apply_T_selection
 from .resolvents import StepSizes, resolvent_A, resolvent_B
 
-SUITES = ("step-sizes", "skew", "splitting", "resolvents", "firmness", "trajectory", "kkt")
-
-
 @dataclass
 class SuiteResult:
     suite: str
@@ -70,7 +67,7 @@ def inclusion_residual_A(
     H = (Xp - X) / gamma + G + np.einsum("imn,im->in", game.A_stack, (Yp - Y) / gamma)
     proj = game.project_each(Xp - H)
     r_x = float(np.max(np.linalg.norm(Xp - proj, axis=1)))
-    links = np.einsum("imn,in->im", game.A_stack, Xp) - game.stacks["b"]
+    links = np.einsum("imn,in->im", game.A_stack, Xp) - game.stacks.b
     r_y = float(np.max(np.abs(Yp - links), initial=0.0))
     r_pass = max(
         float(np.max(np.abs(w_plus.sigma - w.sigma), initial=0.0)),
@@ -273,27 +270,25 @@ def suite_kkt(
     )
 
 
+# suite name -> runner(game, steps, seed); the keys, in order, are SUITES
+_SUITE_RUNNERS = {
+    "step-sizes": lambda game, steps, seed: suite_step_sizes(steps, seed=seed),
+    "skew": lambda game, steps, seed: suite_skew(game, seed=seed),
+    "splitting": lambda game, steps, seed: suite_splitting(game, seed=seed),
+    "resolvents": lambda game, steps, seed: suite_resolvents(game, steps, seed=seed),
+    "firmness": lambda game, steps, seed: suite_firmness(game, steps, seed=seed),
+    "trajectory": lambda game, steps, seed: suite_trajectory(game, steps),
+    "kkt": lambda game, steps, seed: suite_kkt(game, steps),
+}
+SUITES = tuple(_SUITE_RUNNERS)
+
+
 def run_suites(
     game: GameSpec, steps: StepSizes, suites: tuple[str, ...] | None = None, seed: int = 0
 ) -> list[SuiteResult]:
     """Run the requested suites (all by default) and collect their results."""
     chosen = SUITES if suites is None else tuple(suites)
-    results = []
     for name in chosen:
-        if name == "step-sizes":
-            results.append(suite_step_sizes(steps, seed=seed))
-        elif name == "skew":
-            results.append(suite_skew(game, seed=seed))
-        elif name == "splitting":
-            results.append(suite_splitting(game, seed=seed))
-        elif name == "resolvents":
-            results.append(suite_resolvents(game, steps, seed=seed))
-        elif name == "firmness":
-            results.append(suite_firmness(game, steps, seed=seed))
-        elif name == "trajectory":
-            results.append(suite_trajectory(game, steps))
-        elif name == "kkt":
-            results.append(suite_kkt(game, steps))
-        else:
+        if name not in _SUITE_RUNNERS:
             raise ValueError(f"unknown suite '{name}'")
-    return results
+    return [_SUITE_RUNNERS[name](game, steps, seed) for name in chosen]

@@ -121,6 +121,12 @@ class TestVerify:
         assert "resolvents" in out
         assert "trajectory" not in out
 
+    def test_unknown_suite_name_rejected(self, desk_game, desk_steps):
+        from aggsplit.verify import run_suites
+
+        with pytest.raises(ValueError):
+            run_suites(desk_game, desk_steps, suites=("skew", "no-such-suite"))
+
     def test_out_of_range_central_step_fails_verification(self, capsys):
         assert run_cli(["verify", "--delta-c", "1.0"]) == 1
         assert "step-sizes" in capsys.readouterr().out

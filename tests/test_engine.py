@@ -31,6 +31,7 @@ from aggsplit import (
 from aggsplit.benchmark import ground_truth_point
 from aggsplit.engine import CSV_HEADER
 from aggsplit.projections import fista_minimize
+from aggsplit.resolvents import batch_prox_eligible
 from oracles import reference_rounds
 
 
@@ -240,21 +241,31 @@ class TestEngineRounds:
         game = two_agent_toy()
         steps = benchmark_steps(2)
         want = reference_rounds(game, steps, iters=3)
-        engine = DrEngine(game, RunConfig(steps=steps), force_loop=True)
+        engine = DrEngine(game, RunConfig(steps=steps))
         for k in range(3):
             engine.step()
             assert np.array_equal(engine.X.ravel(), want[k])
 
     def test_batched_and_per_agent_paths_agree(self, desk_game, desk_steps):
+        # the batched round against every agent's own row view of the same broadcast
         cfg = RunConfig(steps=desk_steps)
-        fast = DrEngine(desk_game, cfg)
-        slow = DrEngine(desk_game, cfg, force_loop=True)
-        assert fast._batch and not slow._batch
+        engine = DrEngine(desk_game, cfg)
+        assert batch_prox_eligible(desk_game)
         for _ in range(5):
-            fast.step()
-            slow.step()
-            assert np.array_equal(fast.X, slow.X)
-            assert np.array_equal(fast.coord.lam, slow.coord.lam)
+            rows = [
+                agent_update(
+                    agent,
+                    AgentState(x=engine.X[i], y=engine.Y[i]),
+                    engine.bcast,
+                    desk_steps.gamma[i],
+                    desk_game.dims.N,
+                    tol=cfg.prox_tol,
+                )
+                for i, agent in enumerate(desk_game.agents)
+            ]
+            engine.step()
+            assert np.array_equal(engine.X, np.stack([row.x for row in rows]))
+            assert np.array_equal(engine.Y, np.stack([row.y for row in rows]))
 
     def test_link_invariant_after_each_round(self, desk_game, desk_steps):
         engine = DrEngine(desk_game, RunConfig(steps=desk_steps))
@@ -325,6 +336,23 @@ class TestRunDr:
         )
         assert relaxed.converged
         assert np.linalg.norm(base.final_point.x - relaxed.final_point.x) <= 1e-6
+
+    def test_relaxed_run_initializes_once(self, desk_game, desk_steps, monkeypatch):
+        import aggsplit.engine as engine_mod
+
+        calls = []
+        real = engine_mod.dr_init
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "dr_init", counted)
+        trace = run_dr(
+            desk_game, RunConfig(steps=desk_steps, stop_tol=1e-8, relaxation=1.5), validate=False
+        )
+        assert trace.converged
+        assert len(calls) == 1
 
     def test_invalid_relaxation_rejected(self, desk_steps):
         with pytest.raises(InvalidStepSizes):
@@ -423,6 +451,70 @@ class TestGeneralCoupling:
         dr = run_dr(dense_game, RunConfig(steps=steps, stop_tol=1e-8, prox_tol=1e-11), validate=False)
         pfb = run_pfb(dense_game, RunConfig(steps=steps, stop_tol=1e-8), validate=False)
         assert np.linalg.norm(dr.final_point.x - pfb.final_point.x) <= 1e-5
+
+
+def mixed_metric_game():
+    """Agent 0 has a dense A_0' A_0; the others are scaled identity (diagonal metric)."""
+    rng = np.random.default_rng(21)
+    N, n = 4, 3
+    agents = []
+    for i in range(N):
+        omega = BoxSimplex(rng.uniform(0.5, 1.0, n), 1.0)
+        A = rng.uniform(0.2, 1.0, (n, n)) if i == 0 else rng.uniform(1.0, 2.0) * np.eye(n)
+        cost = QuadraticAgg(1.0 + rng.random(), omega.project(rng.random(n)), 0.1 * rng.random((n, n)))
+        agents.append(AgentSpec(omega=omega, cost=cost, A=A, b=np.full(n, 0.6)))
+    return GameSpec(dims=Dimensions(N, n, n), agents=agents)
+
+
+class TestMixedMetricDiagonality:
+    """Each agent keeps its own diagonal-or-dense prox metric in a mixed game."""
+
+    def test_metric_choice_is_per_agent(self):
+        game = mixed_metric_game()
+        assert game.stacks.metric_is_diag.tolist() == [False, True, True, True]
+        assert game.stacks.unit_metrics is None
+        assert not batch_prox_eligible(game)
+
+    def test_resolvent_inclusion_holds(self, rng):
+        from aggsplit.resolvents import resolvent_A
+        from aggsplit.verify import inclusion_residual_A, random_extended_point
+
+        game = mixed_metric_game()
+        steps = StepSizes(gamma=np.array([0.5, 1.0, 1.5, 1.0]), alpha=1.0, beta=1.0, delta=1.0)
+        for _ in range(5):
+            w = random_extended_point(game, rng)
+            out = resolvent_A(game, steps, w, tol=1e-12)
+            assert inclusion_residual_A(game, steps, w, out) <= 1e-8
+
+    def test_rounds_match_raw_trajectory(self):
+        game = mixed_metric_game()
+        steps = benchmark_steps(game.dims.N)
+        cfg = RunConfig(steps=steps, prox_tol=1e-12)
+        engine = DrEngine(game, cfg)
+        tilde = raw_initial_tilde(game, cfg)
+        for _ in range(10):
+            engine.step()
+            half, full, tilde = raw_dr_step(tilde, game, steps, prox_tol=1e-12)
+            assert np.max(np.abs(engine.X.ravel() - half.x)) <= 1e-8
+            assert np.max(np.abs(engine.coord.lam - full.lam)) <= 1e-8
+
+    def test_only_the_dense_agent_takes_the_iterative_prox(self, monkeypatch):
+        import aggsplit.resolvents as resolvents_mod
+
+        game = mixed_metric_game()
+        solved_sets = []
+        real = resolvents_mod.fista_minimize
+
+        def spy(grad, project, *args, **kwargs):
+            solved_sets.append(project.__self__)
+            return real(grad, project, *args, **kwargs)
+
+        monkeypatch.setattr(resolvents_mod, "fista_minimize", spy)
+        engine = DrEngine(game, RunConfig(steps=benchmark_steps(game.dims.N)))
+        for _ in range(3):
+            engine.step()
+        assert len(solved_sets) == 3
+        assert all(omega is game.agents[0].omega for omega in solved_sets)
 
 
 class TestRunPfb:

@@ -147,6 +147,16 @@ class TestLinkInvariant:
             assert np.allclose(y, agent.A @ x - agent.b)
 
 
+    def test_batched_default_points_and_links_match_the_agents(self, desk_game):
+        X = desk_game.default_points()
+        assert desk_game.default_points() is X
+        assert not X.flags.writeable
+        Y = desk_game.link_values(X)
+        for i, agent in enumerate(desk_game.agents):
+            assert np.array_equal(X[i], agent.omega.default_point())
+            assert np.allclose(Y[i], agent.link_value(X[i]), atol=1e-15)
+
+
 class TestSerialization:
     def test_round_trip(self, desk_game):
         payload = desk_game.to_json_dict()

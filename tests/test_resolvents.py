@@ -79,7 +79,6 @@ class TestLocalProx:
             b=np.array([0.0]),
         )
         p = ProxProblem(
-            i=0,
             sigma=np.array([9.0]),
             linear=np.array([4.0]),
             center=np.array([-1.0]),
@@ -93,7 +92,6 @@ class TestLocalProx:
         n = desk_game.dims.n
         for _ in range(10):
             p = ProxProblem(
-                i=0,
                 sigma=rng.standard_normal(n),
                 linear=rng.standard_normal(n),
                 center=rng.standard_normal(n),
@@ -125,7 +123,6 @@ class TestLocalProx:
         )
         M = agent.A.T @ agent.A + np.eye(n)
         p = ProxProblem(
-            i=0,
             sigma=rng.standard_normal(n),
             linear=rng.standard_normal(n),
             center=rng.standard_normal(n),
