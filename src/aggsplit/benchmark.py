@@ -26,12 +26,16 @@ from .game import (
     GameSpec,
     Dimensions,
     QuadraticAgg,
-    average,
     validate_game,
 )
 from .engine import RunConfig, RunTrace, run_dr, run_pfb
 from .operators import ExtendedPoint, monotonicity_probe, stationarity_residual
-from .projections import dykstra_projection, fista_minimize, halfspace_projector
+from .projections import (
+    dykstra_projection,
+    fista_minimize,
+    halfspace_projector,
+    project_box_simplex_batch,
+)
 from .resolvents import StepSizes
 
 # seed-stream tags: (seed, GLOBAL_STREAM) for shared draws, (seed, AGENT_STREAM, i) per agent
@@ -88,8 +92,6 @@ def _draw_upper(rng: np.random.Generator, n: int, total: float) -> np.ndarray:
 def generate_benchmark(params: BenchmarkParams) -> GameSpec:
     """Draw one benchmark instance; validated before returning."""
     N, n = params.N, params.n
-    e1 = np.zeros(n)
-    e1[0] = 1.0
 
     agents = []
     w = np.empty(N)
@@ -101,15 +103,17 @@ def generate_benchmark(params: BenchmarkParams) -> GameSpec:
         q_i = rng.uniform(*params.q_range)
         qbar = rng.uniform(params.qbar_range[0], params.qbar_range[1], size=(n, n))
         uppers[i] = _draw_upper(rng, n, params.upper_total)
-        omega = BoxSimplex(uppers[i], params.simplex_total)
         agents.append(
             {
-                "omega": omega,
+                "omega": BoxSimplex(uppers[i], params.simplex_total),
                 "cost_a": a_i,
                 "Q": q_i * np.eye(n) + qbar,
-                "xtilde": omega.project(e1),
             }
         )
+    # preferred schedules: every agent's projection of the first unit vector
+    e1 = np.zeros((N, n))
+    e1[:, 0] = 1.0
+    xtilde = project_box_simplex_batch(e1, uppers, np.full(N, float(params.simplex_total)))
 
     rng_global = np.random.default_rng(np.random.SeedSequence((params.seed, GLOBAL_STREAM)))
     cap_totals = np.einsum("i,ij->j", w, uppers)
@@ -119,7 +123,7 @@ def generate_benchmark(params: BenchmarkParams) -> GameSpec:
     spec_agents = [
         AgentSpec(
             omega=raw["omega"],
-            cost=QuadraticAgg(a=raw["cost_a"], xtilde=raw["xtilde"], Q=raw["Q"]),
+            cost=QuadraticAgg(a=raw["cost_a"], xtilde=xtilde[i], Q=raw["Q"]),
             A=w[i] * np.eye(n),
             b=b / N,
         )
@@ -206,26 +210,41 @@ def gae_vi_residual(game: GameSpec, x: np.ndarray, lam: np.ndarray | None = None
     return stationarity_residual(game, np.asarray(x, dtype=np.float64), np.asarray(lam))
 
 
-def _deviation_set_projector(game: GameSpec, i: int, slack: np.ndarray, x_i: np.ndarray):
+def _deviation_slack(game: GameSpec, X: np.ndarray) -> np.ndarray:
+    """(N, m) rows b - sum_{j != i} A_j x_j: the coupling room of each agent's deviation."""
+    own = (game.A_stack @ X[..., None])[..., 0]  # rounds like the per-agent A_i @ x_i
+    return game.b_total - (game.coupling_value(X.ravel()) - own)
+
+
+def _deviation_caps(game: GameSpec, X: np.ndarray, slack: np.ndarray) -> np.ndarray | None:
+    """(N, n) caps of the deviation sets {z in Omega_i : w_i z <= slack_i}.
+
+    Defined when every agent has a box-simplex set and A_i = w_i I with
+    w_i > 0 (the tightened-caps family), otherwise None.  Each row is
+    widened just enough to keep the agent's current decision, a member
+    of its set up to roundoff.
+    """
+    n = game.dims.n
+    if not game.all_box_simplex or game.dims.m != n:
+        return None
+    A = game.A_stack
+    w = A[:, 0, 0]
+    if not (np.all(w > 0) and np.array_equal(A, w[:, None, None] * np.eye(n))):
+        return None
+    upper = game.stacks.upper
+    caps = np.minimum(upper, np.maximum(slack, 0.0) / w[:, None])
+    return np.maximum(caps, np.minimum(X, upper))
+
+
+def _deviation_set_projector(agent: AgentSpec, slack: np.ndarray, caps: np.ndarray | None):
     """Euclidean projector onto {z in Omega_i : A_i z <= slack}.
 
-    ``x_i`` is a known member of the set (up to roundoff); the scaled-
-    identity fast path widens its tightened caps just enough to keep it.
+    ``caps`` is the agent's row of :func:`_deviation_caps` when the game is
+    in the tightened-caps family, else None (Dykstra's method).
     """
-    agent = game.agents[i]
+    if caps is not None:
+        return BoxSimplex(caps, agent.omega.total).project
     A = agent.A
-    n = game.dims.n
-    w_scalar = A[0, 0] if A.shape[0] == A.shape[1] else None
-    if (
-        w_scalar is not None
-        and w_scalar > 0
-        and isinstance(agent.omega, BoxSimplex)
-        and np.array_equal(A, w_scalar * np.eye(n))
-    ):
-        caps = np.minimum(agent.omega.upper, np.maximum(slack, 0.0) / w_scalar)
-        caps = np.maximum(caps, np.minimum(x_i, agent.omega.upper))
-        tight = BoxSimplex(caps, agent.omega.total)
-        return tight.project
     rows = [halfspace_projector(A[r], float(slack[r])) for r in range(A.shape[0])]
 
     def proj(z: np.ndarray) -> np.ndarray:
@@ -246,20 +265,65 @@ def epsilon_nash_gap(
     The deviation moves the average along with the deviating agent.  With
     ``samples`` set, the inner problem is estimated by the best of that
     many random feasible candidates (drawn from ``seed``) instead of
-    solved.
+    solved.  Exact gaps of a quadratic game in the tightened-caps family
+    are solved for all agents at once; every other game solves agent by
+    agent.
     """
+    X = np.asarray(x, dtype=np.float64).reshape(game.dims.N, game.dims.n)
+    if samples is None and game.all_quadratic:
+        caps = _deviation_caps(game, X, _deviation_slack(game, X))
+        if caps is not None:
+            return _batched_quadratic_gap(game, X, caps, tol)
+    return _per_agent_gap(game, X, samples, tol, seed)
+
+
+def _batched_quadratic_gap(game: GameSpec, X: np.ndarray, caps: np.ndarray, tol: float) -> np.ndarray:
+    """Exact gaps of every agent from one lock-step solve of the stacked
+    quadratic deviation problems over their tightened caps."""
+    N = game.dims.N
+    st = game.stacks
+    sigma_others = X.mean(axis=0) - X / N
+    QT = np.swapaxes(st.Q, 1, 2)
+
+    def rows(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+        # stacked matmul: row i rounds like the per-agent M[i] @ V[i]
+        return (M @ V[..., None])[..., 0]
+
+    def value(Z: np.ndarray) -> np.ndarray:
+        D = Z - st.xtilde
+        S = sigma_others + Z / N
+        return 0.5 * st.a * np.einsum("ij,ij->i", D, D) + np.einsum("ij,ij->i", rows(st.Q, S), Z)
+
+    def grad(Z: np.ndarray) -> np.ndarray:
+        S = sigma_others + Z / N
+        return st.a[:, None] * (Z - st.xtilde) + rows(st.Q, S) + rows(QT, Z) / N
+
+    def project(Z: np.ndarray) -> np.ndarray:
+        return project_box_simplex_batch(Z, caps, st.total)
+
+    sym_norm = np.linalg.norm(0.5 * (st.Q + QT), 2, axis=(1, 2))
+    lipschitz = st.a + 2.0 * sym_norm / N
+    strong = np.maximum(st.a - 2.0 * sym_norm / N, 1e-12)
+    Z = fista_minimize(grad, project, X, lipschitz=lipschitz, strong_convexity=strong, tol=tol)
+    base = value(X)
+    # z = x_i is feasible, so the true minimum never exceeds base
+    return base - np.minimum(value(Z), base)
+
+
+def _per_agent_gap(
+    game: GameSpec, X: np.ndarray, samples: int | None, tol: float, seed: int
+) -> np.ndarray:
+    """The gaps of :func:`epsilon_nash_gap`, one agent's deviation problem at a time."""
     dims = game.dims
-    x = np.asarray(x, dtype=np.float64)
-    X = x.reshape(dims.N, dims.n)
-    sigma = average(x, dims.n)
-    coupling = game.coupling_value(x)
+    slack = _deviation_slack(game, X)
+    caps = _deviation_caps(game, X, slack)
+    sigma = X.mean(axis=0)
     eps = np.empty(dims.N)
     for i, agent in enumerate(game.agents):
         cost = agent.cost
         if getattr(cost, "grad_sigma_fn", False) is None:
             raise NonSmoothCost("deviation objective needs an aggregate-gradient oracle")
-        slack = game.b_total - (coupling - agent.A @ X[i])
-        project = _deviation_set_projector(game, i, slack, X[i])
+        project = _deviation_set_projector(agent, slack[i], None if caps is None else caps[i])
         sigma_others = sigma - X[i] / dims.N
 
         def value(z: np.ndarray) -> float:

@@ -428,15 +428,7 @@ def _run_loop(
         kkt = None
         if cheap <= config.stop_tol and k >= gate_block_until:
             kkt = kkt_residual(game, point)
-            gate = max(
-                kkt.stationarity,
-                kkt.primal,
-                kkt.complementarity,
-                kkt.dual_sign,
-                kkt.consensus,
-                kkt.link,
-            )
-            if gate <= GATE_FACTOR * config.stop_tol:
+            if kkt.max_value() <= GATE_FACTOR * config.stop_tol:
                 converged, reason = True, "stop_tol"
                 record(k, step_plain, kkt)
                 break

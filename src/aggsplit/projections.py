@@ -129,8 +129,8 @@ def fista_minimize(
     grad: Callable[[np.ndarray], np.ndarray],
     project: Callable[[np.ndarray], np.ndarray],
     z0: np.ndarray,
-    lipschitz: float,
-    strong_convexity: float = 0.0,
+    lipschitz: float | np.ndarray,
+    strong_convexity: float | np.ndarray = 0.0,
     tol: float = 1e-10,
     max_iters: int = 50_000,
 ) -> np.ndarray:
@@ -140,33 +140,44 @@ def fista_minimize(
     momentum (1 - sqrt(q)) / (1 + sqrt(q)) is used, otherwise the classic
     t-sequence with a gradient-based restart.  Stops when the unit-step
     natural residual ``||z - project(z - grad(z))||`` drops below ``tol``.
+
+    A (B, n) ``z0`` solves B independent problems in lock step: ``grad``
+    and ``project`` act row-wise on (B, n) arrays, ``lipschitz`` and
+    ``strong_convexity`` may be (B,) arrays, and a row freezes once its
+    own residual is below ``tol``, so each row follows the one-row solve
+    of its problem.  ``max_iters`` bounds the lock-step iterations.
     """
-    L = float(lipschitz)
-    if L <= 0:
+    L = np.asarray(lipschitz, dtype=np.float64)
+    if np.any(L <= 0):
         raise ValueError("lipschitz bound must be positive")
     z = project(np.asarray(z0, dtype=np.float64))
+    rows = z.shape[:-1]  # () for one problem, (B,) for a batch
+    L = np.broadcast_to(L, rows)
+    strong = np.broadcast_to(np.asarray(strong_convexity, dtype=np.float64), rows)
+    root_q = np.sqrt(np.minimum(strong / L, 1.0))
+    momentum = (1.0 - root_q) / (1.0 + root_q)
     y = z.copy()
-    t = 1.0
-    momentum = None
-    if strong_convexity > 0:
-        q = min(strong_convexity / L, 1.0)
-        momentum = (1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q))
+    t = np.ones(rows)
+    active = np.ones(rows, dtype=bool)
+
+    def residual(z: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(z - project(z - grad(z)), axis=-1)
+
     for _ in range(max_iters):
-        g = grad(z)
-        if np.linalg.norm(z - project(z - g)) <= tol:
+        active = active & (residual(z) > tol)
+        if not active.any():
             return z
-        z_new = project(y - grad(y) / L)
-        if momentum is not None:
-            y = z_new + momentum * (z_new - z)
-        else:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            beta = (t - 1.0) / t_new
-            # restart the momentum when it points uphill
-            if np.dot(y - z_new, z_new - z) > 0:
-                t_new, beta = 1.0, 0.0
-            y = z_new + beta * (z_new - z)
-            t = t_new
-        z = z_new
-    if np.linalg.norm(z - project(z - grad(z))) <= tol:
+        z_new = project(y - grad(y) / L[..., None])
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_new
+        # restart the momentum when it points uphill
+        uphill = np.sum((y - z_new) * (z_new - z), axis=-1) > 0
+        t_new = np.where(uphill, 1.0, t_new)
+        beta = np.where(strong > 0, momentum, np.where(uphill, 0.0, beta))
+        keep = active[..., None]
+        y = np.where(keep, z_new + beta[..., None] * (z_new - z), y)
+        z = np.where(keep, z_new, z)
+        t = t_new
+    if np.all(~active | (residual(z) <= tol)):
         return z
     raise NoConvergence(max_iters, "projected-gradient inner solve stalled")

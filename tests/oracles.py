@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from aggsplit.game import GameSpec
+from aggsplit.game import AgentSpec, GameSpec, GenericSmooth
 from aggsplit.operators import ExtendedPoint
 from aggsplit.resolvents import StepSizes
 
@@ -171,3 +171,25 @@ def reference_rounds(game: GameSpec, steps: StepSizes, iters: int):
         xhat_prev, yhat_prev = xhat, yhat
         out.append(np.concatenate(xs))
     return out
+
+
+def wrap_costs_in_oracles(game: GameSpec) -> GameSpec:
+    """The same quadratic game with every cost behind value/gradient oracles."""
+    agents = []
+    for agent in game.agents:
+        cost = agent.cost
+        agents.append(
+            AgentSpec(
+                omega=agent.omega,
+                cost=GenericSmooth(
+                    value_fn=cost.value,
+                    grad_fn=cost.grad,
+                    curvature=cost.a,
+                    strong_convexity=cost.a,
+                    grad_sigma_fn=cost.grad_sigma,
+                ),
+                A=agent.A,
+                b=agent.b,
+            )
+        )
+    return GameSpec(dims=game.dims, agents=agents)

@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import aggsplit.benchmark as benchmark_mod
+import aggsplit.projections as projections_mod
 from aggsplit import (
     AgentSpec,
     BenchmarkParams,
@@ -15,6 +18,7 @@ from aggsplit import (
     benchmark_steps,
     coupling_violation,
     epsilon_nash_gap,
+    find_feasible_point,
     gae_vi_residual,
     generate_benchmark,
     ground_truth,
@@ -22,6 +26,7 @@ from aggsplit import (
     run_comparison,
     validate_game,
 )
+from oracles import wrap_costs_in_oracles
 
 
 class TestParams:
@@ -79,6 +84,21 @@ class TestGenerate:
         e1[0] = 1.0
         for agent in game.agents:
             assert np.allclose(agent.cost.xtilde, agent.omega.project(e1), atol=1e-12)
+
+    def test_saved_game_matches_per_agent_target_projection(self, tmp_path):
+        game = generate_benchmark(BenchmarkParams(N=50, n=5, seed=4))
+        e1 = np.zeros(5)
+        e1[0] = 1.0
+        per_agent = GameSpec(
+            dims=game.dims,
+            agents=[
+                replace(agent, cost=replace(agent.cost, xtilde=agent.omega.project(e1)))
+                for agent in game.agents
+            ],
+        )
+        game.save(tmp_path / "batched.json")
+        per_agent.save(tmp_path / "per_agent.json")
+        assert (tmp_path / "batched.json").read_bytes() == (tmp_path / "per_agent.json").read_bytes()
 
     def test_single_agent_instance_degenerates_cleanly(self):
         game = generate_benchmark(BenchmarkParams(N=1, n=10, seed=0))
@@ -175,6 +195,81 @@ class TestEpsilonGap:
         sampled = epsilon_nash_gap(desk_game, point.x, samples=50)
         assert np.all(sampled <= exact + 1e-8)
         assert np.all(sampled >= 0.0)
+
+
+def per_agent_gap(game, x):
+    """The exact gap from the agent-by-agent loop, whatever the game."""
+    X = np.asarray(x).reshape(game.dims.N, game.dims.n)
+    return benchmark_mod._per_agent_gap(game, X, samples=None, tol=1e-9, seed=0)
+
+
+@pytest.fixture(scope="module")
+def gap_games(desk_game):
+    """(game, certified equilibrium) for the desk game and an N=50, n=5 instance."""
+    cases = []
+    for game in (desk_game, generate_benchmark(BenchmarkParams(N=50, n=5, seed=7))):
+        point, _ = ground_truth_point(game, tol=1e-8, cross_check=False)
+        cases.append((game, point.x))
+    return cases
+
+
+def gap_points(game, x_eq):
+    """The certified equilibrium, and the default points, where many iterations run."""
+    return {"equilibrium": x_eq, "default": game.default_points().ravel()}
+
+
+def count_calls(monkeypatch, module, name):
+    """Record every call of ``module.name`` for the rest of the test."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestBatchedGap:
+    def test_equals_the_per_agent_loop(self, gap_games):
+        for game, x_eq in gap_games:
+            for label, x in gap_points(game, x_eq).items():
+                eps = epsilon_nash_gap(game, x)
+                assert np.all(eps >= 0.0), label
+                assert np.max(np.abs(eps - per_agent_gap(game, x))) <= 1e-14, label
+
+    def test_oracle_costs_take_the_per_agent_path_and_agree(self, gap_games, monkeypatch):
+        for game, x_eq in gap_games:
+            wrapped = wrap_costs_in_oracles(game)
+            for label, x in gap_points(game, x_eq).items():
+                fista_calls = count_calls(monkeypatch, benchmark_mod, "fista_minimize")
+                generic = epsilon_nash_gap(wrapped, x)
+                assert len(fista_calls) == game.dims.N, label
+                monkeypatch.undo()
+                assert np.max(np.abs(generic - epsilon_nash_gap(game, x))) <= 1e-10, label
+
+    def test_one_coupling_block_off_the_family_takes_the_per_agent_path(self, desk_game, monkeypatch):
+        agents = list(desk_game.agents)
+        A = agents[0].A.copy()
+        A[0, 1] = 0.1 * A[0, 0]
+        agents[0] = replace(agents[0], A=A)
+        game = GameSpec(dims=desk_game.dims, agents=agents)
+        x, _ = find_feasible_point(game)
+        fista_calls = count_calls(monkeypatch, benchmark_mod, "fista_minimize")
+        eps = epsilon_nash_gap(game, x)
+        assert len(fista_calls) == game.dims.N
+        assert np.all(np.isfinite(eps)) and np.all(eps >= 0.0)
+
+    def test_projection_calls_stay_below_one_per_agent(self, gap_games, monkeypatch):
+        game, x_eq = gap_games[1]
+        calls = count_calls(monkeypatch, projections_mod, "project_box_simplex_batch")
+        # the same counting wrapper behind the name the gap module binds
+        monkeypatch.setattr(
+            benchmark_mod, "project_box_simplex_batch", projections_mod.project_box_simplex_batch
+        )
+        epsilon_nash_gap(game, x_eq)
+        assert 0 < len(calls) < game.dims.N
 
 
 class TestComparison:

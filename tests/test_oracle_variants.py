@@ -23,6 +23,7 @@ from aggsplit import (
     validate_game,
 )
 from aggsplit.projections import fista_minimize
+from oracles import wrap_costs_in_oracles
 
 
 def wrap_sets_in_oracles(game: GameSpec) -> GameSpec:
@@ -33,27 +34,6 @@ def wrap_sets_in_oracles(game: GameSpec) -> GameSpec:
             AgentSpec(
                 omega=GenericConvex(n=game.dims.n, project_fn=omega.project),
                 cost=agent.cost,
-                A=agent.A,
-                b=agent.b,
-            )
-        )
-    return GameSpec(dims=game.dims, agents=agents)
-
-
-def wrap_costs_in_oracles(game: GameSpec) -> GameSpec:
-    agents = []
-    for agent in game.agents:
-        cost = agent.cost
-        agents.append(
-            AgentSpec(
-                omega=agent.omega,
-                cost=GenericSmooth(
-                    value_fn=cost.value,
-                    grad_fn=cost.grad,
-                    curvature=cost.a,
-                    strong_convexity=cost.a,
-                    grad_sigma_fn=cost.grad_sigma,
-                ),
                 A=agent.A,
                 b=agent.b,
             )

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggsplit.errors import EmptySet
+from aggsplit.errors import EmptySet, NoConvergence
 from aggsplit.projections import (
     dykstra_projection,
     fista_minimize,
@@ -106,6 +106,44 @@ def test_fista_solves_box_constrained_quadratic():
     z = fista_minimize(grad, project, np.zeros(5), L, strong_convexity=mu, tol=1e-11)
     # optimality: natural residual at the solution
     assert np.linalg.norm(z - project(z - grad(z))) <= 1e-10
+
+
+@pytest.mark.parametrize("strong", [True, False], ids=["constant-momentum", "restarted"])
+def test_fista_batch_rows_follow_their_one_row_solves(strong):
+    rng = np.random.default_rng(5)
+    B, n = 6, 4
+    M = rng.standard_normal((B, n, n))
+    H = M @ np.swapaxes(M, 1, 2) + np.eye(n)
+    c = rng.standard_normal((B, n))
+    upper = rng.uniform(0.3, 1.0, (B, n))
+    eig = np.linalg.eigvalsh(H)
+    L, mu = eig[:, -1], (eig[:, 0] if strong else np.zeros(B))
+
+    def grad(Z):
+        return np.stack([H[i] @ Z[i] - c[i] for i in range(B)])
+
+    def project(Z):
+        return project_box_simplex_batch(Z, upper, np.ones(B))
+
+    Z = fista_minimize(grad, project, np.zeros((B, n)), L, strong_convexity=mu, tol=1e-10)
+    for i in range(B):
+        z = fista_minimize(
+            lambda v: H[i] @ v - c[i],
+            lambda v: project_box_simplex(v, upper[i], 1.0),
+            np.zeros(n),
+            L[i],
+            strong_convexity=mu[i],
+            tol=1e-10,
+        )
+        assert np.array_equal(Z[i], z)
+
+
+def test_fista_batch_raises_when_one_row_stalls():
+    scales = np.array([[1000.0, 1.0, 7.0], [1.0, 1.0, 1.0]])
+    grad = lambda Z: scales * Z - 1.0
+    project = lambda Z: np.clip(Z, -10.0, 10.0)
+    with pytest.raises(NoConvergence):
+        fista_minimize(grad, project, np.full((2, 3), 9.0), np.array([1000.0, 1.0]), tol=1e-14, max_iters=2)
 
 
 def test_dykstra_hits_intersection():
