@@ -17,7 +17,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyLocalSet, Infeasible, NonSmoothCost
-from .projections import project_box_simplex
+from .projections import project_box_simplex, project_box_simplex_batch
 
 # Strict-feasibility margin used by the phase-1 search.
 SLATER_MARGIN = 1e-9
@@ -358,8 +358,6 @@ class GameSpec:
 
     def project_each(self, X: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Per-agent projection of the rows of an (N, n) array onto the local sets."""
-        from .projections import project_box_simplex_batch
-
         if X.shape != (self.dims.N, self.dims.n):
             raise DimensionMismatch("expected an (N, n) block matrix")
         if self.all_box_simplex:

@@ -4,12 +4,13 @@ The workhorse is the projection onto a box-capped simplex
 
     argmin_x  sum_j w_j (x_j - v_j)^2   s.t.  0 <= x <= upper,  1'x = total,
 
-solved by bisection on the scalar multiplier theta with
-``x_j(theta) = clip(v_j - theta / w_j, 0, upper_j)``.  The sum
-``g(theta) = 1'x(theta)`` is continuous and nonincreasing, and the
-bracket ``[min_j w_j (v_j - upper_j), max_j w_j v_j]`` pins x to the
-upper caps on the left and to zero on the right, so no expansion loop is
-needed.  Coordinates that land exactly on a bound resolve to the bound.
+whose solution is ``x_j(theta) = clip(v_j - theta / w_j, 0, upper_j)`` for
+the multiplier theta with ``g(theta) = 1'x(theta) = total``.  The sum g is
+continuous, nonincreasing and piecewise linear with 2n kinks,
+``w_j (v_j - upper_j)`` and ``w_j v_j``, so theta is found exactly by the
+breakpoint method for the continuous quadratic knapsack (Kiwiel, Math.
+Prog. 2008): sort the kinks, accumulate the slope and the value of g from
+kink to kink, and interpolate on the segment that holds ``total``.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ import numpy as np
 
 from .errors import EmptySet, NoConvergence
 
-# |1'x(theta) - total| stopping tolerance for the bisection.
-SUM_TOL = 1e-12
-MAX_BISECT_STEPS = 200
-
 
 def project_box_simplex_batch(
     v: np.ndarray,
@@ -33,9 +30,8 @@ def project_box_simplex_batch(
 ) -> np.ndarray:
     """Row-wise box-simplex projection of a (B, n) batch.
 
-    Rows are independent problems; a row whose sum gap is already within
-    tolerance keeps its multiplier frozen, so batched and one-row calls
-    produce bit-identical results.
+    Rows are independent problems and every step acts along a row, so
+    batched and one-row calls produce bit-identical results.
     """
     v = np.asarray(v, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
@@ -51,25 +47,21 @@ def project_box_simplex_batch(
     if np.any(total < 0) or np.any(upper.sum(axis=1) < total):
         raise EmptySet("box caps cannot reach the required total")
 
-    lo = np.min(weights * (v - upper), axis=1)
-    hi = np.max(weights * v, axis=1)
-    theta = 0.5 * (lo + hi)
-    x = np.clip(v - theta[:, None] / weights, 0.0, upper)
-    gap = x.sum(axis=1) - total
-    for _ in range(MAX_BISECT_STEPS):
-        active = np.abs(gap) > SUM_TOL
-        if not active.any():
-            return x
-        go_right = active & (gap > 0)
-        go_left = active & ~go_right
-        lo = np.where(go_right, theta, lo)
-        hi = np.where(go_left, theta, hi)
-        theta = np.where(active, 0.5 * (lo + hi), theta)
-        x = np.clip(v - theta[:, None] / weights, 0.0, upper)
-        gap = x.sum(axis=1) - total
-    if np.any(np.abs(gap) > SUM_TOL):
-        raise NoConvergence(MAX_BISECT_STEPS, "box-simplex bisection stalled")
-    return x
+    kinks = np.concatenate([weights * (v - upper), weights * v], axis=1)
+    order = np.argsort(kinks, axis=1, kind="stable")
+    kinks = np.take_along_axis(kinks, order, axis=1)
+    steps = np.take_along_axis(np.concatenate([-1.0 / weights, 1.0 / weights], axis=1), order, axis=1)
+    # slope of g right of each kink; clamping the round-off of a zero slope keeps g nonincreasing
+    slope = np.minimum(np.cumsum(steps, axis=1), 0.0)
+    drops = slope[:, :-1] * np.diff(kinks, axis=1)
+    g = np.cumsum(np.concatenate([upper.sum(axis=1, keepdims=True), drops], axis=1), axis=1)
+    seg = np.clip(np.sum(g > total[:, None], axis=1, keepdims=True) - 1, 0, kinks.shape[1] - 2)
+    ends = np.concatenate([seg, seg + 1], axis=1)
+    g0, g1 = np.take_along_axis(g, ends, axis=1).T
+    k0, k1 = np.take_along_axis(kinks, ends, axis=1).T
+    frac = np.clip((g0 - total) / np.where(g0 > g1, g0 - g1, 1.0), 0.0, 1.0)
+    theta = k0 + frac * (k1 - k0)
+    return np.clip(v - theta[:, None] / weights, 0.0, upper)
 
 
 def project_box_simplex(

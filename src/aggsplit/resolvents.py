@@ -131,9 +131,9 @@ def local_prox(agent: AgentSpec, p: ProxProblem) -> np.ndarray:
     """Solve one agent's proximal subproblem.
 
     Quadratic cost with a diagonal metric reduces to a single weighted
-    box-simplex projection (exact up to the bisection tolerance); anything
-    else goes through the accelerated projected-gradient path, stopping at
-    the requested natural-residual tolerance.
+    box-simplex projection; anything else goes through the accelerated
+    projected-gradient path, stopping at the requested natural-residual
+    tolerance.
     """
     cost = agent.cost
     if isinstance(cost, QuadraticAgg) and p.metric_is_diagonal:

@@ -36,19 +36,33 @@ def test_empty_set_raises():
         project_box_simplex(np.zeros(2), np.array([1.0, 1.0]), -0.5)
 
 
-def test_matches_active_set_enumeration_randomized():
+def _generic_draw(rng):
+    n = int(rng.integers(1, 5))
+    upper = rng.uniform(0.1, 1.5, n)
+    total = float(rng.uniform(0.0, upper.sum()))
+    return rng.uniform(-2.0, 2.0, n), upper, total, rng.uniform(0.2, 5.0, n)
+
+
+def _degenerate_draw(rng):
+    """Zero caps, totals 0 and sum(upper), tied kinks under unit weights, n = 1."""
+    n = int(rng.integers(1, 5))
+    upper = rng.choice([0.0, 0.5, 1.0], n)
+    total = float(rng.choice([0.0, rng.uniform(0.0, upper.sum()), upper.sum()]))
+    v = rng.choice([-0.5, 0.25, 1.0], n)
+    weights = None if rng.random() < 0.5 else rng.uniform(0.2, 5.0, n)
+    return v, upper, total, weights
+
+
+@pytest.mark.parametrize("draw", [_generic_draw, _degenerate_draw], ids=["generic", "degenerate"])
+def test_matches_active_set_enumeration_randomized(draw):
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(300):
-        n = int(rng.integers(1, 5))
-        upper = rng.uniform(0.1, 1.5, n)
-        total = float(rng.uniform(0.0, upper.sum()))
-        v = rng.uniform(-2.0, 2.0, n)
-        weights = rng.uniform(0.2, 5.0, n)
+        v, upper, total, weights = draw(rng)
         got = project_box_simplex(v, upper, total, weights)
         want = box_simplex_active_set(v, upper, total, weights)
         worst = max(worst, float(np.max(np.abs(got - want))))
-    assert worst <= 1e-10
+    assert worst <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)
@@ -63,7 +77,7 @@ def test_output_always_feasible(v_list, seed):
     total = float(rng.uniform(0.0, upper.sum()))
     x = project_box_simplex(v, upper, total)
     assert np.all(x >= 0.0) and np.all(x <= upper)
-    assert abs(x.sum() - total) <= 1e-12
+    assert abs(x.sum() - total) <= 1e-14
 
 
 def test_projection_is_idempotent():
@@ -75,6 +89,18 @@ def test_projection_is_idempotent():
         once = project_box_simplex(v, upper, 1.0, w)
         twice = project_box_simplex(once, upper, 1.0, w)
         assert np.max(np.abs(once - twice)) <= 1e-12
+
+
+def test_projection_is_nonexpansive_under_tiny_perturbations():
+    rng = np.random.default_rng(11)
+    upper = rng.uniform(0.0, 1.0, (1000, 10))
+    upper *= 2.0 / upper.sum(axis=1, keepdims=True)
+    total = np.ones(1000)
+    v = rng.standard_normal((1000, 10))
+    d = 1e-13 * rng.standard_normal((1000, 10))
+    moved = project_box_simplex_batch(v + d, upper, total) - project_box_simplex_batch(v, upper, total)
+    ratio = np.linalg.norm(moved, axis=1) / np.linalg.norm(d, axis=1)
+    assert ratio.max() <= 1.0 + 1e-6
 
 
 def test_batch_matches_per_row_bitwise():
