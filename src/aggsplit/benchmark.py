@@ -265,45 +265,82 @@ def epsilon_nash_gap(
     The deviation moves the average along with the deviating agent.  With
     ``samples`` set, the inner problem is estimated by the best of that
     many random feasible candidates (drawn from ``seed``) instead of
-    solved.  Exact gaps of a quadratic game in the tightened-caps family
-    are solved for all agents at once; every other game solves agent by
-    agent.
+    solved.  Exact gaps of a game in the tightened-caps family (see
+    :func:`_deviation_caps`) are solved for all agents at once; every other
+    game solves agent by agent.
     """
     X = np.asarray(x, dtype=np.float64).reshape(game.dims.N, game.dims.n)
-    if samples is None and game.all_quadratic:
+    if samples is None:
         caps = _deviation_caps(game, X, _deviation_slack(game, X))
         if caps is not None:
-            return _batched_quadratic_gap(game, X, caps, tol)
+            return _lockstep_gap(game, X, caps, tol)
     return _per_agent_gap(game, X, samples, tol, seed)
 
 
-def _batched_quadratic_gap(game: GameSpec, X: np.ndarray, caps: np.ndarray, tol: float) -> np.ndarray:
+def _deviation_moduli(cost, N: int) -> tuple[float, float]:
+    """Lipschitz and strong-convexity bounds of one agent's deviation objective."""
+    if isinstance(cost, QuadraticAgg):
+        sym_norm = float(np.linalg.norm(0.5 * (cost.Q + cost.Q.T), 2))
+        return cost.a + 2.0 * sym_norm / N, max(cost.a - 2.0 * sym_norm / N, 1e-12)
+    return getattr(cost, "curvature", 1.0) * (1.0 + 2.0 / N), 0.0
+
+
+def _check_deviation_oracles(cost) -> None:
+    if getattr(cost, "grad_sigma_fn", False) is None:
+        raise NonSmoothCost("deviation objective needs an aggregate-gradient oracle")
+
+
+def _lockstep_gap(game: GameSpec, X: np.ndarray, caps: np.ndarray, tol: float) -> np.ndarray:
     """Exact gaps of every agent from one lock-step solve of the stacked
-    quadratic deviation problems over their tightened caps."""
+    deviation problems over their tightened caps.
+
+    Row i's objective is agent i's cost at the aggregate
+    sigma_others_i + z_i / N: from ``game.stacks`` when every cost is
+    quadratic, else from each agent's value and gradient oracles, row by
+    row, so every row equals :func:`_per_agent_gap`'s solve of it.
+    """
     N = game.dims.N
     st = game.stacks
     sigma_others = X.mean(axis=0) - X / N
-    QT = np.swapaxes(st.Q, 1, 2)
+    if game.all_quadratic:
+        QT = np.swapaxes(st.Q, 1, 2)
 
-    def rows(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-        # stacked matmul: row i rounds like the per-agent M[i] @ V[i]
-        return (M @ V[..., None])[..., 0]
+        def rows(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+            # stacked matmul: row i rounds like the per-agent M[i] @ V[i]
+            return (M @ V[..., None])[..., 0]
 
-    def value(Z: np.ndarray) -> np.ndarray:
-        D = Z - st.xtilde
-        S = sigma_others + Z / N
-        return 0.5 * st.a * np.einsum("ij,ij->i", D, D) + np.einsum("ij,ij->i", rows(st.Q, S), Z)
+        def value(Z: np.ndarray) -> np.ndarray:
+            D = Z - st.xtilde
+            S = sigma_others + Z / N
+            return 0.5 * st.a * np.einsum("ij,ij->i", D, D) + np.einsum("ij,ij->i", rows(st.Q, S), Z)
 
-    def grad(Z: np.ndarray) -> np.ndarray:
-        S = sigma_others + Z / N
-        return st.a[:, None] * (Z - st.xtilde) + rows(st.Q, S) + rows(QT, Z) / N
+        def grad(Z: np.ndarray) -> np.ndarray:
+            S = sigma_others + Z / N
+            return st.a[:, None] * (Z - st.xtilde) + rows(st.Q, S) + rows(QT, Z) / N
+
+        sym_norm = np.linalg.norm(0.5 * (st.Q + QT), 2, axis=(1, 2))
+        lipschitz = st.a + 2.0 * sym_norm / N
+        strong = np.maximum(st.a - 2.0 * sym_norm / N, 1e-12)
+    else:
+        costs = [agent.cost for agent in game.agents]
+        for cost in costs:
+            _check_deviation_oracles(cost)
+
+        def value(Z: np.ndarray) -> np.ndarray:
+            S = sigma_others + Z / N
+            return np.array([cost.value(z, s) for cost, z, s in zip(costs, Z, S)])
+
+        def grad(Z: np.ndarray) -> np.ndarray:
+            S = sigma_others + Z / N
+            return np.stack(
+                [cost.grad(z, s) + cost.grad_sigma(z, s) / N for cost, z, s in zip(costs, Z, S)]
+            )
+
+        lipschitz, strong = np.array([_deviation_moduli(cost, N) for cost in costs]).T
 
     def project(Z: np.ndarray) -> np.ndarray:
         return project_box_simplex_batch(Z, caps, st.total)
 
-    sym_norm = np.linalg.norm(0.5 * (st.Q + QT), 2, axis=(1, 2))
-    lipschitz = st.a + 2.0 * sym_norm / N
-    strong = np.maximum(st.a - 2.0 * sym_norm / N, 1e-12)
     Z = fista_minimize(grad, project, X, lipschitz=lipschitz, strong_convexity=strong, tol=tol)
     base = value(X)
     # z = x_i is feasible, so the true minimum never exceeds base
@@ -321,8 +358,7 @@ def _per_agent_gap(
     eps = np.empty(dims.N)
     for i, agent in enumerate(game.agents):
         cost = agent.cost
-        if getattr(cost, "grad_sigma_fn", False) is None:
-            raise NonSmoothCost("deviation objective needs an aggregate-gradient oracle")
+        _check_deviation_oracles(cost)
         project = _deviation_set_projector(agent, slack[i], None if caps is None else caps[i])
         sigma_others = sigma - X[i] / dims.N
 
@@ -335,14 +371,7 @@ def _per_agent_gap(
 
         base = value(X[i])
         if samples is None:
-            if isinstance(cost, QuadraticAgg):
-                sym = 0.5 * (cost.Q + cost.Q.T)
-                sym_norm = float(np.linalg.norm(sym, 2))
-                lipschitz = cost.a + 2.0 * sym_norm / dims.N
-                strong = max(cost.a - 2.0 * sym_norm / dims.N, 1e-12)
-            else:
-                lipschitz = getattr(cost, "curvature", 1.0) * (1.0 + 2.0 / dims.N)
-                strong = 0.0
+            lipschitz, strong = _deviation_moduli(cost, dims.N)
             z_star = fista_minimize(
                 grad, project, X[i], lipschitz=lipschitz, strong_convexity=strong, tol=tol
             )

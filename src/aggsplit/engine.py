@@ -241,8 +241,9 @@ def agent_update(
     if np.any(bcast.lam < 0):
         raise ValueError("broadcast coupling multiplier must be nonnegative")
     linear = agent.A.T @ bcast.lam - bcast.mu / n_agents
-    problem = ProxProblem(bcast.sigma, linear, state.x, agent.unit_metric / gamma_i, tol)
-    x_new = local_prox(agent, problem)
+    metric = agent.unit_metric / gamma_i
+    problem = ProxProblem(bcast.sigma, linear[None], state.x[None], metric[None], tol)
+    x_new = local_prox([agent], problem)[0]
     return AgentState(x=x_new, y=agent.link_value(x_new))
 
 

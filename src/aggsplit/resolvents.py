@@ -11,12 +11,12 @@ blocks, and alpha, beta, delta on the aggregate and multiplier blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidStepSizes
-from .game import AgentSpec, GameSpec, QuadraticAgg
+from .game import AgentSpec, BoxSimplex, GameSpec, LocalSet, QuadraticAgg
 from .operators import ExtendedPoint
 from .projections import fista_minimize, project_box_simplex_batch
 
@@ -108,65 +108,123 @@ class StepSizes:
 
 @dataclass
 class ProxProblem:
-    """One agent's proximal subproblem.
+    """B agents' proximal subproblems, one per row.
 
-    minimize over the local set:
-        f_i(z, sigma) + linear' z + 0.5 (z - center)' metric (z - center)
+    Row r minimizes over its agent's local set
+        f(z, sigma) + linear_r' z + 0.5 (z - center_r)' metric_r (z - center_r)
 
-    ``metric`` is either a 1-D diagonal (fast path) or a dense SPD matrix.
+    ``linear`` and ``center`` are (B, n) and ``sigma`` is shared.  ``metric``
+    holds the B row metrics: a (B, n) array of diagonals, a (B, n, n) array
+    of dense SPD matrices, or a length-B sequence mixing 1-D diagonals and
+    2-D matrices.
     """
 
     sigma: np.ndarray
     linear: np.ndarray
     center: np.ndarray
-    metric: np.ndarray
+    metric: np.ndarray | Sequence[np.ndarray]
     tolerance: float = DEFAULT_PROX_TOL
 
     @property
-    def metric_is_diagonal(self) -> bool:
-        return self.metric.ndim == 1
+    def metric_is_diagonal(self) -> np.ndarray:
+        """(B,) flags: which rows carry a diagonal metric."""
+        if isinstance(self.metric, np.ndarray):
+            return np.full(self.metric.shape[0], self.metric.ndim == 2)
+        return np.array([np.ndim(m) == 1 for m in self.metric])
+
+    def metric_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The metrics of ``rows`` (all diagonal or all dense), stacked."""
+        if isinstance(self.metric, np.ndarray):
+            return self.metric[rows]
+        return np.stack([self.metric[r] for r in rows])
+
+    def metric_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """(B,) smallest and largest eigenvalue of every row's metric."""
+        diag = self.metric_is_diagonal
+        lo, hi = np.empty(diag.shape), np.empty(diag.shape)
+        for rows in (np.flatnonzero(diag), np.flatnonzero(~diag)):
+            if rows.size:
+                M = self.metric_rows(rows)
+                ends = M if M.ndim == 2 else np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, 1, 2)))
+                lo[rows], hi[rows] = ends.min(axis=1), ends.max(axis=1)
+        return lo, hi
 
 
-def local_prox(agent: AgentSpec, p: ProxProblem) -> np.ndarray:
-    """Solve one agent's proximal subproblem.
+def _row_projector(sets: Sequence[LocalSet]) -> Callable[..., np.ndarray]:
+    """Projector of (B, n) rows, row r onto ``sets[r]`` in the diagonal metric
+    of row r of ``weights`` (Euclidean when omitted): one batched kernel call
+    when every set is a box-simplex, else one oracle call per row."""
+    if all(isinstance(omega, BoxSimplex) for omega in sets):
+        upper = np.stack([omega.upper for omega in sets])
+        total = np.array([omega.total for omega in sets])
+        return lambda V, weights=None: project_box_simplex_batch(V, upper, total, weights)
 
-    Quadratic cost with a diagonal metric reduces to a single weighted
-    box-simplex projection; anything else goes through the accelerated
-    projected-gradient path, stopping at the requested natural-residual
-    tolerance.
+    def project(V: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        W = [None] * len(sets) if weights is None else weights
+        return np.stack([omega.project(v, w) for omega, v, w in zip(sets, V, W)])
+
+    return project
+
+
+def local_prox(agents: Sequence[AgentSpec], p: ProxProblem) -> np.ndarray:
+    """Solve the proximal subproblems of ``p``, row r for ``agents[r]``, as (B, n) rows.
+
+    A row with a quadratic cost and a diagonal metric reduces to one
+    weighted box-simplex projection.  All other rows are solved together
+    by one lock-step accelerated projected-gradient solve, each stopping at
+    the requested natural-residual tolerance; every row equals its own
+    one-row solve bit for bit.
     """
-    cost = agent.cost
-    if isinstance(cost, QuadraticAgg) and p.metric_is_diagonal:
-        d = p.metric
-        if np.any(d <= 0):
-            raise InvalidStepSizes("diagonal prox metric must be positive")
-        weights = cost.a + d
-        v = (cost.a * cost.xtilde + d * p.center - cost.Q @ p.sigma - p.linear) / weights
-        return agent.omega.project(v, weights)
+    lo, hi = p.metric_range()
+    if np.any(lo <= 0):
+        raise InvalidStepSizes("prox metric must be positive definite in every row")
+    closed = p.metric_is_diagonal & np.array([isinstance(a.cost, QuadraticAgg) for a in agents])
+    X = np.empty(p.center.shape)
+    rows = np.flatnonzero(closed)
+    if rows.size:
+        costs = [agents[r].cost for r in rows]
+        a = np.array([cost.a for cost in costs])[:, None]
+        xtilde = np.stack([cost.xtilde for cost in costs])
+        Q = np.stack([cost.Q for cost in costs])
+        d = p.metric_rows(rows)
+        weights = a + d
+        V = (a * xtilde + d * p.center[rows] - Q @ p.sigma - p.linear[rows]) / weights
+        X[rows] = _row_projector([agents[r].omega for r in rows])(V, weights)
+    rows = np.flatnonzero(~closed)
+    if rows.size:
+        X[rows] = _lockstep_prox(agents, p, rows, lo[rows], hi[rows])
+    return X
 
-    if p.metric_is_diagonal:
-        metric_mv = lambda z: p.metric * z
-        metric_max = float(p.metric.max())
-        metric_min = float(p.metric.min())
-    else:
-        metric_mv = lambda z: p.metric @ z
-        eigs = np.linalg.eigvalsh(0.5 * (p.metric + p.metric.T))
-        metric_max, metric_min = float(eigs[-1]), float(eigs[0])
-        if metric_min <= 0:
-            raise InvalidStepSizes("prox metric must be positive definite")
 
-    curvature = getattr(cost, "curvature", 1.0)
-    strong = getattr(cost, "strong_convexity", 0.0)
+def _lockstep_prox(
+    agents: Sequence[AgentSpec], p: ProxProblem, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """The iterative rows of :func:`local_prox`: one lock-step ``fista_minimize``."""
+    costs = [agents[r].cost for r in rows]
+    linear, center = p.linear[rows], p.center[rows]
+    is_diag = p.metric_is_diagonal[rows]
+    diag = np.zeros(center.shape)  # zero on dense rows, whose products are overwritten
+    if is_diag.any():
+        diag[is_diag] = p.metric_rows(rows[is_diag])
+    dense = np.flatnonzero(~is_diag)
+    M = p.metric_rows(rows[dense]) if dense.size else None
 
-    def grad(z: np.ndarray) -> np.ndarray:
-        return cost.grad(z, p.sigma) + p.linear + metric_mv(z - p.center)
+    def grad(Z: np.ndarray) -> np.ndarray:
+        D = Z - center
+        metric_D = diag * D
+        if dense.size:
+            metric_D[dense] = (M @ D[dense, :, None])[..., 0]
+        oracle = np.stack([cost.grad(z, p.sigma) for cost, z in zip(costs, Z)])
+        return oracle + linear + metric_D
 
+    curvature = np.array([getattr(cost, "curvature", 1.0) for cost in costs], dtype=np.float64)
+    strong = np.array([getattr(cost, "strong_convexity", 0.0) for cost in costs], dtype=np.float64)
     return fista_minimize(
         grad,
-        agent.omega.project,
-        p.center,
-        lipschitz=curvature + metric_max,
-        strong_convexity=strong + metric_min,
+        _row_projector([agents[r].omega for r in rows]),
+        center,
+        lipschitz=curvature + hi,
+        strong_convexity=strong + lo,
         tol=p.tolerance,
     )
 
@@ -205,17 +263,17 @@ def decoupled_prox(
         f_i(z, sigma) + linear_i' z
         + ||z - center_i||^2 in the metric (I + A_i' A_i) / (2 gamma_i).
     Games that admit the fast path for every agent take one batched closed
-    form; otherwise each agent runs :func:`local_prox` in its own diagonal
-    or dense metric.
+    form; otherwise one :func:`local_prox` call solves all N rows, each in
+    its agent's own diagonal or dense metric.
     """
+    unit = game.stacks.unit_metrics
     if batch_prox_eligible(game):
-        metric_diag = game.stacks.unit_metrics / gamma[:, None]
-        return batched_quadratic_prox(game, sigma, linear, center, metric_diag)
-    X_new = np.empty_like(center)
-    for i, agent in enumerate(game.agents):
-        metric = agent.unit_metric / gamma[i]
-        X_new[i] = local_prox(agent, ProxProblem(sigma, linear[i], center[i], metric, tol))
-    return X_new
+        return batched_quadratic_prox(game, sigma, linear, center, unit / gamma[:, None])
+    if unit is None:  # some A_i' A_i is dense
+        metric = [agent.unit_metric / g for agent, g in zip(game.agents, gamma)]
+    else:
+        metric = unit / gamma[:, None]
+    return local_prox(game.agents, ProxProblem(sigma, linear, center, metric, tol))
 
 
 def resolvent_A(

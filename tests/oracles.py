@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from aggsplit.game import AgentSpec, GameSpec, GenericSmooth
+from aggsplit.game import AgentSpec, GameSpec, GenericConvex, GenericSmooth
 from aggsplit.operators import ExtendedPoint
 from aggsplit.resolvents import StepSizes
 
@@ -188,6 +188,21 @@ def wrap_costs_in_oracles(game: GameSpec) -> GameSpec:
                     strong_convexity=cost.a,
                     grad_sigma_fn=cost.grad_sigma,
                 ),
+                A=agent.A,
+                b=agent.b,
+            )
+        )
+    return GameSpec(dims=game.dims, agents=agents)
+
+
+def wrap_sets_in_oracles(game: GameSpec) -> GameSpec:
+    """The same game with every local set behind a projection oracle."""
+    agents = []
+    for agent in game.agents:
+        agents.append(
+            AgentSpec(
+                omega=GenericConvex(n=game.dims.n, project_fn=agent.omega.project),
+                cost=agent.cost,
                 A=agent.A,
                 b=agent.b,
             )

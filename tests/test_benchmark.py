@@ -239,14 +239,15 @@ class TestBatchedGap:
                 assert np.all(eps >= 0.0), label
                 assert np.max(np.abs(eps - per_agent_gap(game, x))) <= 1e-14, label
 
-    def test_oracle_costs_take_the_per_agent_path_and_agree(self, gap_games, monkeypatch):
+    def test_oracle_costs_take_the_lockstep_path_and_agree(self, gap_games, monkeypatch):
         for game, x_eq in gap_games:
             wrapped = wrap_costs_in_oracles(game)
             for label, x in gap_points(game, x_eq).items():
                 fista_calls = count_calls(monkeypatch, benchmark_mod, "fista_minimize")
                 generic = epsilon_nash_gap(wrapped, x)
-                assert len(fista_calls) == game.dims.N, label
+                assert len(fista_calls) == 1, label
                 monkeypatch.undo()
+                assert np.array_equal(generic, per_agent_gap(wrapped, x)), label
                 assert np.max(np.abs(generic - epsilon_nash_gap(game, x))) <= 1e-10, label
 
     def test_one_coupling_block_off_the_family_takes_the_per_agent_path(self, desk_game, monkeypatch):

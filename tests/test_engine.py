@@ -32,7 +32,28 @@ from aggsplit.benchmark import ground_truth_point
 from aggsplit.engine import CSV_HEADER
 from aggsplit.projections import fista_minimize
 from aggsplit.resolvents import batch_prox_eligible
-from oracles import reference_rounds
+from oracles import reference_rounds, wrap_costs_in_oracles, wrap_sets_in_oracles
+
+
+def assert_rounds_match_row_views(game, steps, rounds=5):
+    """The batched round against every agent's own row view of the same broadcast, bitwise."""
+    cfg = RunConfig(steps=steps)
+    engine = DrEngine(game, cfg)
+    for _ in range(rounds):
+        rows = [
+            agent_update(
+                agent,
+                AgentState(x=engine.X[i], y=engine.Y[i]),
+                engine.bcast,
+                steps.gamma[i],
+                game.dims.N,
+                tol=cfg.prox_tol,
+            )
+            for i, agent in enumerate(game.agents)
+        ]
+        engine.step()
+        assert np.array_equal(engine.X, np.stack([row.x for row in rows]))
+        assert np.array_equal(engine.Y, np.stack([row.y for row in rows]))
 
 
 def two_agent_toy(q1=0.5, q2=0.8, b=5.0):
@@ -247,25 +268,8 @@ class TestEngineRounds:
             assert np.array_equal(engine.X.ravel(), want[k])
 
     def test_batched_and_per_agent_paths_agree(self, desk_game, desk_steps):
-        # the batched round against every agent's own row view of the same broadcast
-        cfg = RunConfig(steps=desk_steps)
-        engine = DrEngine(desk_game, cfg)
         assert batch_prox_eligible(desk_game)
-        for _ in range(5):
-            rows = [
-                agent_update(
-                    agent,
-                    AgentState(x=engine.X[i], y=engine.Y[i]),
-                    engine.bcast,
-                    desk_steps.gamma[i],
-                    desk_game.dims.N,
-                    tol=cfg.prox_tol,
-                )
-                for i, agent in enumerate(desk_game.agents)
-            ]
-            engine.step()
-            assert np.array_equal(engine.X, np.stack([row.x for row in rows]))
-            assert np.array_equal(engine.Y, np.stack([row.y for row in rows]))
+        assert_rounds_match_row_views(desk_game, desk_steps)
 
     def test_link_invariant_after_each_round(self, desk_game, desk_steps):
         engine = DrEngine(desk_game, RunConfig(steps=desk_steps))
@@ -502,19 +506,63 @@ class TestMixedMetricDiagonality:
         import aggsplit.resolvents as resolvents_mod
 
         game = mixed_metric_game()
-        solved_sets = []
+        starts = []
         real = resolvents_mod.fista_minimize
 
-        def spy(grad, project, *args, **kwargs):
-            solved_sets.append(project.__self__)
-            return real(grad, project, *args, **kwargs)
+        def spy(grad, project, z0, *args, **kwargs):
+            starts.append(z0.copy())
+            return real(grad, project, z0, *args, **kwargs)
 
         monkeypatch.setattr(resolvents_mod, "fista_minimize", spy)
         engine = DrEngine(game, RunConfig(steps=benchmark_steps(game.dims.N)))
+        centers = []
         for _ in range(3):
+            centers.append(engine.X[0].copy())
             engine.step()
-        assert len(solved_sets) == 3
-        assert all(omega is game.agents[0].omega for omega in solved_sets)
+        # one lock-step solve per round, over agent 0's row alone
+        assert len(starts) == 3
+        for z0, center in zip(starts, centers):
+            assert z0.shape == (1, game.dims.n)
+            assert np.array_equal(z0[0], center)
+
+
+class TestLockStepProx:
+    """Games off the closed form solve all agents' proxes in one lock-step solve."""
+
+    def test_oracle_cost_rounds_equal_the_row_views(self, desk_game, desk_steps):
+        assert_rounds_match_row_views(wrap_costs_in_oracles(desk_game), desk_steps)
+
+    def test_oracle_set_rounds_equal_the_row_views(self, desk_game, desk_steps):
+        # oracle sets: every lock-step projection goes row by row through the oracles
+        game = wrap_sets_in_oracles(wrap_costs_in_oracles(desk_game))
+        assert_rounds_match_row_views(game, desk_steps)
+
+    def test_one_iterative_solve_per_round(self, desk_game, desk_steps, monkeypatch):
+        import aggsplit.resolvents as resolvents_mod
+
+        game = wrap_costs_in_oracles(desk_game)
+        starts = []
+        real = resolvents_mod.fista_minimize
+
+        def spy(grad, project, z0, *args, **kwargs):
+            starts.append(z0.shape)
+            return real(grad, project, z0, *args, **kwargs)
+
+        monkeypatch.setattr(resolvents_mod, "fista_minimize", spy)
+        engine = DrEngine(game, RunConfig(steps=desk_steps))
+        for _ in range(4):
+            engine.step()
+        assert starts == [(game.dims.N, game.dims.n)] * 4
+
+    def test_resolvent_inclusion_holds(self, desk_game, desk_steps, rng):
+        from aggsplit.resolvents import resolvent_A
+        from aggsplit.verify import inclusion_residual_A, random_extended_point
+
+        game = wrap_costs_in_oracles(desk_game)
+        for _ in range(5):
+            w = random_extended_point(game, rng)
+            out = resolvent_A(game, desk_steps, w, tol=1e-12)
+            assert inclusion_residual_A(game, desk_steps, w, out) <= 1e-8
 
 
 class TestRunPfb:

@@ -9,7 +9,6 @@ from aggsplit import (
     BoxSimplex,
     Dimensions,
     GameSpec,
-    GenericConvex,
     GenericSmooth,
     NoConvergence,
     NonSmoothCost,
@@ -23,22 +22,7 @@ from aggsplit import (
     validate_game,
 )
 from aggsplit.projections import fista_minimize
-from oracles import wrap_costs_in_oracles
-
-
-def wrap_sets_in_oracles(game: GameSpec) -> GameSpec:
-    agents = []
-    for agent in game.agents:
-        omega = agent.omega
-        agents.append(
-            AgentSpec(
-                omega=GenericConvex(n=game.dims.n, project_fn=omega.project),
-                cost=agent.cost,
-                A=agent.A,
-                b=agent.b,
-            )
-        )
-    return GameSpec(dims=game.dims, agents=agents)
+from oracles import wrap_costs_in_oracles, wrap_sets_in_oracles
 
 
 @pytest.fixture(scope="module")

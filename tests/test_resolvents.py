@@ -20,7 +20,7 @@ from aggsplit import (
 from aggsplit.projections import fista_minimize
 from aggsplit.resolvents import ProxProblem
 from aggsplit.verify import inclusion_residual_A, inclusion_residual_B, random_extended_point
-from oracles import dense_resolvent_B
+from oracles import dense_resolvent_B, wrap_costs_in_oracles
 
 
 class TestStepSizes:
@@ -80,38 +80,46 @@ class TestLocalProx:
         )
         p = ProxProblem(
             sigma=np.array([9.0]),
-            linear=np.array([4.0]),
-            center=np.array([-1.0]),
-            metric=np.array([2.0]),
+            linear=np.array([[4.0]]),
+            center=np.array([[-1.0]]),
+            metric=np.array([[2.0]]),
         )
-        assert np.allclose(local_prox(agent, p), [1.0])
+        assert np.allclose(local_prox([agent], p), [[1.0]])
 
     def test_fast_path_matches_generic_path(self, desk_game, rng):
         # same subproblem through the exact projection and through FISTA
         agent = desk_game.agents[0]
         n = desk_game.dims.n
         for _ in range(10):
-            p = ProxProblem(
-                sigma=rng.standard_normal(n),
-                linear=rng.standard_normal(n),
-                center=rng.standard_normal(n),
-                metric=rng.uniform(0.5, 2.0, n),
-                tolerance=1e-12,
-            )
-            fast = local_prox(agent, p)
+            sigma, linear, center = rng.standard_normal((3, n))
+            metric = rng.uniform(0.5, 2.0, n)
+            p = ProxProblem(sigma, linear[None], center[None], metric[None], tolerance=1e-12)
+            fast = local_prox([agent], p)[0]
 
             def grad(z):
-                return agent.cost.grad(z, p.sigma) + p.linear + p.metric * (z - p.center)
+                return agent.cost.grad(z, sigma) + linear + metric * (z - center)
 
             generic = fista_minimize(
                 grad,
                 agent.omega.project,
-                p.center,
-                lipschitz=agent.cost.a + float(p.metric.max()),
-                strong_convexity=agent.cost.a + float(p.metric.min()),
+                center,
+                lipschitz=agent.cost.a + float(metric.max()),
+                strong_convexity=agent.cost.a + float(metric.min()),
                 tol=1e-11,
             )
             assert np.max(np.abs(fast - generic)) <= 1e-8
+
+    def test_nonpositive_metric_raises_in_every_row(self, desk_game):
+        # an oracle cost takes the iterative path, which checks the metric like the closed form
+        agent = wrap_costs_in_oracles(desk_game).agents[0]
+        n = desk_game.dims.n
+        rows = np.zeros((2, n))
+        bad_diag = np.array([[1.0, 1.0, 1.0], [-5.0, 1.0, 1.0]])
+        bad_dense = np.stack([np.eye(n), np.diag([1.0, -0.5, 1.0]) + 0.1])
+        for metric in (bad_diag, bad_dense, [bad_diag[0], bad_dense[1]]):
+            p = ProxProblem(np.zeros(n), rows, rows, metric)
+            with pytest.raises(InvalidStepSizes):
+                local_prox([agent, agent], p)
 
     def test_dense_metric_output_meets_tolerance(self, rng):
         n = 3
@@ -122,17 +130,12 @@ class TestLocalProx:
             b=np.zeros(2),
         )
         M = agent.A.T @ agent.A + np.eye(n)
-        p = ProxProblem(
-            sigma=rng.standard_normal(n),
-            linear=rng.standard_normal(n),
-            center=rng.standard_normal(n),
-            metric=M,
-            tolerance=1e-10,
-        )
-        z = local_prox(agent, p)
+        sigma, linear, center = rng.standard_normal((3, n))
+        p = ProxProblem(sigma, linear[None], center[None], M[None], tolerance=1e-10)
+        z = local_prox([agent], p)[0]
 
         def grad(v):
-            return agent.cost.grad(v, p.sigma) + p.linear + M @ (v - p.center)
+            return agent.cost.grad(v, sigma) + linear + M @ (v - center)
 
         residual = np.linalg.norm(z - agent.omega.project(z - grad(z)))
         assert residual <= 1e-10
