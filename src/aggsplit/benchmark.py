@@ -28,7 +28,7 @@ from .game import (
     QuadraticAgg,
     validate_game,
 )
-from .engine import RunConfig, RunTrace, run_dr, run_pfb
+from .engine import GATE_FACTOR, RunConfig, RunTrace, run_dr, run_pfb
 from .operators import ExtendedPoint, monotonicity_probe, stationarity_residual
 from .projections import (
     dykstra_projection,
@@ -148,10 +148,10 @@ def ground_truth_point(
 ) -> tuple[ExtendedPoint, RunTrace]:
     """High-accuracy solve, certified by its optimality residuals.
 
-    The run targets a stopping tolerance three orders tighter than the
-    certificate; certification requires every residual at or below
-    ``tol``.  With ``cross_check`` the baseline must reproduce the same
-    decisions to within ``10 * tol``.
+    The run stops at ``tol / GATE_FACTOR``, so its optimality gate is the
+    certificate itself: every residual at or below ``tol``.  With
+    ``cross_check`` the baseline must reproduce the same decisions to
+    within ``10 * tol``.
     """
     probe = monotonicity_probe(game, sample_count=min(200, 50 * game.dims.N), seed=0)
     if not probe.looks_monotone:
@@ -163,7 +163,7 @@ def ground_truth_point(
         steps = benchmark_steps(game.dims.N)
     config = RunConfig(
         steps=steps,
-        stop_tol=max(tol * 1e-3, 1e-13),
+        stop_tol=tol / GATE_FACTOR,
         max_iters=max_iters,
         record_every=max_iters,
     )

@@ -141,7 +141,8 @@ def cmd_solve(args) -> int:
     (outdir / "report.json").write_text(json.dumps(trace.to_json_dict(), indent=2))
     kkt = trace.final_kkt.max_value()
     print(
-        f"{args.method}: {'converged' if trace.converged else 'stopped'} after "
+        f"{args.method}: {'converged' if trace.converged else 'stopped'} "
+        f"({trace.stop_reason}) after "
         f"{trace.iterations} iterations, terminal residual {kkt:.3e}"
     )
     return code

@@ -40,7 +40,7 @@ from .resolvents import (
 )
 
 GATE_FACTOR = 10.0  # terminal optimality residuals must be within this factor of stop_tol
-GATE_RECHECK = 25  # iterations between gate re-evaluations after a failed gate
+GATE_RECHECK = 25  # rounds between gate re-evaluations after a failed gate; also the stall window
 
 
 # -- message and state types -----------------------------------------------------------
@@ -89,7 +89,9 @@ class RunConfig:
     ``stop_tol`` applies to the stopping metric
     max(step norm in the inverse-preconditioner geometry, consensus gap,
     coupling violation); on top of it the terminal optimality residuals
-    are required to be within ``GATE_FACTOR * stop_tol``.
+    are required to be within ``GATE_FACTOR * stop_tol``.  A run whose
+    stopping metric stalls above ``stop_tol`` while that gate passes ends
+    with ``stop_reason="stalled"``.
     ``ref_stop``, when set together with a reference point, stops the run
     once ||x - ref|| / ||x0 - ref|| drops below it (comparison runs).
     """
@@ -371,7 +373,14 @@ def _run_loop(
     initial_point: ExtendedPoint,
     advance: Callable[[], ExtendedPoint],
 ) -> RunTrace:
-    """Drive ``advance`` until the stopping metric and the optimality gate pass."""
+    """Drive ``advance`` until the stopping metric and the optimality gate pass.
+
+    A run whose stopping metric has set no new low for ``GATE_RECHECK``
+    rounds has reached its numerical floor; it ends ``"stalled"`` if the
+    optimality gate passes there, and otherwise looks again after another
+    such window.  With ``stop_tol=0`` no gate can pass, so such runs (the
+    comparison runs that stop on ``ref_stop``) skip the stall check.
+    """
     steps = config.steps
     t0 = time.perf_counter_ns()
     trace = RunTrace(method=method)
@@ -402,6 +411,7 @@ def _run_loop(
     converged = False
     reason = "max_iters"
     gate_block_until = 0
+    best_cheap, window_start = np.inf, 0
     k = 0
     step_plain = 0.0
     for k in range(1, config.max_iters + 1):
@@ -434,6 +444,16 @@ def _run_loop(
                 record(k, step_plain, kkt)
                 break
             gate_block_until = k + GATE_RECHECK
+        if cheap < best_cheap:
+            best_cheap, window_start = cheap, k
+        elif config.stop_tol > 0 and k - window_start >= GATE_RECHECK:
+            if kkt is None:
+                kkt = kkt_residual(game, point)
+            if kkt.max_value() <= GATE_FACTOR * config.stop_tol:
+                converged, reason = True, "stalled"
+                record(k, step_plain, kkt)
+                break
+            window_start = k
         if need_row:
             if kkt is None:
                 kkt = kkt_residual(game, point)
@@ -501,16 +521,19 @@ def pfb_step_sizes(game: GameSpec) -> tuple[np.ndarray, float]:
     L_i = curvature_i + ||Q_i|| / N + ||A_i||^2, the last term a margin
     for the coupling through the multiplier.
     """
-    dims = game.dims
+    N = game.dims.N
     norm_A = float(np.linalg.norm(game.full_matrix(), 2))
     tau_lam = 0.4 / max(norm_A**2, 1e-12)
-    L = np.empty(dims.N)
-    for i, agent in enumerate(game.agents):
-        curv = getattr(agent.cost, "curvature", 1.0)
-        coupling = 0.0
-        if hasattr(agent.cost, "Q"):
-            coupling = float(np.linalg.norm(agent.cost.Q, 2)) / dims.N
-        L[i] = curv + coupling + float(np.linalg.norm(agent.A, 2)) ** 2
+    costs = [agent.cost for agent in game.agents]
+    curv = np.array([getattr(cost, "curvature", 1.0) for cost in costs])
+    coupled = [i for i, cost in enumerate(costs) if hasattr(cost, "Q")]
+    coupling = np.zeros(N)
+    if coupled:
+        Q = np.stack([costs[i].Q for i in coupled])
+        coupling[coupled] = np.linalg.norm(Q, 2, axis=(1, 2)) / N
+    # float_power calls C pow, as a Python float's ** does; ** on an array squares,
+    # which can round differently in the last bit
+    L = curv + coupling + np.float_power(np.linalg.norm(game.A_stack, 2, axis=(1, 2)), 2)
     return 0.4 / L, tau_lam
 
 

@@ -437,7 +437,8 @@ def find_feasible_point(
 
     Returns ``(x, strict)``.  ``strict`` is False when only a point with
     ``A x <= b`` (no margin) was reached; raises :class:`Infeasible` when
-    even that fails within the iteration budget.
+    even that fails, at a fixed point of the projected-gradient step or
+    when the iteration budget runs out.
     """
     X = game.default_points().copy()  # the caller owns the returned point
     A_full = game.full_matrix()
@@ -449,7 +450,10 @@ def find_feasible_point(
         if not resid.any():
             return X.ravel(), True
         grad = np.einsum("imn,m->in", game.A_stack, resid)
-        X = game.project_each(X - step * grad)
+        X_next = game.project_each(X - step * grad)
+        if np.array_equal(X_next, X):
+            break  # a fixed point minimizes the convex phase-1 objective: no step can help
+        X = X_next
     x = X.ravel()
     if not coupling_violation(game, x).any():
         return x, False

@@ -251,8 +251,7 @@ def kkt_residual(game: GameSpec, w: ExtendedPoint) -> KktResidual:
     w.check_dims(dims)
     resid = game.coupling_value(w.x) - game.b_total
     Y = w.y.reshape(dims.N, dims.m)
-    X = w.x.reshape(dims.N, dims.n)
-    links = np.einsum("imn,in->im", game.A_stack, X) - game.stacks.b
+    links = game.link_values(w.x.reshape(dims.N, dims.n))
     return KktResidual(
         stationarity=stationarity_residual(game, w.x, w.lam),
         primal=float(np.max(np.maximum(resid, 0.0), initial=0.0)),

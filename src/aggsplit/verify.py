@@ -67,8 +67,7 @@ def inclusion_residual_A(
     H = (Xp - X) / gamma + G + np.einsum("imn,im->in", game.A_stack, (Yp - Y) / gamma)
     proj = game.project_each(Xp - H)
     r_x = float(np.max(np.linalg.norm(Xp - proj, axis=1)))
-    links = np.einsum("imn,in->im", game.A_stack, Xp) - game.stacks.b
-    r_y = float(np.max(np.abs(Yp - links), initial=0.0))
+    r_y = float(np.max(np.abs(Yp - game.link_values(Xp)), initial=0.0))
     r_pass = max(
         float(np.max(np.abs(w_plus.sigma - w.sigma), initial=0.0)),
         float(np.max(np.abs(w_plus.mu - w.mu), initial=0.0)),

@@ -15,6 +15,7 @@ from aggsplit import (
     GenerationFailed,
     NotCertified,
     QuadraticAgg,
+    RunConfig,
     benchmark_steps,
     coupling_violation,
     epsilon_nash_gap,
@@ -24,6 +25,7 @@ from aggsplit import (
     ground_truth,
     ground_truth_point,
     run_comparison,
+    run_dr,
     validate_game,
 )
 from oracles import wrap_costs_in_oracles
@@ -138,6 +140,16 @@ class TestGroundTruth:
         point, trace = ground_truth_point(game, tol=1e-9, cross_check=False)
         assert trace.final_kkt.max_value() <= 1e-9
         assert np.max(coupling_violation(game, point.x)) <= 1e-6
+
+    def test_reference_stops_at_its_certificate(self):
+        game = generate_benchmark(BenchmarkParams(N=50, seed=0))
+        point, trace = ground_truth_point(game, tol=1e-9, max_iters=400)
+        assert trace.stop_reason == "stop_tol"
+        assert trace.final_kkt.max_value() <= 1e-9
+        config = RunConfig(steps=benchmark_steps(50), stop_tol=1e-12, max_iters=400)
+        tight = run_dr(game, config, validate=False)
+        assert trace.iterations < tight.iterations
+        assert np.max(np.abs(point.x - tight.final_point.x)) <= 1e-9
 
     def test_independent_methods_agree(self):
         game = generate_benchmark(BenchmarkParams(N=10, n=4, seed=8))

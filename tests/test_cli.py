@@ -51,6 +51,11 @@ class TestSolve:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is True
 
+    def test_prints_the_stop_reason(self, tmp_path, game_file, capsys):
+        code = run_cli(["solve", str(game_file), "--tol", "1e-8", "-o", str(tmp_path / "run")])
+        assert code == 0
+        assert "dr: converged (stop_tol) after" in capsys.readouterr().out
+
     def test_pfb_also_converges(self, tmp_path, game_file):
         out = tmp_path / "run_pfb"
         code = run_cli(

@@ -28,8 +28,8 @@ from aggsplit import (
     run_dr,
     run_pfb,
 )
-from aggsplit.benchmark import ground_truth_point
-from aggsplit.engine import CSV_HEADER
+from aggsplit.benchmark import BenchmarkParams, generate_benchmark, ground_truth_point
+from aggsplit.engine import CSV_HEADER, GATE_FACTOR, pfb_step_sizes
 from aggsplit.projections import fista_minimize
 from aggsplit.resolvents import batch_prox_eligible
 from oracles import reference_rounds, wrap_costs_in_oracles, wrap_sets_in_oracles
@@ -314,6 +314,20 @@ class TestRunDr:
         assert not trace.converged
         assert trace.rows[-1].iter == 5
 
+    def test_run_at_its_numerical_floor_ends_stalled(self):
+        # the stopping metric of this run never gets below 2.1e-14 and its KKT residual
+        # stays at or below 2.8e-14 from round 150 (numpy 2.4, x86-64 OpenBLAS); stop_tol
+        # sits 2.7x below the first floor and its gate 2.8x above the second.  Both floors
+        # are round-off of about the same size, so the two margins multiply to about
+        # GATE_FACTOR and neither can be made much wider.
+        game = generate_benchmark(BenchmarkParams(N=100, n=10, seed=1))
+        config = RunConfig(steps=benchmark_steps(100), stop_tol=8e-15, max_iters=400)
+        trace = run_dr(game, config, validate=False)
+        assert trace.stop_reason == "stalled" and trace.converged
+        assert trace.iterations <= 250
+        assert trace.final_kkt.max_value() <= GATE_FACTOR * config.stop_tol
+        assert trace.rows[-1].iter == trace.iterations
+
     def test_repeated_runs_are_bit_identical(self, desk_game, desk_steps):
         cfg = RunConfig(steps=desk_steps, stop_tol=1e-8)
         t1 = run_dr(desk_game, cfg, validate=False)
@@ -584,6 +598,26 @@ class TestRunPfb:
         dr = run_dr(desk_game, RunConfig(steps=desk_steps, stop_tol=1e-9), validate=False)
         pfb = run_pfb(desk_game, RunConfig(steps=desk_steps, stop_tol=1e-9), validate=False)
         assert np.linalg.norm(dr.final_point.x - pfb.final_point.x) <= 1e-4
+
+
+    def test_step_sizes_equal_the_per_agent_rule_bitwise(self, desk_game):
+        def per_agent_taus(game):
+            N = game.dims.N
+            L = np.empty(N)
+            for i, agent in enumerate(game.agents):
+                curv = getattr(agent.cost, "curvature", 1.0)
+                coupling = 0.0
+                if hasattr(agent.cost, "Q"):
+                    coupling = float(np.linalg.norm(agent.cost.Q, 2)) / N
+                L[i] = curv + coupling + float(np.linalg.norm(agent.A, 2)) ** 2
+            return 0.4 / L
+
+        paper = generate_benchmark(BenchmarkParams(N=200, n=10, seed=0))
+        for game in (desk_game, wrap_costs_in_oracles(desk_game), paper):
+            tau, tau_lam = pfb_step_sizes(game)
+            assert np.array_equal(tau, per_agent_taus(game))
+            norm_A = float(np.linalg.norm(game.full_matrix(), 2))
+            assert tau_lam == 0.4 / max(norm_A**2, 1e-12)
 
 
 class TestInformationBoundary:

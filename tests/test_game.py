@@ -13,6 +13,7 @@ from aggsplit import (
     DimensionMismatch,
     GameSpec,
     GenericConvex,
+    Infeasible,
     QuadraticAgg,
     average,
     coupling_violation,
@@ -130,6 +131,20 @@ class TestValidateGame:
         report = validate_game(game)
         assert not report.feasible
         assert not report.ok
+
+    def test_infeasible_coupling_stops_at_the_phase1_fixed_point(self, monkeypatch):
+        game = make_single_agent_game([1.0], 1.0, [[1.0]], [0.5])
+        calls = []
+        project_each = GameSpec.project_each
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return project_each(self, *args, **kwargs)
+
+        monkeypatch.setattr(GameSpec, "project_each", counting)
+        with pytest.raises(Infeasible):
+            find_feasible_point(game)
+        assert len(calls) <= 2  # the default point, then one step that changes nothing
 
     def test_report_is_pure(self, desk_game):
         r1 = validate_game(desk_game)

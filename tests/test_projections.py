@@ -115,6 +115,25 @@ def test_batch_matches_per_row_bitwise():
         assert np.array_equal(batch[i], single)
 
 
+@pytest.mark.parametrize("B", [1, 20, 1000])
+def test_batch_matches_one_row_calls_bitwise_with_tied_kinks(B):
+    rng = np.random.default_rng(B)
+    V = rng.standard_normal((B, 10))
+    U = rng.uniform(0.1, 0.4, (B, 10))
+    W = rng.uniform(0.5, 2.0, (B, 10))
+    # every other row repeats values, caps and weights, so several kinks coincide
+    tied = slice(0, B, 2)
+    V[tied] = np.round(V[tied], 1)
+    U[tied] = 0.25
+    W[tied] = np.tile([0.5, 1.5], 5)
+    totals = rng.uniform(0.2, 1.0, B)
+    for weights in (None, W):
+        batch = project_box_simplex_batch(V, U, totals, weights)
+        for i in range(B):
+            w_i = None if weights is None else weights[i]
+            assert np.array_equal(batch[i], project_box_simplex(V[i], U[i], totals[i], w_i))
+
+
 def test_fista_solves_box_constrained_quadratic():
     rng = np.random.default_rng(0)
     M = rng.standard_normal((5, 5))
