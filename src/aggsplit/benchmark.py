@@ -212,7 +212,7 @@ def gae_vi_residual(game: GameSpec, x: np.ndarray, lam: np.ndarray | None = None
 
 def _deviation_slack(game: GameSpec, X: np.ndarray) -> np.ndarray:
     """(N, m) rows b - sum_{j != i} A_j x_j: the coupling room of each agent's deviation."""
-    own = (game.A_stack @ X[..., None])[..., 0]  # rounds like the per-agent A_i @ x_i
+    own = (game.stacks.A @ X[..., None])[..., 0]  # rounds like the per-agent A_i @ x_i
     return game.b_total - (game.coupling_value(X.ravel()) - own)
 
 
@@ -225,9 +225,9 @@ def _deviation_caps(game: GameSpec, X: np.ndarray, slack: np.ndarray) -> np.ndar
     of its set up to roundoff.
     """
     n = game.dims.n
-    if not game.all_box_simplex or game.dims.m != n:
+    if not game.stacks.all_box_simplex or game.dims.m != n:
         return None
-    A = game.A_stack
+    A = game.stacks.A
     w = A[:, 0, 0]
     if not (np.all(w > 0) and np.array_equal(A, w[:, None, None] * np.eye(n))):
         return None
@@ -277,12 +277,18 @@ def epsilon_nash_gap(
     return _per_agent_gap(game, X, samples, tol, seed)
 
 
-def _deviation_moduli(cost, N: int) -> tuple[float, float]:
-    """Lipschitz and strong-convexity bounds of one agent's deviation objective."""
-    if isinstance(cost, QuadraticAgg):
-        sym_norm = float(np.linalg.norm(0.5 * (cost.Q + cost.Q.T), 2))
-        return cost.a + 2.0 * sym_norm / N, max(cost.a - 2.0 * sym_norm / N, 1e-12)
-    return getattr(cost, "curvature", 1.0) * (1.0 + 2.0 / N), 0.0
+def _deviation_moduli(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(N,) Lipschitz and strong-convexity bounds of every agent's deviation objective."""
+    N = game.dims.N
+    st = game.stacks
+    lipschitz, strong = st.curvature * (1.0 + 2.0 / N), np.zeros(N)
+    quad = np.flatnonzero(st.quadratic)
+    if quad.size:
+        Q = np.stack([game.agents[i].cost.Q for i in quad])
+        spread = 2.0 * np.linalg.norm(0.5 * (Q + np.swapaxes(Q, 1, 2)), 2, axis=(1, 2)) / N
+        lipschitz[quad] = st.curvature[quad] + spread
+        strong[quad] = np.maximum(st.curvature[quad] - spread, 1e-12)
+    return lipschitz, strong
 
 
 def _check_deviation_oracles(cost) -> None:
@@ -302,7 +308,7 @@ def _lockstep_gap(game: GameSpec, X: np.ndarray, caps: np.ndarray, tol: float) -
     N = game.dims.N
     st = game.stacks
     sigma_others = X.mean(axis=0) - X / N
-    if game.all_quadratic:
+    if st.all_quadratic:
         QT = np.swapaxes(st.Q, 1, 2)
 
         def rows(M: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -317,10 +323,6 @@ def _lockstep_gap(game: GameSpec, X: np.ndarray, caps: np.ndarray, tol: float) -
         def grad(Z: np.ndarray) -> np.ndarray:
             S = sigma_others + Z / N
             return st.a[:, None] * (Z - st.xtilde) + rows(st.Q, S) + rows(QT, Z) / N
-
-        sym_norm = np.linalg.norm(0.5 * (st.Q + QT), 2, axis=(1, 2))
-        lipschitz = st.a + 2.0 * sym_norm / N
-        strong = np.maximum(st.a - 2.0 * sym_norm / N, 1e-12)
     else:
         costs = [agent.cost for agent in game.agents]
         for cost in costs:
@@ -336,11 +338,10 @@ def _lockstep_gap(game: GameSpec, X: np.ndarray, caps: np.ndarray, tol: float) -
                 [cost.grad(z, s) + cost.grad_sigma(z, s) / N for cost, z, s in zip(costs, Z, S)]
             )
 
-        lipschitz, strong = np.array([_deviation_moduli(cost, N) for cost in costs]).T
-
     def project(Z: np.ndarray) -> np.ndarray:
         return project_box_simplex_batch(Z, caps, st.total)
 
+    lipschitz, strong = _deviation_moduli(game)
     Z = fista_minimize(grad, project, X, lipschitz=lipschitz, strong_convexity=strong, tol=tol)
     base = value(X)
     # z = x_i is feasible, so the true minimum never exceeds base
@@ -355,6 +356,8 @@ def _per_agent_gap(
     slack = _deviation_slack(game, X)
     caps = _deviation_caps(game, X, slack)
     sigma = X.mean(axis=0)
+    if samples is None:
+        lipschitz, strong = _deviation_moduli(game)
     eps = np.empty(dims.N)
     for i, agent in enumerate(game.agents):
         cost = agent.cost
@@ -371,9 +374,8 @@ def _per_agent_gap(
 
         base = value(X[i])
         if samples is None:
-            lipschitz, strong = _deviation_moduli(cost, dims.N)
             z_star = fista_minimize(
-                grad, project, X[i], lipschitz=lipschitz, strong_convexity=strong, tol=tol
+                grad, project, X[i], lipschitz=lipschitz[i], strong_convexity=strong[i], tol=tol
             )
             best = value(z_star)
         else:

@@ -13,13 +13,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .benchmark import BenchmarkParams, generate_benchmark, run_comparison
+from .benchmark import BenchmarkParams, benchmark_steps, generate_benchmark, run_comparison
 from .engine import RunConfig, run_dr, run_pfb
 from .errors import AggsplitError, InvalidStepSizes, MaxItersExceeded
 from .game import GameSpec, validate_game
-from .resolvents import StepSizes
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -87,16 +84,6 @@ def _params_from_args(args) -> BenchmarkParams:
     return replace(params, **overrides)
 
 
-def _steps_for(N: int, args) -> StepSizes:
-    return StepSizes.from_central(
-        np.full(N, args.gamma), args.alpha, args.delta_c, args.beta_c
-    )
-
-
-def _load_game(path: str) -> GameSpec:
-    return GameSpec.load(path)
-
-
 # -- subcommands -------------------------------------------------------------------------
 
 
@@ -116,11 +103,11 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     try:
-        game = _load_game(args.game)
+        game = GameSpec.load(args.game)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"failed to read game file: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    steps = _steps_for(game.dims.N, args)
+    steps = benchmark_steps(game.dims.N, args.gamma, args.alpha, args.delta_c, args.beta_c)
     config = RunConfig(
         steps=steps,
         relaxation=args.relaxation,
@@ -181,7 +168,7 @@ def cmd_compare(args) -> int:
 def cmd_verify(args) -> int:
     if args.game:
         try:
-            game = _load_game(args.game)
+            game = GameSpec.load(args.game)
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             print(f"failed to read game file: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
@@ -190,7 +177,7 @@ def cmd_verify(args) -> int:
         game = generate_benchmark(params)
     suites = tuple(args.suite) if args.suite else None
     try:
-        steps = _steps_for(game.dims.N, args)
+        steps = benchmark_steps(game.dims.N, args.gamma, args.alpha, args.delta_c, args.beta_c)
     except InvalidStepSizes as exc:
         print(f"{'step-sizes':<12} FAIL  {exc}")
         return EXIT_VERIFY_FAILED

@@ -27,14 +27,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, InvalidStepSizes, MaxItersExceeded
-from .game import GameSpec, validate_game
+from .game import AgentStacks, GameSpec, validate_game
 from .operators import ExtendedPoint, KktResidual, extended_subdifferential, kkt_residual
 from .resolvents import (
     DEFAULT_PROX_TOL,
-    ProxProblem,
     StepSizes,
     decoupled_prox,
-    local_prox,
     resolvent_A,
     resolvent_B,
 )
@@ -91,7 +89,8 @@ class RunConfig:
     coupling violation); on top of it the terminal optimality residuals
     are required to be within ``GATE_FACTOR * stop_tol``.  A run whose
     stopping metric stalls above ``stop_tol`` while that gate passes ends
-    with ``stop_reason="stalled"``.
+    with ``stop_reason="stalled"``; one stalled above the gate as well
+    ends unconverged with ``stop_reason="floor"``.
     ``ref_stop``, when set together with a reference point, stops the run
     once ||x - ref|| / ||x0 - ref|| drops below it (comparison runs).
     """
@@ -242,11 +241,12 @@ def agent_update(
     """
     if np.any(bcast.lam < 0):
         raise ValueError("broadcast coupling multiplier must be nonnegative")
+    if not gamma_i > 0:
+        raise InvalidStepSizes("gamma_i must be positive")
     linear = agent.A.T @ bcast.lam - bcast.mu / n_agents
-    metric = agent.unit_metric / gamma_i
-    problem = ProxProblem(bcast.sigma, linear[None], state.x[None], metric[None], tol)
-    x_new = local_prox([agent], problem)[0]
-    return AgentState(x=x_new, y=agent.link_value(x_new))
+    stacks, gamma = AgentStacks.of([agent]), np.array([gamma_i], dtype=np.float64)
+    X_new = decoupled_prox(stacks, bcast.sigma, linear[None], state.x[None], gamma, tol)
+    return AgentState(x=X_new[0], y=stacks.link_values(X_new)[0])
 
 
 def coordinator_update(
@@ -294,9 +294,6 @@ class DrEngine:
         self.coord = coord
         self.bcast = BroadcastMessage(lam=coord.lam, mu=coord.mu, sigma=coord.sigma)
 
-    def agent_states(self) -> list[AgentState]:
-        return [AgentState(x=self.X[i].copy(), y=self.Y[i].copy()) for i in range(self.game.dims.N)]
-
     def point(self) -> ExtendedPoint:
         return ExtendedPoint(
             x=self.X.ravel().copy(),
@@ -308,8 +305,9 @@ class DrEngine:
 
     def step(self) -> None:
         game, steps, bcast = self.game, self.config.steps, self.bcast
-        linear = np.einsum("imn,m->in", game.A_stack, bcast.lam) - bcast.mu / game.dims.N
-        X_new = decoupled_prox(game, bcast.sigma, linear, self.X, steps.gamma, self.config.prox_tol)
+        st = game.stacks
+        linear = np.einsum("imn,m->in", st.A, bcast.lam) - bcast.mu / game.dims.N
+        X_new = decoupled_prox(st, bcast.sigma, linear, self.X, steps.gamma, self.config.prox_tol)
         Y_new = game.link_values(X_new)
         agg = AggregateMessage(xhat=X_new.mean(axis=0), yhat=Y_new.mean(axis=0))
         self.coord, self.bcast = coordinator_update(self.coord, agg, steps)
@@ -378,8 +376,10 @@ def _run_loop(
     A run whose stopping metric has set no new low for ``GATE_RECHECK``
     rounds has reached its numerical floor; it ends ``"stalled"`` if the
     optimality gate passes there, and otherwise looks again after another
-    such window.  With ``stop_tol=0`` no gate can pass, so such runs (the
-    comparison runs that stop on ``ref_stop``) skip the stall check.
+    such window; a failed look whose KKT residual is no lower than at the
+    previous failed look ends the run unconverged, ``"floor"``.  With
+    ``stop_tol=0`` no gate can pass, so such runs (the comparison runs
+    that stop on ``ref_stop``) skip the stall check.
     """
     steps = config.steps
     t0 = time.perf_counter_ns()
@@ -411,7 +411,7 @@ def _run_loop(
     converged = False
     reason = "max_iters"
     gate_block_until = 0
-    best_cheap, window_start = np.inf, 0
+    best_cheap, window_start, floor_kkt = np.inf, 0, np.inf
     k = 0
     step_plain = 0.0
     for k in range(1, config.max_iters + 1):
@@ -453,7 +453,11 @@ def _run_loop(
                 converged, reason = True, "stalled"
                 record(k, step_plain, kkt)
                 break
-            window_start = k
+            if kkt.max_value() >= floor_kkt:
+                reason = "floor"
+                record(k, step_plain, kkt)
+                break
+            floor_kkt, window_start = kkt.max_value(), k
         if need_row:
             if kkt is None:
                 kkt = kkt_residual(game, point)
@@ -524,16 +528,15 @@ def pfb_step_sizes(game: GameSpec) -> tuple[np.ndarray, float]:
     N = game.dims.N
     norm_A = float(np.linalg.norm(game.full_matrix(), 2))
     tau_lam = 0.4 / max(norm_A**2, 1e-12)
-    costs = [agent.cost for agent in game.agents]
-    curv = np.array([getattr(cost, "curvature", 1.0) for cost in costs])
-    coupled = [i for i, cost in enumerate(costs) if hasattr(cost, "Q")]
+    st = game.stacks
+    coupled = np.flatnonzero(st.quadratic)
     coupling = np.zeros(N)
-    if coupled:
-        Q = np.stack([costs[i].Q for i in coupled])
+    if coupled.size:
+        Q = np.stack([game.agents[i].cost.Q for i in coupled])
         coupling[coupled] = np.linalg.norm(Q, 2, axis=(1, 2)) / N
     # float_power calls C pow, as a Python float's ** does; ** on an array squares,
     # which can round differently in the last bit
-    L = curv + coupling + np.float_power(np.linalg.norm(game.A_stack, 2, axis=(1, 2)), 2)
+    L = st.curvature + coupling + np.float_power(np.linalg.norm(st.A, 2, axis=(1, 2)), 2)
     return 0.4 / L, tau_lam
 
 
@@ -572,7 +575,7 @@ def run_pfb(
     def advance() -> ExtendedPoint:
         Xc, lamc = state["X"], state["lam"]
         grad = extended_subdifferential(game, Xc.ravel(), Xc.mean(axis=0)).reshape(Xc.shape)
-        grad = grad + np.einsum("imn,m->in", game.A_stack, lamc)
+        grad = grad + np.einsum("imn,m->in", game.stacks.A, lamc)
         X_new = game.project_each(Xc - tau_col * grad)
         resid = game.coupling_value((2.0 * X_new - Xc).ravel()) - game.b_total
         lam_new = np.maximum(lamc + tau_lam * resid, 0.0)

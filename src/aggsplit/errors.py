@@ -55,11 +55,12 @@ class NotCertified(AggsplitError):
 
 
 class MaxItersExceeded(AggsplitError):
-    """An outer solver run hit its iteration cap before converging.
+    """An outer solver run ended unconverged: out of its iteration budget,
+    or stalled at a numerical floor above its optimality gate.
 
-    Carries the partial trace in ``trace``.
+    Carries the partial trace in ``trace``; its ``stop_reason`` says which.
     """
 
     def __init__(self, trace=None, message: str = ""):
         self.trace = trace
-        super().__init__(message or "iteration cap reached before convergence")
+        super().__init__(message or "run ended unconverged (iteration cap or numerical floor)")

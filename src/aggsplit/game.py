@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Union
 
@@ -234,34 +233,93 @@ class AgentSpec:
         """The link variable paired with x_i: A_i x_i - b_i."""
         return self.A @ x_i - self.b
 
-    @cached_property
-    def unit_metric(self) -> np.ndarray:
-        """The unit-step prox metric I + A_i' A_i, built once: 1-D (its diagonal)
-        when A_i' A_i is diagonal, as the closed-form prox needs, else dense."""
-        gram = self.A.T @ self.A
-        diag = np.diag(gram)
-        if np.all(gram == np.diag(diag)):
-            return 1.0 + diag
-        return np.eye(gram.shape[0]) + gram
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentStacks:
-    """Per-agent arrays stacked along a leading agent axis, built once per game.
+    """Per-row description of a sequence of agents, every field computed once.
 
+    The unit prox metric I + A_i' A_i of row i is ``unit_diag[i]`` as a
+    diagonal, unless i is in ``dense_rows`` (ascending): then it is the
+    matching matrix of ``unit_dense`` and row i of ``unit_diag`` is zero.
+    ``curvature`` and ``strong_convexity`` are the cost moduli.
     ``upper``/``total`` are set only when every local set is a box-simplex,
-    the cost fields only when every cost is quadratic, and
-    ``unit_metrics`` only when every agent's prox metric is diagonal.
+    ``a``/``xtilde``/``Q`` only when every cost is quadratic; a closed-form
+    set of agents is all quadratic with no dense row.
     """
 
+    agents: tuple[AgentSpec, ...]
+    A: np.ndarray  # (N, m, n) coupling blocks
     b: np.ndarray  # (N, m) link offsets
-    metric_is_diag: np.ndarray  # (N,) bool: A_i' A_i is diagonal
-    unit_metrics: np.ndarray | None  # (N, n) stacked 1 + diag(A_i' A_i)
+    unit_diag: np.ndarray  # (N, n) 1 + diag(A_i' A_i), zero on dense rows
+    dense_rows: np.ndarray  # (k,) rows whose A_i' A_i is not diagonal
+    unit_dense: np.ndarray  # (k, n, n) I + A_i' A_i of those rows
+    quadratic: np.ndarray  # (N,) bool: the cost is QuadraticAgg
+    curvature: np.ndarray  # (N,) cost Hessian bounds
+    strong_convexity: np.ndarray  # (N,) cost strong-convexity moduli
+    all_box_simplex: bool
+    all_quadratic: bool
+    closed_form: bool  # every unit-metric prox is one weighted projection
     upper: np.ndarray | None  # (N, n) box caps
     total: np.ndarray | None  # (N,) simplex totals
     a: np.ndarray | None  # (N,) quadratic weights
     xtilde: np.ndarray | None  # (N, n) quadratic targets
     Q: np.ndarray | None  # (N, n, n) aggregate coupling matrices
+
+    @classmethod
+    def of(cls, agents) -> "AgentStacks":
+        """The stacks of ``agents``, in order."""
+        agents = tuple(agents)
+        costs, sets = [agent.cost for agent in agents], [agent.omega for agent in agents]
+        A = np.stack([agent.A for agent in agents])
+        units = np.eye(A.shape[2]) + np.swapaxes(A, 1, 2) @ A
+        unit_diag = np.diagonal(units, axis1=1, axis2=2).copy()
+        dense_rows = np.flatnonzero((units[:, ~np.eye(A.shape[2], dtype=bool)] != 0).any(axis=1))
+        unit_diag[dense_rows] = 0.0
+        box = all(isinstance(omega, BoxSimplex) for omega in sets)
+        quadratic = np.array([isinstance(cost, QuadraticAgg) for cost in costs])
+        quad = bool(quadratic.all())
+        return cls(
+            agents=agents,
+            A=A,
+            b=np.stack([agent.b for agent in agents]),
+            unit_diag=unit_diag,
+            dense_rows=dense_rows,
+            unit_dense=units[dense_rows],
+            quadratic=quadratic,
+            curvature=np.array([cost.curvature for cost in costs], dtype=np.float64),
+            strong_convexity=np.array([cost.strong_convexity for cost in costs], dtype=np.float64),
+            all_box_simplex=box,
+            all_quadratic=quad,
+            closed_form=quad and not dense_rows.size,
+            upper=np.stack([omega.upper for omega in sets]) if box else None,
+            total=np.array([omega.total for omega in sets]) if box else None,
+            a=np.array([cost.a for cost in costs]) if quad else None,
+            xtilde=np.stack([cost.xtilde for cost in costs]) if quad else None,
+            Q=np.stack([cost.Q for cost in costs]) if quad else None,
+        )
+
+    def take(self, rows: np.ndarray) -> "AgentStacks":
+        """The stacks of ``rows`` alone; ``self`` when that is every row."""
+        return self if rows.size == len(self.agents) else AgentStacks.of(self.agents[r] for r in rows)
+
+    def link_values(self, X: np.ndarray) -> np.ndarray:
+        """(B, m) link rows A_r x_r - b_r of a (B, n) decision array."""
+        return np.einsum("imn,in->im", self.A, X) - self.b
+
+    def grad(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """(B, n) cost gradients, row r at ``X[r]`` with the aggregate ``sigma``."""
+        if self.all_quadratic:
+            return self.a[:, None] * (X - self.xtilde) + self.Q @ sigma
+        return np.stack([agent.cost.grad(x, sigma) for agent, x in zip(self.agents, X)])
+
+    def project(self, V: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """Row r of (B, n) ``V`` projected onto agent r's set, in the diagonal
+        metric of row r of ``weights`` (Euclidean when omitted): one batched
+        kernel call when every set is a box-simplex, else one oracle call per row."""
+        if self.all_box_simplex:
+            return project_box_simplex_batch(V, self.upper, self.total, weights)
+        W = [None] * len(self.agents) if weights is None else weights
+        return np.stack([agent.omega.project(v, w) for agent, v, w in zip(self.agents, V, W)])
 
 
 @dataclass(frozen=True)
@@ -289,13 +347,6 @@ class GameSpec:
             self._cache["b_total"] = b
         return self._cache["b_total"]
 
-    @property
-    def A_stack(self) -> np.ndarray:
-        """(N, m, n) stack of the per-agent coupling blocks."""
-        if "A_stack" not in self._cache:
-            self._cache["A_stack"] = np.stack([agent.A for agent in self.agents])
-        return self._cache["A_stack"]
-
     def full_matrix(self) -> np.ndarray:
         """The assembled (m, n N) coupling matrix."""
         return np.concatenate([agent.A for agent in self.agents], axis=1)
@@ -303,7 +354,7 @@ class GameSpec:
     def coupling_value(self, x: np.ndarray) -> np.ndarray:
         """A x = sum_i A_i x_i, fixed ascending agent order."""
         X = self._as_blocks(x)
-        return np.einsum("imn,in->m", self.A_stack, X)
+        return np.einsum("imn,in->m", self.stacks.A, X)
 
     def _as_blocks(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -313,40 +364,18 @@ class GameSpec:
             )
         return x.reshape(self.dims.N, self.dims.n)
 
-    # -- uniform-structure fast path ----------------------------------------------
-
-    @property
-    def all_box_simplex(self) -> bool:
-        return self.stacks.upper is not None
-
-    @property
-    def all_quadratic(self) -> bool:
-        return self.stacks.a is not None
+    # -- per-row stacks -----------------------------------------------------------
 
     @property
     def stacks(self) -> AgentStacks:
-        """Stacked per-agent arrays for vectorized updates."""
+        """The agents' :class:`AgentStacks`, built once."""
         if "stacks" not in self._cache:
-            agents = self.agents
-            metrics = [agent.unit_metric for agent in agents]
-            metric_is_diag = np.array([metric.ndim == 1 for metric in metrics])
-            box = all(isinstance(agent.omega, BoxSimplex) for agent in agents)
-            quad = all(isinstance(agent.cost, QuadraticAgg) for agent in agents)
-            self._cache["stacks"] = AgentStacks(
-                b=np.stack([agent.b for agent in agents]),
-                metric_is_diag=metric_is_diag,
-                unit_metrics=np.stack(metrics) if metric_is_diag.all() else None,
-                upper=np.stack([agent.omega.upper for agent in agents]) if box else None,
-                total=np.array([agent.omega.total for agent in agents]) if box else None,
-                a=np.array([agent.cost.a for agent in agents]) if quad else None,
-                xtilde=np.stack([agent.cost.xtilde for agent in agents]) if quad else None,
-                Q=np.stack([agent.cost.Q for agent in agents]) if quad else None,
-            )
+            self._cache["stacks"] = AgentStacks.of(self.agents)
         return self._cache["stacks"]
 
     def link_values(self, X: np.ndarray) -> np.ndarray:
         """(N, m) link rows A_i x_i - b_i of an (N, n) decision array."""
-        return np.einsum("imn,in->im", self.A_stack, X) - self.stacks.b
+        return self.stacks.link_values(X)
 
     def default_points(self) -> np.ndarray:
         """(N, n) read-only rows: each agent's projection of the origin, computed once."""
@@ -360,18 +389,12 @@ class GameSpec:
         """Per-agent projection of the rows of an (N, n) array onto the local sets."""
         if X.shape != (self.dims.N, self.dims.n):
             raise DimensionMismatch("expected an (N, n) block matrix")
-        if self.all_box_simplex:
-            return project_box_simplex_batch(X, self.stacks.upper, self.stacks.total, weights)
-        out = np.empty_like(X)
-        for i, agent in enumerate(self.agents):
-            w_i = None if weights is None else weights[i]
-            out[i] = agent.omega.project(X[i], w_i)
-        return out
+        return self.stacks.project(X, weights)
 
     # -- serialization -------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        if not (self.all_box_simplex and self.all_quadratic):
+        if not (self.stacks.all_box_simplex and self.stacks.all_quadratic):
             raise ValueError("only box-simplex / quadratic games serialize to JSON")
         return {
             "dims": {"N": self.dims.N, "n": self.dims.n, "m": self.dims.m},
@@ -449,7 +472,7 @@ def find_feasible_point(
         resid = np.maximum(game.coupling_value(X.ravel()) - target, 0.0)
         if not resid.any():
             return X.ravel(), True
-        grad = np.einsum("imn,m->in", game.A_stack, resid)
+        grad = np.einsum("imn,m->in", game.stacks.A, resid)
         X_next = game.project_each(X - step * grad)
         if np.array_equal(X_next, X):
             break  # a fixed point minimizes the convex phase-1 objective: no step can help

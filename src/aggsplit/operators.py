@@ -112,14 +112,7 @@ def extended_subdifferential(game: GameSpec, x: np.ndarray, sigma: np.ndarray) -
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.shape != (dims.n,):
         raise DimensionMismatch("aggregate has the wrong length")
-    if game.all_quadratic:
-        st = game.stacks
-        G = st.a[:, None] * (X - st.xtilde) + st.Q @ sigma
-        return G.ravel()
-    out = np.empty_like(X)
-    for i, agent in enumerate(game.agents):
-        out[i] = agent.cost.grad(X[i], sigma)
-    return out.ravel()
+    return game.stacks.grad(X, sigma).ravel()
 
 
 def aggregative_subdifferential(game: GameSpec, x: np.ndarray) -> np.ndarray:
@@ -137,7 +130,7 @@ def pseudo_subdifferential(game: GameSpec, x: np.ndarray) -> np.ndarray:
     sigma = average(x, dims.n)
     base = extended_subdifferential(game, x, sigma).reshape(dims.N, dims.n)
     X = x.reshape(dims.N, dims.n)
-    if game.all_quadratic:
+    if game.stacks.all_quadratic:
         chain = np.einsum("ikj,ik->ij", game.stacks.Q, X) / dims.N
         return (base + chain).ravel()
     for i, agent in enumerate(game.agents):
@@ -240,7 +233,7 @@ def stationarity_residual(game: GameSpec, x: np.ndarray, lam: np.ndarray) -> flo
     dims = game.dims
     X = x.reshape(dims.N, dims.n)
     G = aggregative_subdifferential(game, x).reshape(dims.N, dims.n)
-    G = G + np.einsum("imn,m->in", game.A_stack, lam)
+    G = G + np.einsum("imn,m->in", game.stacks.A, lam)
     P = game.project_each(X - G)
     return float(np.max(np.linalg.norm(X - P, axis=1)))
 
@@ -285,10 +278,14 @@ def monotonicity_probe(game: GameSpec, sample_count: int = 1000, seed: int = 0) 
     A negative minimum falsifies monotonicity of the extended gradient map
     on this instance; a nonnegative minimum is evidence only.  Convergence
     has been observed on instances where this probe fails, so callers
-    should treat a negative result as a warning.
+    should treat a negative result as a warning.  The report is computed
+    once per game, sample count and seed.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
+    key = ("monotonicity_probe", sample_count, seed)
+    if key in game._cache:
+        return game._cache[key]
     dims = game.dims
     rng = np.random.default_rng(seed)
     los, his = zip(*(agent.omega.bounding_box() for agent in game.agents))
@@ -306,9 +303,10 @@ def monotonicity_probe(game: GameSpec, sample_count: int = 1000, seed: int = 0) 
         x2, s2 = draw()
         df = extended_subdifferential(game, x1, s1) - extended_subdifferential(game, x2, s2)
         inners[k] = float(df @ (x1 - x2))
-    return ProbeReport(
+    game._cache[key] = ProbeReport(
         samples=sample_count,
         min_inner=float(inners.min()),
         mean_inner=float(inners.mean()),
         negative_fraction=float(np.mean(inners < 0.0)),
     )
+    return game._cache[key]

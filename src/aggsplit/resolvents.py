@@ -11,14 +11,14 @@ blocks, and alpha, beta, delta on the aggregate and multiplier blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidStepSizes
-from .game import AgentSpec, BoxSimplex, GameSpec, LocalSet, QuadraticAgg
+from .game import AgentStacks, GameSpec
 from .operators import ExtendedPoint
-from .projections import fista_minimize, project_box_simplex_batch
+from .projections import fista_minimize
 
 DEFAULT_PROX_TOL = 1e-10
 
@@ -66,10 +66,6 @@ class StepSizes:
         return self.beta / (1.0 + self.beta * (self.alpha + self.gamma_hat / self.N))
 
     @classmethod
-    def from_raw(cls, gamma, alpha: float, beta: float, delta: float) -> "StepSizes":
-        return cls(gamma=np.asarray(gamma, dtype=np.float64), alpha=alpha, beta=beta, delta=delta)
-
-    @classmethod
     def from_central(cls, gamma, alpha: float, delta_c: float, beta_c: float) -> "StepSizes":
         """Invert the central parameterization; open intervals are enforced."""
         gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
@@ -111,169 +107,119 @@ class ProxProblem:
     """B agents' proximal subproblems, one per row.
 
     Row r minimizes over its agent's local set
-        f(z, sigma) + linear_r' z + 0.5 (z - center_r)' metric_r (z - center_r)
+        f(z, sigma) + linear_r' z + 0.5 (z - center_r)' M_r (z - center_r)
 
-    ``linear`` and ``center`` are (B, n) and ``sigma`` is shared.  ``metric``
-    holds the B row metrics: a (B, n) array of diagonals, a (B, n, n) array
-    of dense SPD matrices, or a length-B sequence mixing 1-D diagonals and
-    2-D matrices.
+    ``linear``, ``center`` and ``metric_diag`` are (B, n) and ``sigma`` is
+    shared.  The metric has the form of :class:`AgentStacks`: M_r is
+    diag(``metric_diag[r]``) unless r is the j-th entry of ``dense_rows``,
+    in which case it is the SPD matrix ``metric_dense[j]`` of the
+    (k, n, n) stack and row r of ``metric_diag`` is ignored.
     """
 
     sigma: np.ndarray
     linear: np.ndarray
     center: np.ndarray
-    metric: np.ndarray | Sequence[np.ndarray]
+    metric_diag: np.ndarray
+    dense_rows: np.ndarray
+    metric_dense: np.ndarray
     tolerance: float = DEFAULT_PROX_TOL
-
-    @property
-    def metric_is_diagonal(self) -> np.ndarray:
-        """(B,) flags: which rows carry a diagonal metric."""
-        if isinstance(self.metric, np.ndarray):
-            return np.full(self.metric.shape[0], self.metric.ndim == 2)
-        return np.array([np.ndim(m) == 1 for m in self.metric])
-
-    def metric_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The metrics of ``rows`` (all diagonal or all dense), stacked."""
-        if isinstance(self.metric, np.ndarray):
-            return self.metric[rows]
-        return np.stack([self.metric[r] for r in rows])
 
     def metric_range(self) -> tuple[np.ndarray, np.ndarray]:
         """(B,) smallest and largest eigenvalue of every row's metric."""
-        diag = self.metric_is_diagonal
-        lo, hi = np.empty(diag.shape), np.empty(diag.shape)
-        for rows in (np.flatnonzero(diag), np.flatnonzero(~diag)):
-            if rows.size:
-                M = self.metric_rows(rows)
-                ends = M if M.ndim == 2 else np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, 1, 2)))
-                lo[rows], hi[rows] = ends.min(axis=1), ends.max(axis=1)
+        lo, hi = self.metric_diag.min(axis=1), self.metric_diag.max(axis=1)
+        if self.dense_rows.size:
+            M = self.metric_dense
+            ends = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, 1, 2)))
+            lo[self.dense_rows], hi[self.dense_rows] = ends[:, 0], ends[:, -1]
         return lo, hi
 
 
-def _row_projector(sets: Sequence[LocalSet]) -> Callable[..., np.ndarray]:
-    """Projector of (B, n) rows, row r onto ``sets[r]`` in the diagonal metric
-    of row r of ``weights`` (Euclidean when omitted): one batched kernel call
-    when every set is a box-simplex, else one oracle call per row."""
-    if all(isinstance(omega, BoxSimplex) for omega in sets):
-        upper = np.stack([omega.upper for omega in sets])
-        total = np.array([omega.total for omega in sets])
-        return lambda V, weights=None: project_box_simplex_batch(V, upper, total, weights)
+def local_prox(stacks: AgentStacks, p: ProxProblem) -> np.ndarray:
+    """Solve the proximal subproblems of ``p``, row r for agent r of ``stacks``, as (B, n) rows.
 
-    def project(V: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        W = [None] * len(sets) if weights is None else weights
-        return np.stack([omega.project(v, w) for omega, v, w in zip(sets, V, W)])
-
-    return project
-
-
-def local_prox(agents: Sequence[AgentSpec], p: ProxProblem) -> np.ndarray:
-    """Solve the proximal subproblems of ``p``, row r for ``agents[r]``, as (B, n) rows.
-
-    A row with a quadratic cost and a diagonal metric reduces to one
-    weighted box-simplex projection.  All other rows are solved together
-    by one lock-step accelerated projected-gradient solve, each stopping at
-    the requested natural-residual tolerance; every row equals its own
-    one-row solve bit for bit.
+    The rows with a quadratic cost and a diagonal metric take the closed
+    form of :func:`batched_quadratic_prox`.  All other rows are solved
+    together by one lock-step accelerated projected-gradient solve, each
+    stopping at the requested natural-residual tolerance; every row equals
+    its own one-row solve bit for bit.
     """
     lo, hi = p.metric_range()
     if np.any(lo <= 0):
         raise InvalidStepSizes("prox metric must be positive definite in every row")
-    closed = p.metric_is_diagonal & np.array([isinstance(a.cost, QuadraticAgg) for a in agents])
+    closed = stacks.quadratic.copy()
+    closed[p.dense_rows] = False
     X = np.empty(p.center.shape)
     rows = np.flatnonzero(closed)
     if rows.size:
-        costs = [agents[r].cost for r in rows]
-        a = np.array([cost.a for cost in costs])[:, None]
-        xtilde = np.stack([cost.xtilde for cost in costs])
-        Q = np.stack([cost.Q for cost in costs])
-        d = p.metric_rows(rows)
-        weights = a + d
-        V = (a * xtilde + d * p.center[rows] - Q @ p.sigma - p.linear[rows]) / weights
-        X[rows] = _row_projector([agents[r].omega for r in rows])(V, weights)
+        X[rows] = batched_quadratic_prox(
+            stacks.take(rows), p.sigma, p.linear[rows], p.center[rows], p.metric_diag[rows]
+        )
     rows = np.flatnonzero(~closed)
     if rows.size:
-        X[rows] = _lockstep_prox(agents, p, rows, lo[rows], hi[rows])
+        X[rows] = _lockstep_prox(stacks.take(rows), p, rows, lo[rows], hi[rows])
     return X
 
 
 def _lockstep_prox(
-    agents: Sequence[AgentSpec], p: ProxProblem, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    stacks: AgentStacks, p: ProxProblem, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """The iterative rows of :func:`local_prox`: one lock-step ``fista_minimize``."""
-    costs = [agents[r].cost for r in rows]
-    linear, center = p.linear[rows], p.center[rows]
-    is_diag = p.metric_is_diagonal[rows]
-    diag = np.zeros(center.shape)  # zero on dense rows, whose products are overwritten
-    if is_diag.any():
-        diag[is_diag] = p.metric_rows(rows[is_diag])
-    dense = np.flatnonzero(~is_diag)
-    M = p.metric_rows(rows[dense]) if dense.size else None
+    """The iterative ``rows`` of :func:`local_prox`, for agents ``stacks``: one lock-step FISTA."""
+    linear, center, diag = p.linear[rows], p.center[rows], p.metric_diag[rows]
+    dense = np.searchsorted(rows, p.dense_rows)  # every dense row is iterative
 
     def grad(Z: np.ndarray) -> np.ndarray:
         D = Z - center
         metric_D = diag * D
         if dense.size:
-            metric_D[dense] = (M @ D[dense, :, None])[..., 0]
-        oracle = np.stack([cost.grad(z, p.sigma) for cost, z in zip(costs, Z)])
-        return oracle + linear + metric_D
+            metric_D[dense] = (p.metric_dense @ D[dense, :, None])[..., 0]
+        return stacks.grad(Z, p.sigma) + linear + metric_D
 
-    curvature = np.array([getattr(cost, "curvature", 1.0) for cost in costs], dtype=np.float64)
-    strong = np.array([getattr(cost, "strong_convexity", 0.0) for cost in costs], dtype=np.float64)
     return fista_minimize(
         grad,
-        _row_projector([agents[r].omega for r in rows]),
+        stacks.project,
         center,
-        lipschitz=curvature + hi,
-        strong_convexity=strong + lo,
+        lipschitz=stacks.curvature + hi,
+        strong_convexity=stacks.strong_convexity + lo,
         tol=p.tolerance,
     )
 
 
-def batch_prox_eligible(game: GameSpec) -> bool:
-    """True when every agent admits the vectorized projection fast path."""
-    return game.all_quadratic and game.all_box_simplex and game.stacks.unit_metrics is not None
-
-
 def batched_quadratic_prox(
-    game: GameSpec,
+    stacks: AgentStacks,
     sigma: np.ndarray,
     linear: np.ndarray,
     center: np.ndarray,
     metric_diag: np.ndarray,
 ) -> np.ndarray:
-    """All agents' fast-path prox solves at once; bit-identical to :func:`local_prox` per row."""
-    st = game.stacks
-    a = st.a[:, None]
+    """The closed-form prox of every row of quadratic ``stacks`` in a diagonal
+    metric: one weighted projection of the unconstrained minimizer."""
+    a = stacks.a[:, None]
     weights = a + metric_diag
-    v = (a * st.xtilde + metric_diag * center - st.Q @ sigma - linear) / weights
-    return project_box_simplex_batch(v, st.upper, st.total, weights)
+    V = (a * stacks.xtilde + metric_diag * center - stacks.Q @ sigma - linear) / weights
+    return stacks.project(V, weights)
 
 
 def decoupled_prox(
-    game: GameSpec,
+    stacks: AgentStacks,
     sigma: np.ndarray,
     linear: np.ndarray,
     center: np.ndarray,
     gamma: np.ndarray,
     tol: float = DEFAULT_PROX_TOL,
 ) -> np.ndarray:
-    """All agents' proximal subproblems of the decoupled half, as (N, n) rows.
+    """The proximal subproblems of the decoupled half, row i for agent i of ``stacks``.
 
     Row i minimizes over agent i's local set
         f_i(z, sigma) + linear_i' z
         + ||z - center_i||^2 in the metric (I + A_i' A_i) / (2 gamma_i).
-    Games that admit the fast path for every agent take one batched closed
-    form; otherwise one :func:`local_prox` call solves all N rows, each in
-    its agent's own diagonal or dense metric.
+    A closed-form set of agents takes :func:`batched_quadratic_prox` on
+    every row; any other takes one :func:`local_prox` call.
     """
-    unit = game.stacks.unit_metrics
-    if batch_prox_eligible(game):
-        return batched_quadratic_prox(game, sigma, linear, center, unit / gamma[:, None])
-    if unit is None:  # some A_i' A_i is dense
-        metric = [agent.unit_metric / g for agent, g in zip(game.agents, gamma)]
-    else:
-        metric = unit / gamma[:, None]
-    return local_prox(game.agents, ProxProblem(sigma, linear, center, metric, tol))
+    diag = stacks.unit_diag / gamma[:, None]
+    if stacks.closed_form:
+        return batched_quadratic_prox(stacks, sigma, linear, center, diag)
+    dense = stacks.unit_dense / gamma[stacks.dense_rows, None, None]
+    return local_prox(stacks, ProxProblem(sigma, linear, center, diag, stacks.dense_rows, dense, tol))
 
 
 def resolvent_A(
@@ -293,8 +239,8 @@ def resolvent_A(
     X = w.x_blocks(dims.n)
     Y = w.y_blocks(dims.m)
     gamma = steps.gamma[:, None]
-    linear = np.einsum("imn,im->in", game.A_stack, game.link_values(X) - Y) / gamma
-    X_new = decoupled_prox(game, w.sigma, linear, X, steps.gamma, tol)
+    linear = np.einsum("imn,im->in", game.stacks.A, game.link_values(X) - Y) / gamma
+    X_new = decoupled_prox(game.stacks, w.sigma, linear, X, steps.gamma, tol)
     return ExtendedPoint(
         x=X_new.ravel(),
         y=game.link_values(X_new).ravel(),

@@ -64,7 +64,7 @@ def inclusion_residual_A(
     from .operators import extended_subdifferential
 
     G = extended_subdifferential(game, w_plus.x, w.sigma).reshape(dims.N, dims.n)
-    H = (Xp - X) / gamma + G + np.einsum("imn,im->in", game.A_stack, (Yp - Y) / gamma)
+    H = (Xp - X) / gamma + G + np.einsum("imn,im->in", game.stacks.A, (Yp - Y) / gamma)
     proj = game.project_each(Xp - H)
     r_x = float(np.max(np.linalg.norm(Xp - proj, axis=1)))
     r_y = float(np.max(np.abs(Yp - game.link_values(Xp)), initial=0.0))

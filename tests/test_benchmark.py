@@ -156,6 +156,15 @@ class TestGroundTruth:
         # the cross-check runs the baseline and enforces 10 * tol agreement
         ground_truth(game, tol=1e-9, cross_check=True)
 
+    def test_probe_runs_once_per_game_and_warns_on_every_call(self, monkeypatch):
+        game = generate_benchmark(BenchmarkParams(N=5, n=3, seed=11))  # its probe fails
+        with pytest.warns(UserWarning, match="monotonicity probe"):
+            ground_truth_point(game, tol=1e-8, cross_check=False)
+        boxes = count_calls(monkeypatch, BoxSimplex, "bounding_box")  # the probe's first step
+        with pytest.warns(UserWarning, match="monotonicity probe"):
+            ground_truth_point(game, tol=1e-8, cross_check=False)
+        assert not boxes
+
     def test_uncertifiable_budget_raises(self, desk_game):
         with pytest.raises(NotCertified):
             ground_truth_point(desk_game, tol=1e-13, max_iters=40, cross_check=False)

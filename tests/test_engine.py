@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -30,8 +31,8 @@ from aggsplit import (
 )
 from aggsplit.benchmark import BenchmarkParams, generate_benchmark, ground_truth_point
 from aggsplit.engine import CSV_HEADER, GATE_FACTOR, pfb_step_sizes
+from aggsplit.game import AgentStacks
 from aggsplit.projections import fista_minimize
-from aggsplit.resolvents import batch_prox_eligible
 from oracles import reference_rounds, wrap_costs_in_oracles, wrap_sets_in_oracles
 
 
@@ -268,7 +269,7 @@ class TestEngineRounds:
             assert np.array_equal(engine.X.ravel(), want[k])
 
     def test_batched_and_per_agent_paths_agree(self, desk_game, desk_steps):
-        assert batch_prox_eligible(desk_game)
+        assert desk_game.stacks.closed_form
         assert_rounds_match_row_views(desk_game, desk_steps)
 
     def test_link_invariant_after_each_round(self, desk_game, desk_steps):
@@ -326,6 +327,19 @@ class TestRunDr:
         assert trace.stop_reason == "stalled" and trace.converged
         assert trace.iterations <= 250
         assert trace.final_kkt.max_value() <= GATE_FACTOR * config.stop_tol
+        assert trace.rows[-1].iter == trace.iterations
+
+    def test_run_at_a_floor_above_its_gate_ends_unconverged(self):
+        # the same run with stop_tol 8x lower: its KKT residual stays near 2e-14, twice
+        # this gate, so a failed stall check soon finds no improvement on the one before
+        game = generate_benchmark(BenchmarkParams(N=100, n=10, seed=1))
+        config = RunConfig(steps=benchmark_steps(100), stop_tol=1e-15, max_iters=600)
+        with pytest.raises(MaxItersExceeded) as err:
+            run_dr(game, config, validate=False)
+        trace = err.value.trace
+        assert trace.stop_reason == "floor" and not trace.converged
+        assert trace.iterations < config.max_iters
+        assert trace.final_kkt.max_value() > GATE_FACTOR * config.stop_tol
         assert trace.rows[-1].iter == trace.iterations
 
     def test_repeated_runs_are_bit_identical(self, desk_game, desk_steps):
@@ -484,14 +498,51 @@ def mixed_metric_game():
     return GameSpec(dims=Dimensions(N, n, n), agents=agents)
 
 
+class TestAgentStacks:
+    """The one-agent stacks that ``agent_update`` builds are the rows of ``game.stacks``."""
+
+    def test_one_agent_stacks_equal_the_game_rows_bitwise(self, desk_game):
+        games = (
+            desk_game,
+            mixed_metric_game(),
+            wrap_costs_in_oracles(desk_game),
+            wrap_sets_in_oracles(desk_game),
+        )
+        for game in games:  # one cost type and one set type each, so the set flags carry over
+            full = game.stacks
+            for i, agent in enumerate(game.agents):
+                one = AgentStacks.of([agent])
+                dense = i in full.dense_rows
+                for f in dataclasses.fields(AgentStacks):
+                    mine, theirs = getattr(one, f.name), getattr(full, f.name)
+                    if f.name == "agents":
+                        assert mine == (agent,) and theirs[i] is agent
+                    elif f.name == "dense_rows":
+                        assert mine.tolist() == ([0] if dense else [])
+                    elif f.name == "closed_form":
+                        assert mine == (full.all_quadratic and not dense)
+                    elif theirs is None:
+                        assert mine is None, f.name
+                    elif isinstance(theirs, bool):
+                        assert mine == theirs, f.name
+                    else:
+                        row = theirs[full.dense_rows == i] if f.name == "unit_dense" else theirs[i : i + 1]
+                        assert mine.dtype == row.dtype and mine.shape == row.shape, f.name
+                        assert mine.tobytes() == row.tobytes(), f.name
+
+
 class TestMixedMetricDiagonality:
     """Each agent keeps its own diagonal-or-dense prox metric in a mixed game."""
 
     def test_metric_choice_is_per_agent(self):
         game = mixed_metric_game()
-        assert game.stacks.metric_is_diag.tolist() == [False, True, True, True]
-        assert game.stacks.unit_metrics is None
-        assert not batch_prox_eligible(game)
+        assert game.stacks.dense_rows.tolist() == [0]
+        assert not game.stacks.closed_form
+
+    def test_rounds_equal_the_row_views(self):
+        # closed rows and the dense row in one local_prox call; per-agent step sizes
+        steps = StepSizes(gamma=np.array([0.5, 1.0, 1.5, 1.0]), alpha=1.0, beta=1.0, delta=1.0)
+        assert_rounds_match_row_views(mixed_metric_game(), steps)
 
     def test_resolvent_inclusion_holds(self, rng):
         from aggsplit.resolvents import resolvent_A
@@ -545,6 +596,12 @@ class TestLockStepProx:
 
     def test_oracle_cost_rounds_equal_the_row_views(self, desk_game, desk_steps):
         assert_rounds_match_row_views(wrap_costs_in_oracles(desk_game), desk_steps)
+
+    def test_quadratic_costs_on_oracle_sets_equal_the_row_views(self, desk_game, desk_steps):
+        # the closed form with every projection row by row through the oracles
+        game = wrap_sets_in_oracles(desk_game)
+        assert game.stacks.closed_form and not game.stacks.all_box_simplex
+        assert_rounds_match_row_views(game, desk_steps)
 
     def test_oracle_set_rounds_equal_the_row_views(self, desk_game, desk_steps):
         # oracle sets: every lock-step projection goes row by row through the oracles

@@ -201,6 +201,24 @@ class TestMonotonicityProbe:
         report = monotonicity_probe(game, 1000, seed=0)
         assert report.min_inner < 0.0
 
+    def test_report_is_computed_once_per_game_and_key(self, monkeypatch):
+        import aggsplit.operators as operators_mod
+
+        game = generate_benchmark(BenchmarkParams(N=5, n=3, seed=11))
+        first = monotonicity_probe(game, 50, seed=0)
+        calls = []
+        real = operators_mod.extended_subdifferential
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(operators_mod, "extended_subdifferential", spy)
+        assert monotonicity_probe(game, 50, seed=0) is first
+        assert not calls  # no sampling for a (sample count, seed) already probed
+        monotonicity_probe(game, 50, seed=1)
+        assert len(calls) == 2 * 50
+
     def test_sample_count_validated(self, desk_game):
         with pytest.raises(ValueError):
             monotonicity_probe(desk_game, 0)

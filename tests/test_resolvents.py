@@ -17,6 +17,7 @@ from aggsplit import (
     resolvent_A,
     resolvent_B,
 )
+from aggsplit.game import AgentStacks
 from aggsplit.projections import fista_minimize
 from aggsplit.resolvents import ProxProblem
 from aggsplit.verify import inclusion_residual_A, inclusion_residual_B, random_extended_point
@@ -70,6 +71,11 @@ class TestStepSizes:
             assert abs(back.beta - beta) <= 1e-12 * beta
 
 
+def no_dense(n):
+    """The empty dense part of a diagonal-only :class:`ProxProblem` metric."""
+    return np.zeros(0, dtype=int), np.zeros((0, n, n))
+
+
 class TestLocalProx:
     def test_singleton_set_ignores_cost(self):
         agent = AgentSpec(
@@ -82,9 +88,11 @@ class TestLocalProx:
             sigma=np.array([9.0]),
             linear=np.array([[4.0]]),
             center=np.array([[-1.0]]),
-            metric=np.array([[2.0]]),
+            metric_diag=np.array([[2.0]]),
+            dense_rows=np.zeros(0, dtype=int),
+            metric_dense=np.zeros((0, 1, 1)),
         )
-        assert np.allclose(local_prox([agent], p), [[1.0]])
+        assert np.allclose(local_prox(AgentStacks.of([agent]), p), [[1.0]])
 
     def test_fast_path_matches_generic_path(self, desk_game, rng):
         # same subproblem through the exact projection and through FISTA
@@ -93,8 +101,8 @@ class TestLocalProx:
         for _ in range(10):
             sigma, linear, center = rng.standard_normal((3, n))
             metric = rng.uniform(0.5, 2.0, n)
-            p = ProxProblem(sigma, linear[None], center[None], metric[None], tolerance=1e-12)
-            fast = local_prox([agent], p)[0]
+            p = ProxProblem(sigma, linear[None], center[None], metric[None], *no_dense(n), 1e-12)
+            fast = local_prox(AgentStacks.of([agent]), p)[0]
 
             def grad(z):
                 return agent.cost.grad(z, sigma) + linear + metric * (z - center)
@@ -116,10 +124,15 @@ class TestLocalProx:
         rows = np.zeros((2, n))
         bad_diag = np.array([[1.0, 1.0, 1.0], [-5.0, 1.0, 1.0]])
         bad_dense = np.stack([np.eye(n), np.diag([1.0, -0.5, 1.0]) + 0.1])
-        for metric in (bad_diag, bad_dense, [bad_diag[0], bad_dense[1]]):
-            p = ProxProblem(np.zeros(n), rows, rows, metric)
+        metrics = (
+            (bad_diag, *no_dense(n)),
+            (np.ones((2, n)), np.arange(2), bad_dense),
+            (np.ones((2, n)), np.array([1]), bad_dense[1:]),  # diagonal row 0, dense row 1
+        )
+        for metric in metrics:
+            p = ProxProblem(np.zeros(n), rows, rows, *metric)
             with pytest.raises(InvalidStepSizes):
-                local_prox([agent, agent], p)
+                local_prox(AgentStacks.of([agent, agent]), p)
 
     def test_dense_metric_output_meets_tolerance(self, rng):
         n = 3
@@ -131,8 +144,8 @@ class TestLocalProx:
         )
         M = agent.A.T @ agent.A + np.eye(n)
         sigma, linear, center = rng.standard_normal((3, n))
-        p = ProxProblem(sigma, linear[None], center[None], M[None], tolerance=1e-10)
-        z = local_prox([agent], p)[0]
+        p = ProxProblem(sigma, linear[None], center[None], np.zeros((1, n)), np.array([0]), M[None], 1e-10)
+        z = local_prox(AgentStacks.of([agent]), p)[0]
 
         def grad(v):
             return agent.cost.grad(v, sigma) + linear + M @ (v - center)
