@@ -315,11 +315,6 @@ def _lockstep_gap(game: GameSpec, X: np.ndarray, caps: np.ndarray, tol: float) -
             # stacked matmul: row i rounds like the per-agent M[i] @ V[i]
             return (M @ V[..., None])[..., 0]
 
-        def value(Z: np.ndarray) -> np.ndarray:
-            D = Z - st.xtilde
-            S = sigma_others + Z / N
-            return 0.5 * st.a * np.einsum("ij,ij->i", D, D) + np.einsum("ij,ij->i", rows(st.Q, S), Z)
-
         def grad(Z: np.ndarray) -> np.ndarray:
             S = sigma_others + Z / N
             return st.a[:, None] * (Z - st.xtilde) + rows(st.Q, S) + rows(QT, Z) / N
@@ -328,15 +323,14 @@ def _lockstep_gap(game: GameSpec, X: np.ndarray, caps: np.ndarray, tol: float) -
         for cost in costs:
             _check_deviation_oracles(cost)
 
-        def value(Z: np.ndarray) -> np.ndarray:
-            S = sigma_others + Z / N
-            return np.array([cost.value(z, s) for cost, z, s in zip(costs, Z, S)])
-
         def grad(Z: np.ndarray) -> np.ndarray:
             S = sigma_others + Z / N
             return np.stack(
                 [cost.grad(z, s) + cost.grad_sigma(z, s) / N for cost, z, s in zip(costs, Z, S)]
             )
+
+    def value(Z: np.ndarray) -> np.ndarray:
+        return st.value(Z, sigma_others + Z / N)
 
     def project(Z: np.ndarray) -> np.ndarray:
         return project_box_simplex_batch(Z, caps, st.total)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Union
 
@@ -298,13 +299,29 @@ class AgentStacks:
             Q=np.stack([cost.Q for cost in costs]) if quad else None,
         )
 
+    @cached_property
+    def _parts(self) -> dict:  # row-set bytes -> take(rows), filled on demand
+        return {}
+
     def take(self, rows: np.ndarray) -> "AgentStacks":
-        """The stacks of ``rows`` alone; ``self`` when that is every row."""
-        return self if rows.size == len(self.agents) else AgentStacks.of(self.agents[r] for r in rows)
+        """The stacks of ``rows`` alone, built once per row set; ``self`` when that is every row."""
+        key = rows.tobytes()
+        if rows.size < len(self.agents) and key not in self._parts:
+            self._parts[key] = AgentStacks.of(self.agents[r] for r in rows)
+        return self._parts.get(key, self)
 
     def link_values(self, X: np.ndarray) -> np.ndarray:
         """(B, m) link rows A_r x_r - b_r of a (B, n) decision array."""
         return np.einsum("imn,in->im", self.A, X) - self.b
+
+    def value(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """(B,) cost values, row r at ``X[r]`` with the aggregate ``sigma``, or
+        ``sigma[r]`` when ``sigma`` is (B, n)."""
+        S = np.broadcast_to(sigma, X.shape)
+        if self.all_quadratic:  # row r of QS rounds like the per-agent Q_r @ S[r]
+            D, QS = X - self.xtilde, (self.Q @ S[..., None])[..., 0]
+            return 0.5 * self.a * np.einsum("ij,ij->i", D, D) + np.einsum("ij,ij->i", QS, X)
+        return np.array([agent.cost.value(x, s) for agent, x, s in zip(self.agents, X, S)])
 
     def grad(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         """(B, n) cost gradients, row r at ``X[r]`` with the aggregate ``sigma``."""
@@ -518,22 +535,31 @@ def _fd_gradient_error(cost: CostModel, x: np.ndarray, sigma: np.ndarray) -> flo
         g = cost.grad(x, sigma)
     except NonSmoothCost:
         return np.inf
+    return float(_fd_gradient_errors(lambda Z: np.array([cost.value(Z[0], sigma)]), x[None], g[None])[0])
+
+
+def _fd_gradient_errors(value: Callable, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """(B,) relative errors between the gradient rows ``G`` at the rows of ``X`` and central
+    differences of the (B,) row values ``value(X)``: one batched difference per coordinate."""
     h = 1e-6
-    fd = np.empty_like(g)
-    for j in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[j] = h
-        fd[j] = (cost.value(x + e, sigma) - cost.value(x - e, sigma)) / (2 * h)
-    scale = max(1.0, float(np.linalg.norm(g)))
-    return float(np.linalg.norm(fd - g)) / scale
+    fd = np.empty_like(G)
+    for j in range(X.shape[1]):
+        E = np.zeros_like(X)
+        E[:, j] = h
+        fd[:, j] = (value(X + E) - value(X - E)) / (2 * h)
+    return np.linalg.norm(fd - G, axis=1) / np.maximum(1.0, np.linalg.norm(G, axis=1))
 
 
 def validate_game(game: GameSpec, check_feasibility: bool = True) -> ValidationReport:
     """Run nonemptiness, gradient, dimension and feasibility checks.
 
+    The gradient check compares the gradients with central differences at
+    the default points: one batched pass over ``game.stacks`` when every cost
+    is quadratic, else per agent, skipping costs without a gradient oracle.
+
     Pure: repeated calls on the same game produce identical reports.
     """
-    dims = game.dims
+    dims, stacks = game.dims, game.stacks
     messages: list[str] = []
     dims_ok = True
     try:
@@ -543,26 +569,31 @@ def validate_game(game: GameSpec, check_feasibility: bool = True) -> ValidationR
         dims_ok = False
         messages.append(str(exc))
 
-    nonempty = []
-    for i, agent in enumerate(game.agents):
-        if isinstance(agent.omega, BoxSimplex):
-            ok = float(agent.omega.upper.sum()) >= agent.omega.total >= 0
-            if not ok:
-                messages.append(f"agent {i}: empty local set")
-        else:
-            # oracle sets: the projection must be idempotent on a probe point
-            p = agent.omega.project(np.full(dims.n, 0.5))
-            ok = bool(np.linalg.norm(p - agent.omega.project(p)) <= 1e-12)
-            if not ok:
-                messages.append(f"agent {i}: projection oracle is not idempotent")
-        nonempty.append(ok)
+    if stacks.all_box_simplex:
+        nonempty = ((stacks.upper.sum(axis=1) >= stacks.total) & (stacks.total >= 0)).tolist()
+        messages.extend(f"agent {i}: empty local set" for i, ok in enumerate(nonempty) if not ok)
+    else:
+        nonempty = []
+        for i, agent in enumerate(game.agents):
+            if isinstance(agent.omega, BoxSimplex):
+                ok = float(agent.omega.upper.sum()) >= agent.omega.total >= 0
+                if not ok:
+                    messages.append(f"agent {i}: empty local set")
+            else:
+                # oracle sets: the projection must be idempotent on a probe point
+                p = agent.omega.project(np.full(dims.n, 0.5))
+                ok = bool(np.linalg.norm(p - agent.omega.project(p)) <= 1e-12)
+                if not ok:
+                    messages.append(f"agent {i}: projection oracle is not idempotent")
+            nonempty.append(ok)
 
-    grad_errs = []
-    sigma_probe = np.full(dims.n, 0.25)
-    for agent, x_probe in zip(game.agents, game.default_points()):
-        err = _fd_gradient_error(agent.cost, x_probe, sigma_probe)
-        if np.isfinite(err):
-            grad_errs.append(err)
+    X_probe, sigma_probe = game.default_points(), np.full(dims.n, 0.25)
+    if stacks.all_quadratic:
+        G = stacks.grad(X_probe, sigma_probe)
+        grad_errs = _fd_gradient_errors(lambda Z: stacks.value(Z, sigma_probe), X_probe, G).tolist()
+    else:
+        errs = (_fd_gradient_error(agent.cost, x, sigma_probe) for agent, x in zip(game.agents, X_probe))
+        grad_errs = [err for err in errs if np.isfinite(err)]
 
     feasible = strictly = False
     point = None

@@ -530,6 +530,15 @@ class TestAgentStacks:
                         assert mine.dtype == row.dtype and mine.shape == row.shape, f.name
                         assert mine.tobytes() == row.tobytes(), f.name
 
+    def test_value_rows_equal_the_cost_values(self, desk_game, rng):
+        N, n = desk_game.dims.N, desk_game.dims.n
+        X = rng.random((N, n))
+        for game in (desk_game, wrap_costs_in_oracles(desk_game)):
+            for sigma in (rng.random(n), rng.random((N, n))):  # shared, then row by row
+                S = np.broadcast_to(sigma, X.shape)
+                expected = [agent.cost.value(x, s) for agent, x, s in zip(game.agents, X, S)]
+                assert np.allclose(game.stacks.value(X, sigma), expected, rtol=1e-14, atol=0.0)
+
 
 class TestMixedMetricDiagonality:
     """Each agent keeps its own diagonal-or-dense prox metric in a mixed game."""
@@ -543,6 +552,22 @@ class TestMixedMetricDiagonality:
         # closed rows and the dense row in one local_prox call; per-agent step sizes
         steps = StepSizes(gamma=np.array([0.5, 1.0, 1.5, 1.0]), alpha=1.0, beta=1.0, delta=1.0)
         assert_rounds_match_row_views(mixed_metric_game(), steps)
+
+    def test_rounds_after_the_first_build_no_stacks(self, monkeypatch):
+        game = mixed_metric_game()
+        engine = DrEngine(game, RunConfig(steps=benchmark_steps(game.dims.N), prox_tol=1e-12))
+        engine.step()  # builds the closed and the iterative part once
+        built = []
+        of = AgentStacks.of.__func__
+
+        def counting(cls, agents):
+            built.append(1)
+            return of(cls, agents)
+
+        monkeypatch.setattr(AgentStacks, "of", classmethod(counting))
+        for _ in range(3):
+            engine.step()
+        assert not built
 
     def test_resolvent_inclusion_holds(self, rng):
         from aggsplit.resolvents import resolvent_A

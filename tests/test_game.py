@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,13 +14,16 @@ from aggsplit import (
     DimensionMismatch,
     GameSpec,
     GenericConvex,
+    GenericSmooth,
     Infeasible,
     QuadraticAgg,
     average,
     coupling_violation,
     validate_game,
 )
-from aggsplit.game import find_feasible_point
+from aggsplit.benchmark import BenchmarkParams, generate_benchmark
+from aggsplit.game import _fd_gradient_error, find_feasible_point
+from oracles import wrap_costs_in_oracles
 
 
 def make_single_agent_game(upper, total, A, b, a=1.0, xtilde=None, Q=None):
@@ -145,6 +149,48 @@ class TestValidateGame:
         with pytest.raises(Infeasible):
             find_feasible_point(game)
         assert len(calls) <= 2  # the default point, then one step that changes nothing
+
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    def test_batched_gradient_check_matches_the_per_agent_check(self, desk_game, scale):
+        game = desk_game if scale == "desk" else generate_benchmark(BenchmarkParams(seed=0))
+        sigma = np.full(game.dims.n, 0.25)
+        per_agent = [
+            _fd_gradient_error(agent.cost, x, sigma) for agent, x in zip(game.agents, game.default_points())
+        ]
+        errs = validate_game(game).gradient_rel_err
+        assert len(errs) == game.dims.N
+        assert np.max(np.abs(np.array(errs) - per_agent)) <= 1e-9
+
+    def test_quadratic_games_make_no_per_agent_value_calls(self, desk_game, monkeypatch):
+        calls = []
+        value = QuadraticAgg.value
+
+        def counting(self, *args):
+            calls.append(1)
+            return value(self, *args)
+
+        monkeypatch.setattr(QuadraticAgg, "value", counting)
+        validate_game(desk_game)
+        assert not calls
+
+    def test_wrong_gradient_oracle_is_reported_at_its_agent(self, desk_game):
+        game = wrap_costs_in_oracles(desk_game)
+        cost = game.agents[2].cost
+        wrong = dataclasses.replace(cost, grad_fn=lambda x, s: cost.grad(x, s) + 1e-3 * np.eye(len(x))[0])
+        agents = list(game.agents)
+        agents[2] = dataclasses.replace(agents[2], cost=wrong)
+        errs = validate_game(GameSpec(dims=game.dims, agents=agents)).gradient_rel_err
+        assert len(errs) == game.dims.N
+        assert errs[2] > 1e-4
+        assert max(errs[:2] + errs[3:]) <= 1e-6
+
+    def test_cost_without_gradient_oracle_is_skipped(self, desk_game):
+        agents = list(desk_game.agents)
+        agents[1] = dataclasses.replace(agents[1], cost=GenericSmooth(value_fn=agents[1].cost.value))
+        report = validate_game(GameSpec(dims=desk_game.dims, agents=agents))
+        assert report.ok
+        assert len(report.gradient_rel_err) == desk_game.dims.N - 1
+        assert max(report.gradient_rel_err) <= 1e-6
 
     def test_report_is_pure(self, desk_game):
         r1 = validate_game(desk_game)
