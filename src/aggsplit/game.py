@@ -569,23 +569,19 @@ def validate_game(game: GameSpec, check_feasibility: bool = True) -> ValidationR
         dims_ok = False
         messages.append(str(exc))
 
-    if stacks.all_box_simplex:
-        nonempty = ((stacks.upper.sum(axis=1) >= stacks.total) & (stacks.total >= 0)).tolist()
-        messages.extend(f"agent {i}: empty local set" for i, ok in enumerate(nonempty) if not ok)
-    else:
-        nonempty = []
-        for i, agent in enumerate(game.agents):
-            if isinstance(agent.omega, BoxSimplex):
-                ok = float(agent.omega.upper.sum()) >= agent.omega.total >= 0
-                if not ok:
-                    messages.append(f"agent {i}: empty local set")
-            else:
-                # oracle sets: the projection must be idempotent on a probe point
-                p = agent.omega.project(np.full(dims.n, 0.5))
-                ok = bool(np.linalg.norm(p - agent.omega.project(p)) <= 1e-12)
-                if not ok:
-                    messages.append(f"agent {i}: projection oracle is not idempotent")
-            nonempty.append(ok)
+    nonempty = []
+    for i, agent in enumerate(game.agents):
+        if isinstance(agent.omega, BoxSimplex):
+            ok = float(agent.omega.upper.sum()) >= agent.omega.total >= 0
+            if not ok:
+                messages.append(f"agent {i}: empty local set")
+        else:
+            # oracle sets: the projection must be idempotent on a probe point
+            p = agent.omega.project(np.full(dims.n, 0.5))
+            ok = bool(np.linalg.norm(p - agent.omega.project(p)) <= 1e-12)
+            if not ok:
+                messages.append(f"agent {i}: projection oracle is not idempotent")
+        nonempty.append(ok)
 
     X_probe, sigma_probe = game.default_points(), np.full(dims.n, 0.25)
     if stacks.all_quadratic:
