@@ -281,19 +281,12 @@ def _deviation_moduli(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
     """(N,) Lipschitz and strong-convexity bounds of every agent's deviation objective."""
     N = game.dims.N
     st = game.stacks
+    quad = st.quadratic
     lipschitz, strong = st.curvature * (1.0 + 2.0 / N), np.zeros(N)
-    quad = np.flatnonzero(st.quadratic)
-    if quad.size:
-        Q = np.stack([game.agents[i].cost.Q for i in quad])
-        spread = 2.0 * np.linalg.norm(0.5 * (Q + np.swapaxes(Q, 1, 2)), 2, axis=(1, 2)) / N
-        lipschitz[quad] = st.curvature[quad] + spread
-        strong[quad] = np.maximum(st.curvature[quad] - spread, 1e-12)
+    spread = 2.0 * np.linalg.norm(0.5 * (st.Q + np.swapaxes(st.Q, 1, 2)), 2, axis=(1, 2)) / N
+    lipschitz[quad] = st.curvature[quad] + spread
+    strong[quad] = np.maximum(st.curvature[quad] - spread, 1e-12)
     return lipschitz, strong
-
-
-def _check_deviation_oracles(cost) -> None:
-    if getattr(cost, "grad_sigma_fn", False) is None:
-        raise NonSmoothCost("deviation objective needs an aggregate-gradient oracle")
 
 
 def _lockstep_gap(game: GameSpec, X: np.ndarray, caps: np.ndarray, tol: float) -> np.ndarray:
@@ -301,33 +294,18 @@ def _lockstep_gap(game: GameSpec, X: np.ndarray, caps: np.ndarray, tol: float) -
     deviation problems over their tightened caps.
 
     Row i's objective is agent i's cost at the aggregate
-    sigma_others_i + z_i / N: from ``game.stacks`` when every cost is
-    quadratic, else from each agent's value and gradient oracles, row by
-    row, so every row equals :func:`_per_agent_gap`'s solve of it.
+    sigma_others_i + z_i / N, with its values and gradients from
+    ``game.stacks``, so every row equals :func:`_per_agent_gap`'s solve of it.
+    A cost with no aggregate-gradient oracle raises :class:`NonSmoothCost`
+    at the first gradient.
     """
     N = game.dims.N
     st = game.stacks
     sigma_others = X.mean(axis=0) - X / N
-    if st.all_quadratic:
-        QT = np.swapaxes(st.Q, 1, 2)
 
-        def rows(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-            # stacked matmul: row i rounds like the per-agent M[i] @ V[i]
-            return (M @ V[..., None])[..., 0]
-
-        def grad(Z: np.ndarray) -> np.ndarray:
-            S = sigma_others + Z / N
-            return st.a[:, None] * (Z - st.xtilde) + rows(st.Q, S) + rows(QT, Z) / N
-    else:
-        costs = [agent.cost for agent in game.agents]
-        for cost in costs:
-            _check_deviation_oracles(cost)
-
-        def grad(Z: np.ndarray) -> np.ndarray:
-            S = sigma_others + Z / N
-            return np.stack(
-                [cost.grad(z, s) + cost.grad_sigma(z, s) / N for cost, z, s in zip(costs, Z, S)]
-            )
+    def grad(Z: np.ndarray) -> np.ndarray:
+        S = sigma_others + Z / N
+        return st.grad(Z, S) + st.grad_sigma(Z, S) / N
 
     def value(Z: np.ndarray) -> np.ndarray:
         return st.value(Z, sigma_others + Z / N)
@@ -355,7 +333,8 @@ def _per_agent_gap(
     eps = np.empty(dims.N)
     for i, agent in enumerate(game.agents):
         cost = agent.cost
-        _check_deviation_oracles(cost)
+        if getattr(cost, "grad_sigma_fn", False) is None:
+            raise NonSmoothCost("deviation objective needs an aggregate-gradient oracle")
         project = _deviation_set_projector(agent, slack[i], None if caps is None else caps[i])
         sigma_others = sigma - X[i] / dims.N
 

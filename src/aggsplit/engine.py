@@ -99,7 +99,6 @@ class RunConfig:
     relaxation: float = 1.0
     max_iters: int = 100_000
     stop_tol: float = 1e-8
-    rng_seed: int = 0
     record_every: int = 1
     prox_tol: float = DEFAULT_PROX_TOL
     ref_stop: float | None = None
@@ -529,11 +528,8 @@ def pfb_step_sizes(game: GameSpec) -> tuple[np.ndarray, float]:
     norm_A = float(np.linalg.norm(game.full_matrix(), 2))
     tau_lam = 0.4 / max(norm_A**2, 1e-12)
     st = game.stacks
-    coupled = np.flatnonzero(st.quadratic)
     coupling = np.zeros(N)
-    if coupled.size:
-        Q = np.stack([game.agents[i].cost.Q for i in coupled])
-        coupling[coupled] = np.linalg.norm(Q, 2, axis=(1, 2)) / N
+    coupling[st.quadratic] = np.linalg.norm(st.Q, 2, axis=(1, 2)) / N
     # float_power calls C pow, as a Python float's ** does; ** on an array squares,
     # which can round differently in the last bit
     L = st.curvature + coupling + np.float_power(np.linalg.norm(st.A, 2, axis=(1, 2)), 2)

@@ -243,9 +243,11 @@ class AgentStacks:
     diagonal, unless i is in ``dense_rows`` (ascending): then it is the
     matching matrix of ``unit_dense`` and row i of ``unit_diag`` is zero.
     ``curvature`` and ``strong_convexity`` are the cost moduli.
-    ``upper``/``total`` are set only when every local set is a box-simplex,
-    ``a``/``xtilde``/``Q`` only when every cost is quadratic; a closed-form
-    set of agents is all quadratic with no dense row.
+    ``upper``/``total`` are set only when every local set is a box-simplex;
+    ``a``/``xtilde``/``Q`` hold the quadratic rows, in row order.  A closed-form
+    set of agents is all quadratic with no dense row.  ``value``, ``grad`` and
+    ``grad_sigma`` take a shared or a row-wise aggregate: the quadratic rule
+    when every cost is quadratic, else each agent's oracles.
     """
 
     agents: tuple[AgentSpec, ...]
@@ -262,9 +264,9 @@ class AgentStacks:
     closed_form: bool  # every unit-metric prox is one weighted projection
     upper: np.ndarray | None  # (N, n) box caps
     total: np.ndarray | None  # (N,) simplex totals
-    a: np.ndarray | None  # (N,) quadratic weights
-    xtilde: np.ndarray | None  # (N, n) quadratic targets
-    Q: np.ndarray | None  # (N, n, n) aggregate coupling matrices
+    a: np.ndarray  # (q,) quadratic weights
+    xtilde: np.ndarray  # (q, n) quadratic targets
+    Q: np.ndarray  # (q, n, n) aggregate coupling matrices
 
     @classmethod
     def of(cls, agents) -> "AgentStacks":
@@ -272,13 +274,15 @@ class AgentStacks:
         agents = tuple(agents)
         costs, sets = [agent.cost for agent in agents], [agent.omega for agent in agents]
         A = np.stack([agent.A for agent in agents])
-        units = np.eye(A.shape[2]) + np.swapaxes(A, 1, 2) @ A
+        n = A.shape[2]
+        units = np.eye(n) + np.swapaxes(A, 1, 2) @ A
         unit_diag = np.diagonal(units, axis1=1, axis2=2).copy()
-        dense_rows = np.flatnonzero((units[:, ~np.eye(A.shape[2], dtype=bool)] != 0).any(axis=1))
+        dense_rows = np.flatnonzero((units[:, ~np.eye(n, dtype=bool)] != 0).any(axis=1))
         unit_diag[dense_rows] = 0.0
         box = all(isinstance(omega, BoxSimplex) for omega in sets)
         quadratic = np.array([isinstance(cost, QuadraticAgg) for cost in costs])
         quad = bool(quadratic.all())
+        quads = [cost for cost in costs if isinstance(cost, QuadraticAgg)]
         return cls(
             agents=agents,
             A=A,
@@ -294,9 +298,9 @@ class AgentStacks:
             closed_form=quad and not dense_rows.size,
             upper=np.stack([omega.upper for omega in sets]) if box else None,
             total=np.array([omega.total for omega in sets]) if box else None,
-            a=np.array([cost.a for cost in costs]) if quad else None,
-            xtilde=np.stack([cost.xtilde for cost in costs]) if quad else None,
-            Q=np.stack([cost.Q for cost in costs]) if quad else None,
+            a=np.array([cost.a for cost in quads], dtype=np.float64),
+            xtilde=np.array([cost.xtilde for cost in quads]).reshape(-1, n),
+            Q=np.array([cost.Q for cost in quads]).reshape(-1, n, n),
         )
 
     @cached_property
@@ -317,17 +321,26 @@ class AgentStacks:
     def value(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         """(B,) cost values, row r at ``X[r]`` with the aggregate ``sigma``, or
         ``sigma[r]`` when ``sigma`` is (B, n)."""
-        S = np.broadcast_to(sigma, X.shape)
-        if self.all_quadratic:  # row r of QS rounds like the per-agent Q_r @ S[r]
-            D, QS = X - self.xtilde, (self.Q @ S[..., None])[..., 0]
+        if self.all_quadratic:  # row r of QS rounds like the per-agent Q_r @ sigma_r
+            D, QS = X - self.xtilde, (self.Q @ sigma[..., None])[..., 0]
             return 0.5 * self.a * np.einsum("ij,ij->i", D, D) + np.einsum("ij,ij->i", QS, X)
+        S = np.broadcast_to(sigma, X.shape)
         return np.array([agent.cost.value(x, s) for agent, x, s in zip(self.agents, X, S)])
 
     def grad(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        """(B, n) cost gradients, row r at ``X[r]`` with the aggregate ``sigma``."""
+        """(B, n) gradients in x, row r at ``X[r]`` with the aggregate ``sigma`` or ``sigma[r]``."""
         if self.all_quadratic:
-            return self.a[:, None] * (X - self.xtilde) + self.Q @ sigma
-        return np.stack([agent.cost.grad(x, sigma) for agent, x in zip(self.agents, X)])
+            return self.a[:, None] * (X - self.xtilde) + (self.Q @ sigma[..., None])[..., 0]
+        S = np.broadcast_to(sigma, X.shape)
+        return np.array([agent.cost.grad(x, s) for agent, x, s in zip(self.agents, X, S)])
+
+    def grad_sigma(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """(B, n) gradients in the aggregate, as ``grad``; a cost with no such
+        oracle raises :class:`NonSmoothCost`."""
+        if self.all_quadratic:  # row r rounds like the per-agent Q_r.T @ X[r]
+            return (np.swapaxes(self.Q, 1, 2) @ X[..., None])[..., 0]
+        S = np.broadcast_to(sigma, X.shape)
+        return np.array([agent.cost.grad_sigma(x, s) for agent, x, s in zip(self.agents, X, S)])
 
     def project(self, V: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Row r of (B, n) ``V`` projected onto agent r's set, in the diagonal
@@ -358,15 +371,12 @@ class GameSpec:
     @property
     def b_total(self) -> np.ndarray:
         if "b_total" not in self._cache:
-            b = np.zeros(self.dims.m)
-            for agent in self.agents:
-                b = b + agent.b
-            self._cache["b_total"] = b
+            self._cache["b_total"] = self.stacks.b.sum(axis=0)
         return self._cache["b_total"]
 
     def full_matrix(self) -> np.ndarray:
         """The assembled (m, n N) coupling matrix."""
-        return np.concatenate([agent.A for agent in self.agents], axis=1)
+        return np.concatenate(self.stacks.A, axis=1)
 
     def coupling_value(self, x: np.ndarray) -> np.ndarray:
         """A x = sum_i A_i x_i, fixed ascending agent order."""
@@ -504,7 +514,6 @@ def find_feasible_point(
 class ValidationReport:
     """Outcome of the structural and feasibility checks on a game."""
 
-    dims_ok: bool
     nonempty: list[bool]
     gradient_rel_err: list[float]
     feasible: bool
@@ -514,11 +523,10 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return self.dims_ok and all(self.nonempty) and self.feasible
+        return all(self.nonempty) and self.feasible
 
     def summary(self) -> str:
         lines = [
-            f"dimensions: {'ok' if self.dims_ok else 'MISMATCH'}",
             f"local sets nonempty: {sum(self.nonempty)}/{len(self.nonempty)}",
             f"max gradient check error: {max(self.gradient_rel_err):.3e}"
             if self.gradient_rel_err
@@ -550,8 +558,9 @@ def _fd_gradient_errors(value: Callable, X: np.ndarray, G: np.ndarray) -> np.nda
     return np.linalg.norm(fd - G, axis=1) / np.maximum(1.0, np.linalg.norm(G, axis=1))
 
 
-def validate_game(game: GameSpec, check_feasibility: bool = True) -> ValidationReport:
-    """Run nonemptiness, gradient, dimension and feasibility checks.
+def validate_game(game: GameSpec) -> ValidationReport:
+    """Run nonemptiness, gradient and feasibility checks; the dimensions are
+    checked once, when the ``GameSpec`` is built.
 
     The gradient check compares the gradients with central differences at
     the default points: one batched pass over ``game.stacks`` when every cost
@@ -561,14 +570,6 @@ def validate_game(game: GameSpec, check_feasibility: bool = True) -> ValidationR
     """
     dims, stacks = game.dims, game.stacks
     messages: list[str] = []
-    dims_ok = True
-    try:
-        for agent in game.agents:
-            agent.check_dims(dims)
-    except DimensionMismatch as exc:
-        dims_ok = False
-        messages.append(str(exc))
-
     nonempty = []
     for i, agent in enumerate(game.agents):
         if isinstance(agent.omega, BoxSimplex):
@@ -593,7 +594,7 @@ def validate_game(game: GameSpec, check_feasibility: bool = True) -> ValidationR
 
     feasible = strictly = False
     point = None
-    if check_feasibility and dims_ok and all(nonempty):
+    if all(nonempty):
         try:
             point, strictly = find_feasible_point(game)
             feasible = True
@@ -603,7 +604,6 @@ def validate_game(game: GameSpec, check_feasibility: bool = True) -> ValidationR
             messages.append(str(exc))
 
     return ValidationReport(
-        dims_ok=dims_ok,
         nonempty=nonempty,
         gradient_rel_err=grad_errs,
         feasible=feasible,

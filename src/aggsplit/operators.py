@@ -128,14 +128,8 @@ def pseudo_subdifferential(game: GameSpec, x: np.ndarray) -> np.ndarray:
     """
     dims = game.dims
     sigma = average(x, dims.n)
-    base = extended_subdifferential(game, x, sigma).reshape(dims.N, dims.n)
-    X = x.reshape(dims.N, dims.n)
-    if game.stacks.all_quadratic:
-        chain = np.einsum("ikj,ik->ij", game.stacks.Q, X) / dims.N
-        return (base + chain).ravel()
-    for i, agent in enumerate(game.agents):
-        base[i] = base[i] + agent.cost.grad_sigma(X[i], sigma) / dims.N
-    return base.ravel()
+    base = extended_subdifferential(game, x, sigma)
+    return base + game.stacks.grad_sigma(x.reshape(dims.N, dims.n), sigma).ravel() / dims.N
 
 
 # -- the linear skew coupling map ------------------------------------------------------

@@ -194,10 +194,7 @@ def suite_firmness(
     The suite therefore skips, rather than fails, on instances with a
     nonzero aggregate-coupling matrix.
     """
-    coupled = any(
-        hasattr(agent.cost, "Q") and np.any(agent.cost.Q != 0.0) for agent in game.agents
-    )
-    if coupled:
+    if np.any(game.stacks.Q != 0.0):
         return SuiteResult(
             "firmness",
             False,

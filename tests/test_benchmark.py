@@ -13,6 +13,7 @@ from aggsplit import (
     Dimensions,
     GameSpec,
     GenerationFailed,
+    NonSmoothCost,
     NotCertified,
     QuadraticAgg,
     RunConfig,
@@ -270,6 +271,18 @@ class TestBatchedGap:
                 monkeypatch.undo()
                 assert np.array_equal(generic, per_agent_gap(wrapped, x)), label
                 assert np.max(np.abs(generic - epsilon_nash_gap(game, x))) <= 1e-10, label
+
+    def test_missing_aggregate_gradient_oracle_raises_on_the_lockstep_path(
+        self, desk_game, monkeypatch
+    ):
+        agents = list(desk_game.agents)
+        generic = wrap_costs_in_oracles(desk_game).agents[0]
+        agents[0] = replace(generic, cost=replace(generic.cost, grad_sigma_fn=None))
+        game = GameSpec(dims=desk_game.dims, agents=agents)
+        per_agent_calls = count_calls(monkeypatch, benchmark_mod, "_per_agent_gap")
+        with pytest.raises(NonSmoothCost):
+            epsilon_nash_gap(game, game.default_points().ravel())
+        assert not per_agent_calls
 
     def test_one_coupling_block_off_the_family_takes_the_per_agent_path(self, desk_game, monkeypatch):
         agents = list(desk_game.agents)

@@ -531,13 +531,18 @@ class TestAgentStacks:
                         assert mine.tobytes() == row.tobytes(), f.name
 
     def test_value_rows_equal_the_cost_values(self, desk_game, rng):
+        # values to round-off; x- and aggregate gradients bit for bit
         N, n = desk_game.dims.N, desk_game.dims.n
         X = rng.random((N, n))
         for game in (desk_game, wrap_costs_in_oracles(desk_game)):
             for sigma in (rng.random(n), rng.random((N, n))):  # shared, then row by row
                 S = np.broadcast_to(sigma, X.shape)
-                expected = [agent.cost.value(x, s) for agent, x, s in zip(game.agents, X, S)]
+                costs = [agent.cost for agent in game.agents]
+                expected = [cost.value(x, s) for cost, x, s in zip(costs, X, S)]
                 assert np.allclose(game.stacks.value(X, sigma), expected, rtol=1e-14, atol=0.0)
+                for name in ("grad", "grad_sigma"):
+                    rows = np.stack([getattr(cost, name)(x, s) for cost, x, s in zip(costs, X, S)])
+                    assert np.array_equal(getattr(game.stacks, name)(X, sigma), rows), name
 
 
 class TestMixedMetricDiagonality:
@@ -695,7 +700,16 @@ class TestRunPfb:
             return 0.4 / L
 
         paper = generate_benchmark(BenchmarkParams(N=200, n=10, seed=0))
-        for game in (desk_game, wrap_costs_in_oracles(desk_game), paper):
+        # agent 0 behind oracles, the other rows quadratic
+        generic = wrap_costs_in_oracles(desk_game).agents[0]
+        mixed = GameSpec(dims=desk_game.dims, agents=[generic, *desk_game.agents[1:]])
+        quads = [agent.cost for agent in desk_game.agents[1:]]
+        st = mixed.stacks
+        assert st.quadratic.tolist() == [False] + [True] * (desk_game.dims.N - 1)
+        assert st.a.tobytes() == np.array([cost.a for cost in quads]).tobytes()
+        assert st.xtilde.tobytes() == np.stack([cost.xtilde for cost in quads]).tobytes()
+        assert st.Q.tobytes() == np.stack([cost.Q for cost in quads]).tobytes()
+        for game in (desk_game, wrap_costs_in_oracles(desk_game), paper, mixed):
             tau, tau_lam = pfb_step_sizes(game)
             assert np.array_equal(tau, per_agent_taus(game))
             norm_A = float(np.linalg.norm(game.full_matrix(), 2))

@@ -18,7 +18,7 @@ from aggsplit import (
 )
 from aggsplit.benchmark import BenchmarkParams, generate_benchmark, ground_truth_point
 from aggsplit.operators import apply_A_selection, apply_T_selection
-from oracles import fd_gradient
+from oracles import fd_gradient, wrap_costs_in_oracles
 
 
 def scalar_game(a=1.0, q=0.0, xtilde=0.0, upper=2.0, total=1.0, A=1.0, b=5.0):
@@ -54,6 +54,11 @@ class TestSubdifferentials:
         assert pseudo_subdifferential(game, x) == pytest.approx(
             fd_gradient(f, x)[0], rel=1e-6
         )
+
+    def test_chain_rule_equals_the_oracle_costs_bitwise(self, desk_game):
+        x = np.random.default_rng(4).random(desk_game.dims.N * desk_game.dims.n)
+        wrapped = wrap_costs_in_oracles(desk_game)
+        assert np.array_equal(pseudo_subdifferential(desk_game, x), pseudo_subdifferential(wrapped, x))
 
     def test_zero_at_target_with_no_coupling(self):
         game = scalar_game(a=2.0, q=0.0, xtilde=0.3)
