@@ -15,13 +15,14 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AggsplitError, GenerationFailed, MaxItersExceeded, NonSmoothCost, NotCertified
+from .errors import AggsplitError, GenerationFailed, MaxItersExceeded, NotCertified
 from .game import (
     AgentSpec,
+    AgentStacks,
     BoxSimplex,
     GameSpec,
     Dimensions,
@@ -216,41 +217,59 @@ def _deviation_slack(game: GameSpec, X: np.ndarray) -> np.ndarray:
     return game.b_total - (game.coupling_value(X.ravel()) - own)
 
 
-def _deviation_caps(game: GameSpec, X: np.ndarray, slack: np.ndarray) -> np.ndarray | None:
-    """(N, n) caps of the deviation sets {z in Omega_i : w_i z <= slack_i}.
+def _deviation_groups(game: GameSpec, X: np.ndarray) -> list[tuple[np.ndarray, Callable]]:
+    """(rows, projector) groups of every agent; a projector maps its rows (B, n)
+    onto their deviation sets {z in Omega_i : A_i z <= slack_i}.
 
-    Defined when every agent has a box-simplex set and A_i = w_i I with
-    w_i > 0 (the tightened-caps family), otherwise None.  Each row is
-    widened just enough to keep the agent's current decision, a member
-    of its set up to roundoff.
+    Row i is capped when its set is a box-simplex, m = n and A_i = w_i I with
+    w_i > 0: its set is then the box-simplex with caps min(upper, slack_i / w_i),
+    widened just enough to keep x_i, a member up to roundoff.  The capped rows
+    form one group with one batched projection; every other row is a group of
+    its own, projected by Dykstra's method over Omega_i and its halfspaces.
     """
-    n = game.dims.n
-    if not game.stacks.all_box_simplex or game.dims.m != n:
-        return None
-    A = game.stacks.A
+    A, slack = game.stacks.A, _deviation_slack(game, X)
     w = A[:, 0, 0]
-    if not (np.all(w > 0) and np.array_equal(A, w[:, None, None] * np.eye(n))):
-        return None
-    upper = game.stacks.upper
-    caps = np.minimum(upper, np.maximum(slack, 0.0) / w[:, None])
-    return np.maximum(caps, np.minimum(X, upper))
+    capped = (w > 0) & (A == w[:, None, None] * np.eye(*A.shape[1:])).all(axis=(1, 2))
+    capped &= game.dims.m == game.dims.n
+    if not game.stacks.all_box_simplex:
+        capped &= np.array([isinstance(agent.omega, BoxSimplex) for agent in game.agents])
+    groups = []
+    rows = np.flatnonzero(capped)
+    if rows.size:
+        st = game.stacks.take(rows)
+        caps = np.minimum(st.upper, np.maximum(slack[rows], 0.0) / w[rows, None])
+        caps = np.maximum(caps, np.minimum(X[rows], st.upper))
+        groups.append((rows, lambda Z: project_box_simplex_batch(Z, caps, st.total)))
+    for i in np.flatnonzero(~capped):
+        agent = game.agents[i]
+        halfspaces = [halfspace_projector(a, float(s)) for a, s in zip(agent.A, slack[i])]
+        sets = [agent.omega.project] + halfspaces
+        groups.append((np.array([i]), lambda Z, sets=sets: dykstra_projection(Z[0], sets)[None]))
+    return groups
 
 
-def _deviation_set_projector(agent: AgentSpec, slack: np.ndarray, caps: np.ndarray | None):
-    """Euclidean projector onto {z in Omega_i : A_i z <= slack}.
+def _deviation_objective(st: AgentStacks, sigma_others: np.ndarray, N: int):
+    """(value, grad) of the deviation objectives z -> f_i(z, sigma_others_i + z / N)
+    of the rows of ``st``, row-wise over (B, n) arrays: the deviation moves the average."""
 
-    ``caps`` is the agent's row of :func:`_deviation_caps` when the game is
-    in the tightened-caps family, else None (Dykstra's method).
-    """
-    if caps is not None:
-        return BoxSimplex(caps, agent.omega.total).project
-    A = agent.A
-    rows = [halfspace_projector(A[r], float(slack[r])) for r in range(A.shape[0])]
+    def value(Z: np.ndarray) -> np.ndarray:
+        return st.value(Z, sigma_others + Z / N)
 
-    def proj(z: np.ndarray) -> np.ndarray:
-        return dykstra_projection(z, [agent.omega.project] + rows)
+    def grad(Z: np.ndarray) -> np.ndarray:
+        S = sigma_others + Z / N
+        return st.grad(Z, S) + st.grad_sigma(Z, S) / N
 
-    return proj
+    return value, grad
+
+
+def _deviation_candidates(game: GameSpec, rows: np.ndarray, samples: int, seed: int) -> np.ndarray:
+    """(samples, B, n) uniform draws in the sets' bounding boxes; agent i draws from (seed, 2, i)."""
+    C = np.empty((samples, rows.size, game.dims.n))
+    for k, i in enumerate(rows):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 2, int(i))))
+        lo, hi = game.agents[i].omega.bounding_box()
+        C[:, k] = lo + (hi - lo) * rng.random((samples, game.dims.n))
+    return C
 
 
 def epsilon_nash_gap(
@@ -262,19 +281,34 @@ def epsilon_nash_gap(
 ) -> np.ndarray:
     """Per-agent suboptimality against unilateral feasible deviations.
 
-    The deviation moves the average along with the deviating agent.  With
-    ``samples`` set, the inner problem is estimated by the best of that
-    many random feasible candidates (drawn from ``seed``) instead of
-    solved.  Exact gaps of a game in the tightened-caps family (see
-    :func:`_deviation_caps`) are solved for all agents at once; every other
-    game solves agent by agent.
+    The deviation moves the average along with the deviating agent.  Each group
+    of :func:`_deviation_groups` is solved in one lock-step accelerated
+    projected-gradient call, each row stopping on its own residual; a cost with
+    no aggregate-gradient oracle raises :class:`NonSmoothCost` there.  With
+    ``samples`` set, each inner problem is estimated instead by the best of that
+    many random candidates (drawn from ``seed``) projected onto the same sets,
+    from cost values alone.
     """
-    X = np.asarray(x, dtype=np.float64).reshape(game.dims.N, game.dims.n)
+    if samples is not None and samples < 1:
+        raise ValueError("samples must be at least 1")
+    N = game.dims.N
+    X = np.asarray(x, dtype=np.float64).reshape(N, game.dims.n)
+    sigma_others = X.mean(axis=0) - X / N
     if samples is None:
-        caps = _deviation_caps(game, X, _deviation_slack(game, X))
-        if caps is not None:
-            return _lockstep_gap(game, X, caps, tol)
-    return _per_agent_gap(game, X, samples, tol, seed)
+        lipschitz, strong = _deviation_moduli(game)
+    eps = np.empty(N)
+    for rows, project in _deviation_groups(game, X):
+        value, grad = _deviation_objective(game.stacks.take(rows), sigma_others[rows], N)
+        if samples is None:
+            L, mu = lipschitz[rows], strong[rows]
+            best = value(fista_minimize(grad, project, X[rows], L, strong_convexity=mu, tol=tol))
+        else:
+            candidates = _deviation_candidates(game, rows, samples, seed)
+            best = np.min([value(project(C)) for C in candidates], axis=0)
+        base = value(X[rows])
+        # z = x_i is feasible, so the true minimum never exceeds base
+        eps[rows] = base - np.minimum(best, base)
+    return eps
 
 
 def _deviation_moduli(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -287,80 +321,6 @@ def _deviation_moduli(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
     lipschitz[quad] = st.curvature[quad] + spread
     strong[quad] = np.maximum(st.curvature[quad] - spread, 1e-12)
     return lipschitz, strong
-
-
-def _lockstep_gap(game: GameSpec, X: np.ndarray, caps: np.ndarray, tol: float) -> np.ndarray:
-    """Exact gaps of every agent from one lock-step solve of the stacked
-    deviation problems over their tightened caps.
-
-    Row i's objective is agent i's cost at the aggregate
-    sigma_others_i + z_i / N, with its values and gradients from
-    ``game.stacks``, so every row equals :func:`_per_agent_gap`'s solve of it.
-    A cost with no aggregate-gradient oracle raises :class:`NonSmoothCost`
-    at the first gradient.
-    """
-    N = game.dims.N
-    st = game.stacks
-    sigma_others = X.mean(axis=0) - X / N
-
-    def grad(Z: np.ndarray) -> np.ndarray:
-        S = sigma_others + Z / N
-        return st.grad(Z, S) + st.grad_sigma(Z, S) / N
-
-    def value(Z: np.ndarray) -> np.ndarray:
-        return st.value(Z, sigma_others + Z / N)
-
-    def project(Z: np.ndarray) -> np.ndarray:
-        return project_box_simplex_batch(Z, caps, st.total)
-
-    lipschitz, strong = _deviation_moduli(game)
-    Z = fista_minimize(grad, project, X, lipschitz=lipschitz, strong_convexity=strong, tol=tol)
-    base = value(X)
-    # z = x_i is feasible, so the true minimum never exceeds base
-    return base - np.minimum(value(Z), base)
-
-
-def _per_agent_gap(
-    game: GameSpec, X: np.ndarray, samples: int | None, tol: float, seed: int
-) -> np.ndarray:
-    """The gaps of :func:`epsilon_nash_gap`, one agent's deviation problem at a time."""
-    dims = game.dims
-    slack = _deviation_slack(game, X)
-    caps = _deviation_caps(game, X, slack)
-    sigma = X.mean(axis=0)
-    if samples is None:
-        lipschitz, strong = _deviation_moduli(game)
-    eps = np.empty(dims.N)
-    for i, agent in enumerate(game.agents):
-        cost = agent.cost
-        if getattr(cost, "grad_sigma_fn", False) is None:
-            raise NonSmoothCost("deviation objective needs an aggregate-gradient oracle")
-        project = _deviation_set_projector(agent, slack[i], None if caps is None else caps[i])
-        sigma_others = sigma - X[i] / dims.N
-
-        def value(z: np.ndarray) -> float:
-            return cost.value(z, sigma_others + z / dims.N)
-
-        def grad(z: np.ndarray) -> np.ndarray:
-            s = sigma_others + z / dims.N
-            return cost.grad(z, s) + cost.grad_sigma(z, s) / dims.N
-
-        base = value(X[i])
-        if samples is None:
-            z_star = fista_minimize(
-                grad, project, X[i], lipschitz=lipschitz[i], strong_convexity=strong[i], tol=tol
-            )
-            best = value(z_star)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i)))
-            best = np.inf
-            lo, hi = agent.omega.bounding_box()
-            for _ in range(samples):
-                cand = project(lo + (hi - lo) * rng.random(dims.n))
-                best = min(best, value(cand))
-        # z = x_i is feasible, so the true minimum never exceeds base
-        eps[i] = base - min(best, base)
-    return eps
 
 
 # -- the comparison experiment -----------------------------------------------------------

@@ -525,7 +525,7 @@ def pfb_step_sizes(game: GameSpec) -> tuple[np.ndarray, float]:
     for the coupling through the multiplier.
     """
     N = game.dims.N
-    norm_A = float(np.linalg.norm(game.full_matrix(), 2))
+    norm_A = game.coupling_norm
     tau_lam = 0.4 / max(norm_A**2, 1e-12)
     st = game.stacks
     coupling = np.zeros(N)

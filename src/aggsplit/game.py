@@ -378,6 +378,13 @@ class GameSpec:
         """The assembled (m, n N) coupling matrix."""
         return np.concatenate(self.stacks.A, axis=1)
 
+    @property
+    def coupling_norm(self) -> float:
+        """||A||_2, the spectral norm of :meth:`full_matrix`, computed once."""
+        if "coupling_norm" not in self._cache:
+            self._cache["coupling_norm"] = float(np.linalg.norm(self.full_matrix(), 2))
+        return self._cache["coupling_norm"]
+
     def coupling_value(self, x: np.ndarray) -> np.ndarray:
         """A x = sum_i A_i x_i, fixed ascending agent order."""
         X = self._as_blocks(x)
@@ -491,8 +498,7 @@ def find_feasible_point(
     when the iteration budget runs out.
     """
     X = game.default_points().copy()  # the caller owns the returned point
-    A_full = game.full_matrix()
-    lip = float(np.linalg.norm(A_full, 2)) ** 2
+    lip = game.coupling_norm**2
     step = 1.0 / max(lip, 1e-12)
     target = game.b_total - margin
     for _ in range(max_iters):

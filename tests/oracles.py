@@ -1,16 +1,25 @@
 """Independent oracles: brute-force or dense reference computations.
 
 Nothing here shares code paths with the implementations under test
-beyond basic numpy; expected values in the tests come from these.
+beyond basic numpy and the kernels of ``aggsplit.projections``, which are
+tested on their own; expected values in the tests come from these.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
-from aggsplit.game import AgentSpec, GameSpec, GenericConvex, GenericSmooth
+from aggsplit.game import (
+    AgentSpec,
+    BoxSimplex,
+    GameSpec,
+    GenericConvex,
+    GenericSmooth,
+    QuadraticAgg,
+)
 from aggsplit.operators import ExtendedPoint
 from aggsplit.resolvents import StepSizes
 
@@ -171,6 +180,62 @@ def reference_rounds(game: GameSpec, steps: StepSizes, iters: int):
         xhat_prev, yhat_prev = xhat, yhat
         out.append(np.concatenate(xs))
     return out
+
+
+def deviation_gap(
+    game: GameSpec, x: np.ndarray, samples: int | None = None, tol: float = 1e-9, seed: int = 0
+) -> np.ndarray:
+    """Per-agent reference for the epsilon-Nash gap: one deviation problem at a time.
+
+    Agent i deviates over {z in Omega_i : A_i z <= slack_i} with the average
+    moving along.  When Omega_i is a box-simplex, m = n and A_i = w_i I with
+    w_i > 0, that set is the box-simplex with caps min(upper, slack_i / w_i),
+    widened to keep x_i; otherwise it is projected by Dykstra's method.  The
+    exact gap solves the problem by projected gradient from x_i; with
+    ``samples`` the best of that many projected draws of stream (seed, 2, i)
+    counts, one draw at a time.
+    """
+    from aggsplit.projections import dykstra_projection, fista_minimize, halfspace_projector
+
+    N, n = game.dims.N, game.dims.n
+    X = np.asarray(x, dtype=np.float64).reshape(N, n)
+    sigma, coupled = X.mean(axis=0), game.coupling_value(X.ravel())
+    eps = np.empty(N)
+    for i, agent in enumerate(game.agents):
+        cost, omega, A = agent.cost, agent.omega, agent.A
+        slack = game.b_total - (coupled - A @ X[i])
+        w = A[0, 0]
+        scaled_identity = A.shape == (n, n) and w > 0 and np.array_equal(A, w * np.eye(n))
+        if isinstance(omega, BoxSimplex) and scaled_identity:
+            caps = np.minimum(omega.upper, np.maximum(slack, 0.0) / w)
+            project = BoxSimplex(np.maximum(caps, np.minimum(X[i], omega.upper)), omega.total).project
+        else:
+            rows = [halfspace_projector(a, float(r)) for a, r in zip(A, slack)]
+            project = functools.partial(dykstra_projection, projectors=[omega.project] + rows)
+        sigma_others = sigma - X[i] / N
+
+        def value(z):
+            return cost.value(z, sigma_others + z / N)
+
+        def grad(z):
+            s = sigma_others + z / N
+            return cost.grad(z, s) + cost.grad_sigma(z, s) / N
+
+        base = value(X[i])
+        if samples is None:
+            if isinstance(cost, QuadraticAgg):
+                spread = 2.0 * np.linalg.norm(0.5 * (cost.Q + cost.Q.T), 2) / N
+                lipschitz, strong = cost.a + spread, max(cost.a - spread, 1e-12)
+            else:
+                lipschitz, strong = cost.curvature * (1.0 + 2.0 / N), 0.0
+            z = fista_minimize(grad, project, X[i], lipschitz, strong_convexity=strong, tol=tol)
+            best = value(z)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i)))
+            lo, hi = omega.bounding_box()
+            best = min(value(project(lo + (hi - lo) * rng.random(n))) for _ in range(samples))
+        eps[i] = base - min(best, base)
+    return eps
 
 
 def wrap_costs_in_oracles(game: GameSpec) -> GameSpec:

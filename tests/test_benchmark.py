@@ -29,7 +29,7 @@ from aggsplit import (
     run_dr,
     validate_game,
 )
-from oracles import wrap_costs_in_oracles
+from oracles import deviation_gap, wrap_costs_in_oracles, wrap_sets_in_oracles
 
 
 class TestParams:
@@ -218,11 +218,19 @@ class TestEpsilonGap:
         assert np.all(sampled <= exact + 1e-8)
         assert np.all(sampled >= 0.0)
 
+    def test_sampling_mode_needs_no_aggregate_gradient(self, desk_game):
+        agents = list(desk_game.agents)
+        generic = wrap_costs_in_oracles(desk_game).agents[0]
+        agents[0] = replace(generic, cost=replace(generic.cost, grad_sigma_fn=None))
+        game = GameSpec(dims=desk_game.dims, agents=agents)
+        eps = epsilon_nash_gap(game, game.default_points().ravel(), samples=5)
+        assert np.all(np.isfinite(eps)) and np.all(eps >= 0.0)
 
-def per_agent_gap(game, x):
-    """The exact gap from the agent-by-agent loop, whatever the game."""
-    X = np.asarray(x).reshape(game.dims.N, game.dims.n)
-    return benchmark_mod._per_agent_gap(game, X, samples=None, tol=1e-9, seed=0)
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sample_count_below_one_is_rejected(self, desk_game, samples):
+        # no candidate at all would certify every agent with a zero gap
+        with pytest.raises(ValueError):
+            epsilon_nash_gap(desk_game, desk_game.default_points().ravel(), samples=samples)
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +267,7 @@ class TestBatchedGap:
             for label, x in gap_points(game, x_eq).items():
                 eps = epsilon_nash_gap(game, x)
                 assert np.all(eps >= 0.0), label
-                assert np.max(np.abs(eps - per_agent_gap(game, x))) <= 1e-14, label
+                assert np.max(np.abs(eps - deviation_gap(game, x))) <= 1e-14, label
 
     def test_oracle_costs_take_the_lockstep_path_and_agree(self, gap_games, monkeypatch):
         for game, x_eq in gap_games:
@@ -269,7 +277,7 @@ class TestBatchedGap:
                 generic = epsilon_nash_gap(wrapped, x)
                 assert len(fista_calls) == 1, label
                 monkeypatch.undo()
-                assert np.array_equal(generic, per_agent_gap(wrapped, x)), label
+                assert np.array_equal(generic, deviation_gap(wrapped, x)), label
                 assert np.max(np.abs(generic - epsilon_nash_gap(game, x))) <= 1e-10, label
 
     def test_missing_aggregate_gradient_oracle_raises_on_the_lockstep_path(
@@ -279,12 +287,12 @@ class TestBatchedGap:
         generic = wrap_costs_in_oracles(desk_game).agents[0]
         agents[0] = replace(generic, cost=replace(generic.cost, grad_sigma_fn=None))
         game = GameSpec(dims=desk_game.dims, agents=agents)
-        per_agent_calls = count_calls(monkeypatch, benchmark_mod, "_per_agent_gap")
+        fista_calls = count_calls(monkeypatch, benchmark_mod, "fista_minimize")
         with pytest.raises(NonSmoothCost):
             epsilon_nash_gap(game, game.default_points().ravel())
-        assert not per_agent_calls
+        assert len(fista_calls) == 1
 
-    def test_one_coupling_block_off_the_family_takes_the_per_agent_path(self, desk_game, monkeypatch):
+    def test_one_coupling_block_off_the_family_solves_per_dykstra_row(self, desk_game, monkeypatch):
         agents = list(desk_game.agents)
         A = agents[0].A.copy()
         A[0, 1] = 0.1 * A[0, 0]
@@ -293,8 +301,20 @@ class TestBatchedGap:
         x, _ = find_feasible_point(game)
         fista_calls = count_calls(monkeypatch, benchmark_mod, "fista_minimize")
         eps = epsilon_nash_gap(game, x)
-        assert len(fista_calls) == game.dims.N
+        # the four capped rows in one lock step, the Dykstra row on its own
+        assert len(fista_calls) == 2
         assert np.all(np.isfinite(eps)) and np.all(eps >= 0.0)
+        assert np.max(np.abs(eps - deviation_gap(game, x))) <= 1e-10
+
+    def test_one_oracle_set_off_the_family_solves_per_dykstra_row(self, desk_game, monkeypatch):
+        agents = list(desk_game.agents)
+        agents[0] = wrap_sets_in_oracles(desk_game).agents[0]
+        game = GameSpec(dims=desk_game.dims, agents=agents)
+        x, _ = find_feasible_point(game)
+        fista_calls = count_calls(monkeypatch, benchmark_mod, "fista_minimize")
+        eps = epsilon_nash_gap(game, x)
+        assert len(fista_calls) == 2
+        assert np.max(np.abs(eps - deviation_gap(game, x))) <= 1e-10
 
     def test_projection_calls_stay_below_one_per_agent(self, gap_games, monkeypatch):
         game, x_eq = gap_games[1]
@@ -305,6 +325,12 @@ class TestBatchedGap:
         )
         epsilon_nash_gap(game, x_eq)
         assert 0 < len(calls) < game.dims.N
+
+    def test_sampled_gaps_equal_the_per_agent_loop(self, desk_game):
+        x = desk_game.default_points().ravel()
+        for game in (desk_game, wrap_costs_in_oracles(desk_game)):
+            sampled = epsilon_nash_gap(game, x, samples=30, seed=3)
+            assert np.max(np.abs(sampled - deviation_gap(game, x, samples=30, seed=3))) <= 1e-14
 
 
 class TestComparison:

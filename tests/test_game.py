@@ -22,6 +22,7 @@ from aggsplit import (
     validate_game,
 )
 from aggsplit.benchmark import BenchmarkParams, generate_benchmark
+from aggsplit.engine import pfb_step_sizes
 from aggsplit.game import _fd_gradient_error, find_feasible_point
 from oracles import wrap_costs_in_oracles
 
@@ -251,3 +252,20 @@ class TestFeasibleSearch:
         x, strict = find_feasible_point(desk_game)
         assert strict
         assert not coupling_violation(desk_game, x).any()
+
+    def test_coupling_norm_is_assembled_once_per_game(self, monkeypatch):
+        drawn = generate_benchmark(BenchmarkParams(N=6, n=4, seed=2))
+        game = GameSpec(dims=drawn.dims, agents=drawn.agents)  # nothing cached yet
+        calls = []
+        real = GameSpec.full_matrix
+
+        def spy(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(GameSpec, "full_matrix", spy)
+        find_feasible_point(game)
+        validate_game(game)
+        pfb_step_sizes(game)
+        assert len(calls) == 1
+        assert game.coupling_norm == float(np.linalg.norm(real(game), 2))
