@@ -227,10 +227,8 @@ def _deviation_groups(game: GameSpec, X: np.ndarray) -> list[tuple[np.ndarray, C
     form one group with one batched projection; every other row is a group of
     its own, projected by Dykstra's method over Omega_i and its halfspaces.
     """
-    A, slack = game.stacks.A, _deviation_slack(game, X)
-    w = A[:, 0, 0]
-    capped = (w > 0) & (A == w[:, None, None] * np.eye(*A.shape[1:])).all(axis=(1, 2))
-    capped &= game.dims.m == game.dims.n
+    w, slack = game.stacks.capped_weight, _deviation_slack(game, X)
+    capped = w > 0
     if not game.stacks.all_box_simplex:
         capped &= np.array([isinstance(agent.omega, BoxSimplex) for agent in game.agents])
     groups = []
@@ -287,7 +285,10 @@ def epsilon_nash_gap(
     no aggregate-gradient oracle raises :class:`NonSmoothCost` there.  With
     ``samples`` set, each inner problem is estimated instead by the best of that
     many random candidates (drawn from ``seed``) projected onto the same sets,
-    from cost values alone.
+    from cost values alone.  Gaps are clipped at zero, which is sound where x_i
+    is in its deviation set: on a capped row, widened to keep x_i, and on every
+    row when x meets the coupling.  Else a Dykstra row's x_i can lie outside its
+    (maybe empty) set, and its gap certifies nothing.
     """
     if samples is not None and samples < 1:
         raise ValueError("samples must be at least 1")
@@ -306,18 +307,16 @@ def epsilon_nash_gap(
             candidates = _deviation_candidates(game, rows, samples, seed)
             best = np.min([value(project(C)) for C in candidates], axis=0)
         base = value(X[rows])
-        # z = x_i is feasible, so the true minimum never exceeds base
+        # min <= base only where x_i is in its deviation set (see the docstring)
         eps[rows] = base - np.minimum(best, base)
     return eps
 
 
 def _deviation_moduli(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
     """(N,) Lipschitz and strong-convexity bounds of every agent's deviation objective."""
-    N = game.dims.N
-    st = game.stacks
-    quad = st.quadratic
+    N, st, quad = game.dims.N, game.stacks, game.stacks.quadratic
     lipschitz, strong = st.curvature * (1.0 + 2.0 / N), np.zeros(N)
-    spread = 2.0 * np.linalg.norm(0.5 * (st.Q + np.swapaxes(st.Q, 1, 2)), 2, axis=(1, 2)) / N
+    spread = 2.0 * st.Q_sym_norms / N
     lipschitz[quad] = st.curvature[quad] + spread
     strong[quad] = np.maximum(st.curvature[quad] - spread, 1e-12)
     return lipschitz, strong

@@ -524,15 +524,13 @@ def pfb_step_sizes(game: GameSpec) -> tuple[np.ndarray, float]:
     L_i = curvature_i + ||Q_i|| / N + ||A_i||^2, the last term a margin
     for the coupling through the multiplier.
     """
-    N = game.dims.N
-    norm_A = game.coupling_norm
-    tau_lam = 0.4 / max(norm_A**2, 1e-12)
-    st = game.stacks
+    N, st = game.dims.N, game.stacks
+    tau_lam = 0.4 / max(st.coupling_norm**2, 1e-12)
     coupling = np.zeros(N)
-    coupling[st.quadratic] = np.linalg.norm(st.Q, 2, axis=(1, 2)) / N
+    coupling[st.quadratic] = st.Q_norms / N
     # float_power calls C pow, as a Python float's ** does; ** on an array squares,
     # which can round differently in the last bit
-    L = st.curvature + coupling + np.float_power(np.linalg.norm(st.A, 2, axis=(1, 2)), 2)
+    L = st.curvature + coupling + np.float_power(st.A_norms, 2)
     return 0.4 / L, tau_lam
 
 

@@ -9,7 +9,7 @@ solver modules treat a ``GameSpec`` as shared read-only data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Union
@@ -40,18 +40,6 @@ class Dimensions:
     def d(self) -> int:
         """Extended-space dimension: decisions, links, aggregate, two multipliers."""
         return self.n * self.N + self.m * self.N + 2 * self.n + self.m
-
-    @property
-    def d1(self) -> int:
-        return self.d - self.n * self.N
-
-    @property
-    def d2(self) -> int:
-        return self.d1 - self.m * self.N
-
-    @property
-    def d3(self) -> int:
-        return self.d - self.m
 
 
 def _as_float_array(value, shape=None) -> np.ndarray:
@@ -247,7 +235,8 @@ class AgentStacks:
     ``a``/``xtilde``/``Q`` hold the quadratic rows, in row order.  A closed-form
     set of agents is all quadratic with no dense row.  ``value``, ``grad`` and
     ``grad_sigma`` take a shared or a row-wise aggregate: the quadratic rule
-    when every cost is quadratic, else each agent's oracles.
+    when every cost is quadratic, else each agent's oracles.  The constants
+    derived from the agents alone are cached properties, computed on first use.
     """
 
     agents: tuple[AgentSpec, ...]
@@ -307,6 +296,38 @@ class AgentStacks:
     def _parts(self) -> dict:  # row-set bytes -> take(rows), filled on demand
         return {}
 
+    @cached_property
+    def b_total(self) -> np.ndarray:  # (m,) coupling bound b = sum_i b_i
+        return self.b.sum(axis=0)
+
+    @cached_property
+    def coupling_norm(self) -> float:  # ||A||_2 of the assembled (m, n N) matrix [A_1 ... A_N]
+        return float(np.linalg.norm(np.concatenate(self.A, axis=1), 2))
+
+    @cached_property
+    def default_points(self) -> np.ndarray:  # (N, n) read-only: each row's projection of 0
+        X = self.project(np.zeros(self.unit_diag.shape))
+        X.flags.writeable = False
+        return X
+
+    @cached_property
+    def A_norms(self) -> np.ndarray:  # (N,) ||A_i||_2
+        return np.linalg.norm(self.A, 2, axis=(1, 2))
+
+    @cached_property
+    def Q_norms(self) -> np.ndarray:  # (q,) ||Q_i||_2 of the quadratic rows
+        return np.linalg.norm(self.Q, 2, axis=(1, 2))
+
+    @cached_property
+    def Q_sym_norms(self) -> np.ndarray:  # (q,) ||(Q_i + Q_i') / 2||_2 of the quadratic rows
+        return np.linalg.norm(0.5 * (self.Q + np.swapaxes(self.Q, 1, 2)), 2, axis=(1, 2))
+
+    @cached_property
+    def capped_weight(self) -> np.ndarray:  # (N,) w_i where m = n and A_i = w_i I, w_i > 0; else 0
+        w, (m, n) = self.A[:, 0, 0], self.A.shape[1:]
+        capped = (w > 0) & (m == n) & (self.A == w[:, None, None] * np.eye(m, n)).all(axis=(1, 2))
+        return np.where(capped, w, 0.0)
+
     def take(self, rows: np.ndarray) -> "AgentStacks":
         """The stacks of ``rows`` alone, built once per row set; ``self`` when that is every row."""
         key = rows.tobytes()
@@ -358,7 +379,6 @@ class GameSpec:
 
     dims: Dimensions
     agents: list[AgentSpec]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.agents) != self.dims.N:
@@ -370,42 +390,29 @@ class GameSpec:
 
     @property
     def b_total(self) -> np.ndarray:
-        if "b_total" not in self._cache:
-            self._cache["b_total"] = self.stacks.b.sum(axis=0)
-        return self._cache["b_total"]
+        return self.stacks.b_total
 
     def full_matrix(self) -> np.ndarray:
         """The assembled (m, n N) coupling matrix."""
         return np.concatenate(self.stacks.A, axis=1)
 
-    @property
-    def coupling_norm(self) -> float:
-        """||A||_2, the spectral norm of :meth:`full_matrix`, computed once."""
-        if "coupling_norm" not in self._cache:
-            self._cache["coupling_norm"] = float(np.linalg.norm(self.full_matrix(), 2))
-        return self._cache["coupling_norm"]
-
     def coupling_value(self, x: np.ndarray) -> np.ndarray:
         """A x = sum_i A_i x_i, fixed ascending agent order."""
-        X = self._as_blocks(x)
-        return np.einsum("imn,in->m", self.stacks.A, X)
-
-    def _as_blocks(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dims.N * self.dims.n,):
-            raise DimensionMismatch(
-                f"stacked decision must have length {self.dims.N * self.dims.n}"
-            )
-        return x.reshape(self.dims.N, self.dims.n)
+            raise DimensionMismatch(f"stacked decision must have length {self.dims.N * self.dims.n}")
+        return np.einsum("imn,in->m", self.stacks.A, x.reshape(self.dims.N, self.dims.n))
 
     # -- per-row stacks -----------------------------------------------------------
 
-    @property
+    @cached_property
     def stacks(self) -> AgentStacks:
-        """The agents' :class:`AgentStacks`, built once."""
-        if "stacks" not in self._cache:
-            self._cache["stacks"] = AgentStacks.of(self.agents)
-        return self._cache["stacks"]
+        """The agents' :class:`AgentStacks`, built once per game (``replace`` builds anew)."""
+        return AgentStacks.of(self.agents)
+
+    @cached_property
+    def _probes(self) -> dict:  # (sample_count, seed) -> monotonicity ProbeReport, filled on demand
+        return {}
 
     def link_values(self, X: np.ndarray) -> np.ndarray:
         """(N, m) link rows A_i x_i - b_i of an (N, n) decision array."""
@@ -413,11 +420,7 @@ class GameSpec:
 
     def default_points(self) -> np.ndarray:
         """(N, n) read-only rows: each agent's projection of the origin, computed once."""
-        if "default_points" not in self._cache:
-            X = self.project_each(np.zeros((self.dims.N, self.dims.n)))
-            X.flags.writeable = False
-            self._cache["default_points"] = X
-        return self._cache["default_points"]
+        return self.stacks.default_points
 
     def project_each(self, X: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Per-agent projection of the rows of an (N, n) array onto the local sets."""
@@ -498,8 +501,7 @@ def find_feasible_point(
     when the iteration budget runs out.
     """
     X = game.default_points().copy()  # the caller owns the returned point
-    lip = game.coupling_norm**2
-    step = 1.0 / max(lip, 1e-12)
+    step = 1.0 / max(game.stacks.coupling_norm**2, 1e-12)
     target = game.b_total - margin
     for _ in range(max_iters):
         resid = np.maximum(game.coupling_value(X.ravel()) - target, 0.0)

@@ -277,9 +277,9 @@ def monotonicity_probe(game: GameSpec, sample_count: int = 1000, seed: int = 0) 
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    key = ("monotonicity_probe", sample_count, seed)
-    if key in game._cache:
-        return game._cache[key]
+    reports = game._probes
+    if (sample_count, seed) in reports:
+        return reports[sample_count, seed]
     dims = game.dims
     rng = np.random.default_rng(seed)
     los, his = zip(*(agent.omega.bounding_box() for agent in game.agents))
@@ -297,10 +297,10 @@ def monotonicity_probe(game: GameSpec, sample_count: int = 1000, seed: int = 0) 
         x2, s2 = draw()
         df = extended_subdifferential(game, x1, s1) - extended_subdifferential(game, x2, s2)
         inners[k] = float(df @ (x1 - x2))
-    game._cache[key] = ProbeReport(
+    reports[sample_count, seed] = ProbeReport(
         samples=sample_count,
         min_inner=float(inners.min()),
         mean_inner=float(inners.mean()),
         negative_fraction=float(np.mean(inners < 0.0)),
     )
-    return game._cache[key]
+    return reports[sample_count, seed]

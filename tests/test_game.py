@@ -21,9 +21,10 @@ from aggsplit import (
     coupling_violation,
     validate_game,
 )
-from aggsplit.benchmark import BenchmarkParams, generate_benchmark
+from aggsplit.benchmark import BenchmarkParams, epsilon_nash_gap, generate_benchmark
 from aggsplit.engine import pfb_step_sizes
 from aggsplit.game import _fd_gradient_error, find_feasible_point
+from aggsplit.operators import monotonicity_probe
 from oracles import wrap_costs_in_oracles
 
 
@@ -44,9 +45,6 @@ class TestDimensions:
     def test_extended_sizes(self):
         d = Dimensions(N=3, n=2, m=4)
         assert d.d == 2 * 3 + 4 * 3 + 2 * 2 + 4
-        assert d.d1 == d.d - 6
-        assert d.d2 == d.d1 - 12
-        assert d.d3 == d.d - 4
 
     def test_rejects_degenerate(self):
         with pytest.raises(DimensionMismatch):
@@ -219,6 +217,26 @@ class TestLinkInvariant:
             assert np.allclose(Y[i], agent.link_value(X[i]), atol=1e-15)
 
 
+class TestDerivedData:
+    def test_replace_builds_the_new_games_own_data(self, desk_game):
+        old_probe = monotonicity_probe(desk_game, sample_count=5)
+        old_b, old_points = desk_game.b_total, desk_game.default_points()
+        agent = desk_game.agents[0]
+        new = dataclasses.replace(
+            desk_game, agents=[dataclasses.replace(agent, b=agent.b + 1.0), *desk_game.agents[1:]]
+        )
+        fresh = GameSpec(dims=new.dims, agents=list(new.agents))
+        assert new.stacks is not desk_game.stacks
+        assert np.array_equal(new.b_total, fresh.b_total)
+        assert np.allclose(new.b_total, old_b + 1.0)
+        assert new.stacks.coupling_norm == fresh.stacks.coupling_norm
+        assert new.default_points() is not old_points
+        assert np.array_equal(new.default_points(), fresh.default_points())
+        probe = monotonicity_probe(new, sample_count=5)
+        assert probe is not old_probe
+        assert probe == monotonicity_probe(fresh, sample_count=5)
+
+
 class TestSerialization:
     def test_round_trip(self, desk_game):
         payload = desk_game.to_json_dict()
@@ -256,16 +274,23 @@ class TestFeasibleSearch:
     def test_coupling_norm_is_assembled_once_per_game(self, monkeypatch):
         drawn = generate_benchmark(BenchmarkParams(N=6, n=4, seed=2))
         game = GameSpec(dims=drawn.dims, agents=drawn.agents)  # nothing cached yet
-        calls = []
-        real = GameSpec.full_matrix
+        real = np.linalg.norm
+        svds = []
 
-        def spy(self):
-            calls.append(1)
-            return real(self)
+        def spy(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.ndim(x) >= 2:  # a spectral norm: an SVD per matrix
+                svds.append(np.shape(x))
+            return real(x, ord, *args, **kwargs)
 
-        monkeypatch.setattr(GameSpec, "full_matrix", spy)
+        monkeypatch.setattr(np.linalg, "norm", spy)
         find_feasible_point(game)
         validate_game(game)
+        x = game.default_points().ravel()
         pfb_step_sizes(game)
-        assert len(calls) == 1
-        assert game.coupling_norm == float(np.linalg.norm(real(game), 2))
+        epsilon_nash_gap(game, x)
+        # ||A||, and the per-row ||A_i||, ||Q_i|| and ||(Q_i + Q_i')/2||: one call each
+        assert len(svds) == 4
+        pfb_step_sizes(game)
+        epsilon_nash_gap(game, x)
+        assert len(svds) == 4
+        assert game.stacks.coupling_norm == float(real(game.full_matrix(), 2))
