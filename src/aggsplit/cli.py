@@ -104,7 +104,7 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     try:
         game = GameSpec.load(args.game)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"failed to read game file: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     steps = benchmark_steps(game.dims.N, args.gamma, args.alpha, args.delta_c, args.beta_c)
@@ -169,7 +169,7 @@ def cmd_verify(args) -> int:
     if args.game:
         try:
             game = GameSpec.load(args.game)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, KeyError) as exc:
             print(f"failed to read game file: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
     else:

@@ -8,7 +8,9 @@ solver modules treat a ``GameSpec`` as shared read-only data.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -63,6 +65,8 @@ class BoxSimplex:
         upper = np.atleast_1d(_as_float_array(self.upper))
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "total", float(self.total))
+        if not (np.isfinite(upper).all() and math.isfinite(self.total)):
+            raise ValueError("upper caps and total must be finite")
         if np.any(upper < 0):
             raise ValueError("upper caps must be nonnegative")
         if self.total < 0 or float(upper.sum()) < self.total:
@@ -135,10 +139,10 @@ class QuadraticAgg:
         object.__setattr__(self, "xtilde", xt)
         q = _as_float_array(self.Q, (xt.shape[0], xt.shape[0]))
         object.__setattr__(self, "Q", q)
-        if not self.a > 0:
-            raise ValueError("quadratic weight a must be positive")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("aggregate coupling matrix must be finite")
+        if not 0 < self.a < np.inf:
+            raise ValueError("quadratic weight a must be positive and finite")
+        if not (np.isfinite(q).all() and np.isfinite(xt).all()):
+            raise ValueError("cost target xtilde and aggregate coupling matrix Q must be finite")
 
     def value(self, x: np.ndarray, sigma: np.ndarray) -> float:
         dx = x - self.xtilde
@@ -207,6 +211,8 @@ class AgentSpec:
         object.__setattr__(self, "b", b)
         if A.shape[0] != b.shape[0]:
             raise DimensionMismatch("coupling matrix rows must match b length")
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ValueError("coupling data A and b must be finite")
 
     def check_dims(self, dims: Dimensions) -> None:
         if self.A.shape != (dims.m, dims.n):
@@ -431,37 +437,37 @@ class GameSpec:
     # -- serialization -------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The game file payload: the dims and one little-endian float64 column per stack."""
         if not (self.stacks.all_box_simplex and self.stacks.all_quadratic):
             raise ValueError("only box-simplex / quadratic games serialize to JSON")
         return {
             "dims": {"N": self.dims.N, "n": self.dims.n, "m": self.dims.m},
-            "agents": [
-                {
-                    "upper": agent.omega.upper.tolist(),
-                    "total": agent.omega.total,
-                    "a": agent.cost.a,
-                    "xtilde": agent.cost.xtilde.tolist(),
-                    "Q": agent.cost.Q.tolist(),
-                    "A": agent.A.tolist(),
-                    "b": agent.b.tolist(),
-                }
-                for agent in self.agents
-            ],
+            "stacks": {name: _encode_column(getattr(self.stacks, name)) for name in _COLUMNS},
         }
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "GameSpec":
-        dims = Dimensions(**{k: int(payload["dims"][k]) for k in ("N", "n", "m")})
-        agents = []
-        for raw in payload["agents"]:
-            agents.append(
-                AgentSpec(
-                    omega=BoxSimplex(np.array(raw["upper"]), float(raw["total"])),
-                    cost=QuadraticAgg(float(raw["a"]), np.array(raw["xtilde"]), np.array(raw["Q"])),
-                    A=np.array(raw["A"]),
-                    b=np.array(raw["b"]),
-                )
+    def from_json_dict(cls, payload) -> "GameSpec":
+        """The game of a :meth:`to_json_dict` payload, every agent built through its
+        constructor checks; a payload of any other shape raises ``ValueError`` naming the field."""
+        if not isinstance(payload, dict):
+            raise ValueError("a game file must hold a JSON object")
+        if "agents" in payload:
+            raise ValueError(
+                "game file is in the old per-agent layout; regenerate it with "
+                "`aggsplit generate` (the same seed reproduces it)"
             )
+        sizes = _json_object(payload.get("dims"), "dims")
+        if not all(type(sizes.get(k)) is int for k in "Nnm"):
+            raise ValueError(f"dims must give integers N, n and m, got {sizes}")
+        dims = Dimensions(sizes["N"], sizes["n"], sizes["m"])
+        stacks = _json_object(payload.get("stacks"), "stacks")
+        upper, total, a, xtilde, Q, A, b = (
+            _decode_column(stacks, name, tuple(sizes[k] for k in axes)) for name, axes in _COLUMNS.items()
+        )
+        agents = [
+            AgentSpec(BoxSimplex(upper[i], total[i]), QuadraticAgg(a[i], xtilde[i], Q[i]), A[i], b[i])
+            for i in range(dims.N)
+        ]
         return cls(dims=dims, agents=agents)
 
     def save(self, path: str | Path) -> None:
@@ -470,6 +476,34 @@ class GameSpec:
     @classmethod
     def load(cls, path: str | Path) -> "GameSpec":
         return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+# the AgentStacks columns of a game file, in file order, each with its axes named by the dims
+_COLUMNS = {"upper": "Nn", "total": "N", "a": "N", "xtilde": "Nn", "Q": "Nnn", "A": "Nmn", "b": "Nm"}
+
+
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"game file field {name} is missing or not an object")
+    return value
+
+
+def _encode_column(col: np.ndarray) -> dict:
+    """One game file column: its shape and its little-endian float64 bytes in C order."""
+    raw = np.asarray(col, "<f8").tobytes()
+    return {"shape": list(col.shape), "f8": base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_column(stacks: dict, name: str, shape: tuple) -> np.ndarray:
+    """Game file column ``name`` as a writable float64 array; ``ValueError`` unless it has ``shape``."""
+    field = _json_object(stacks.get(name), f"stacks.{name}")
+    shape_in, f8 = field.get("shape"), field.get("f8")
+    if shape_in != list(shape) or not isinstance(f8, str):
+        raise ValueError(f"stacks.{name} needs shape {list(shape)} and base64 f8 bytes, got {shape_in}")
+    raw, size = base64.b64decode(f8, validate=True), 8 * math.prod(shape)  # binascii.Error is a ValueError
+    if len(raw) != size:
+        raise ValueError(f"stacks.{name} holds {len(raw)} bytes, shape {list(shape)} needs {size}")
+    return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)  # a writable copy
 
 
 # -- aggregation and feasibility primitives ------------------------------------------

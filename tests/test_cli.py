@@ -1,5 +1,7 @@
+import base64
 import json
 
+import numpy as np
 import pytest
 
 from aggsplit.cli import main
@@ -40,6 +42,45 @@ def game_file(tmp_path):
     return path
 
 
+def _with_column(payload, name, **field):
+    """``payload`` with the fields of game file column ``name`` replaced."""
+    stacks = {**payload["stacks"], name: {**payload["stacks"][name], **field}}
+    return {**payload, "stacks": stacks}
+
+
+def _with_entry(payload, name, value):
+    """``payload`` with the first entry of column ``name`` set to ``value``."""
+    col = np.frombuffer(base64.b64decode(payload["stacks"][name]["f8"]), "<f8").copy()
+    col[0] = value
+    return _with_column(payload, name, f8=base64.b64encode(col.tobytes()).decode("ascii"))
+
+
+# id -> (payload -> malformed payload, text the error message must hold)
+MALFORMED = {
+    "not-an-object": (lambda p: [], "must hold a JSON object"),
+    "dims-not-an-object": (lambda p: {**p, "dims": "x"}, "field dims"),
+    "dims-missing": (lambda p: {"stacks": p["stacks"]}, "field dims"),
+    "dims-not-integers": (lambda p: {**p, "dims": {**p["dims"], "N": "8"}}, "dims must give integers"),
+    "stacks-missing": (lambda p: {"dims": p["dims"]}, "field stacks"),
+    "stacks-not-an-object": (lambda p: {**p, "stacks": []}, "field stacks"),
+    "column-missing": (
+        lambda p: {**p, "stacks": {k: v for k, v in p["stacks"].items() if k != "Q"}},
+        "field stacks.Q",
+    ),
+    "column-not-an-object": (lambda p: {**p, "stacks": {**p["stacks"], "A": None}}, "field stacks.A"),
+    "shape-off-the-dims": (lambda p: _with_column(p, "b", shape=[8, 1]), "stacks.b needs shape [8, 4]"),
+    "bytes-off-the-shape": (
+        lambda p: _with_column(p, "total", f8=base64.b64encode(bytes(56)).decode("ascii")),
+        "stacks.total holds 56 bytes",
+    ),
+    "bytes-not-base64": (lambda p: _with_column(p, "a", f8="@@@@"), "failed to read game file"),
+    "old-layout": (lambda p: {"dims": "x", "agents": []}, "aggsplit generate"),
+    "old-layout-null-agents": (lambda p: {"dims": p["dims"], "agents": None}, "aggsplit generate"),
+    "nan-coupling-entry": (lambda p: _with_entry(p, "A", np.nan), "must be finite"),
+    "inf-cap": (lambda p: _with_entry(p, "upper", np.inf), "must be finite"),
+}
+
+
 class TestSolve:
     def test_dr_converges_and_writes_outputs(self, tmp_path, game_file):
         out = tmp_path / "run"
@@ -76,6 +117,15 @@ class TestSolve:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli(["solve", str(bad), "-o", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("mutate, expected", list(MALFORMED.values()), ids=list(MALFORMED))
+    def test_wrong_shaped_game_file_exits_two(self, tmp_path, game_file, capsys, mutate, expected):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(mutate(json.loads(game_file.read_text()))))
+        for command in (["solve", str(bad), "-o", str(tmp_path / "o")], ["verify", "--game", str(bad)]):
+            assert run_cli(command) == 2
+            err = capsys.readouterr().err
+            assert expected in err and "Traceback" not in err
 
     def test_missing_file_exits_two(self, tmp_path):
         assert run_cli(["solve", str(tmp_path / "absent.json"), "-o", str(tmp_path / "o")]) == 2

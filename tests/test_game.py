@@ -22,7 +22,7 @@ from aggsplit import (
     validate_game,
 )
 from aggsplit.benchmark import BenchmarkParams, epsilon_nash_gap, generate_benchmark
-from aggsplit.engine import pfb_step_sizes
+from aggsplit.engine import RunConfig, pfb_step_sizes, run_dr
 from aggsplit.game import _fd_gradient_error, find_feasible_point
 from aggsplit.operators import monotonicity_probe
 from oracles import wrap_costs_in_oracles
@@ -49,6 +49,24 @@ class TestDimensions:
     def test_rejects_degenerate(self):
         with pytest.raises(DimensionMismatch):
             Dimensions(N=0, n=1, m=1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["upper", "total", "a", "xtilde", "Q", "A", "b"])
+def test_non_finite_game_data_is_rejected_at_construction(field, value):
+    fields = {
+        "upper": np.ones(2), "total": 1.0, "a": 1.0, "xtilde": np.zeros(2),
+        "Q": np.zeros((2, 2)), "A": np.eye(2), "b": np.ones(2),
+    }
+
+    def build(f):
+        return AgentSpec(BoxSimplex(f["upper"], f["total"]), QuadraticAgg(f["a"], f["xtilde"], f["Q"]), f["A"], f["b"])
+
+    build(fields)  # the finite data builds
+    bad = np.array(fields[field], dtype=float)
+    bad.flat[-1] = value
+    with pytest.raises(ValueError, match="finite"):
+        build({**fields, field: bad})
 
 
 class TestBoxSimplex:
@@ -238,14 +256,20 @@ class TestDerivedData:
 
 
 class TestSerialization:
-    def test_round_trip(self, desk_game):
-        payload = desk_game.to_json_dict()
-        back = GameSpec.from_json_dict(payload)
+    def test_round_trip(self, desk_game, desk_steps, tmp_path):
+        desk_game.save(tmp_path / "game.json")
+        back = GameSpec.load(tmp_path / "game.json")
         assert back.dims == desk_game.dims
-        for a1, a2 in zip(desk_game.agents, back.agents):
-            assert np.array_equal(a1.omega.upper, a2.omega.upper)
-            assert np.array_equal(a1.cost.Q, a2.cost.Q)
-            assert np.array_equal(a1.A, a2.A)
+        for name in ("upper", "total", "a", "xtilde", "Q", "A", "b"):
+            col, col_back = getattr(desk_game.stacks, name), getattr(back.stacks, name)
+            assert col_back.dtype == np.float64 and col_back.shape == col.shape, name
+            assert col_back.tobytes() == col.tobytes(), name
+        agent = back.agents[0]  # writable like a generated game's
+        columns = (agent.omega.upper, agent.cost.xtilde, agent.cost.Q, agent.A, agent.b)
+        assert all(col.flags.writeable for col in columns)
+        config = RunConfig(steps=desk_steps, stop_tol=1e-8)
+        trace, trace_back = run_dr(desk_game, config), run_dr(back, config)
+        assert trace_back.to_csv(include_wall=False) == trace.to_csv(include_wall=False)
 
     def test_serialization_is_deterministic(self, desk_game):
         s1 = json.dumps(desk_game.to_json_dict())
