@@ -76,6 +76,6 @@ from .operators import (
     stationarity_residual,
 )
 from .projections import fista_minimize, project_box_simplex, project_box_simplex_batch
-from .resolvents import ProxProblem, StepSizes, local_prox, reflect, resolvent_A, resolvent_B
+from .resolvents import StepSizes, local_prox, reflect, resolvent_A, resolvent_B
 
 __version__ = "0.1.0"

@@ -211,23 +211,21 @@ def gae_vi_residual(game: GameSpec, x: np.ndarray, lam: np.ndarray | None = None
     return stationarity_residual(game, np.asarray(x, dtype=np.float64), np.asarray(lam))
 
 
-def _deviation_slack(game: GameSpec, X: np.ndarray) -> np.ndarray:
-    """(N, m) rows b - sum_{j != i} A_j x_j: the coupling room of each agent's deviation."""
-    own = (game.stacks.A @ X[..., None])[..., 0]  # rounds like the per-agent A_i @ x_i
-    return game.b_total - (game.coupling_value(X.ravel()) - own)
-
-
 def _deviation_groups(game: GameSpec, X: np.ndarray) -> list[tuple[np.ndarray, Callable]]:
     """(rows, projector) groups of every agent; a projector maps its rows (B, n)
-    onto their deviation sets {z in Omega_i : A_i z <= slack_i}.
+    onto their deviation sets {z in Omega_i : A_i z <= slack_i}, where slack_i is
+    the coupling room b - sum_{j != i} A_j x_j, widened just enough to keep x_i.
 
     Row i is capped when its set is a box-simplex, m = n and A_i = w_i I with
     w_i > 0: its set is then the box-simplex with caps min(upper, slack_i / w_i),
-    widened just enough to keep x_i, a member up to roundoff.  The capped rows
-    form one group with one batched projection; every other row is a group of
-    its own, projected by Dykstra's method over Omega_i and its halfspaces.
+    widened to x_i, a member up to roundoff.  The capped rows form one group with
+    one batched projection.  Every other row widens slack_i to max(slack_i, A_i x_i)
+    and is a group of its own, projected by Dykstra's method over Omega_i and its
+    halfspaces.
     """
-    w, slack = game.stacks.capped_weight, _deviation_slack(game, X)
+    own = (game.stacks.A @ X[..., None])[..., 0]  # rounds like the per-agent A_i @ x_i
+    slack = game.b_total - (game.coupling_value(X.ravel()) - own)
+    w = game.stacks.capped_weight
     capped = w > 0
     if not game.stacks.all_box_simplex:
         capped &= np.array([isinstance(agent.omega, BoxSimplex) for agent in game.agents])
@@ -239,8 +237,8 @@ def _deviation_groups(game: GameSpec, X: np.ndarray) -> list[tuple[np.ndarray, C
         caps = np.maximum(caps, np.minimum(X[rows], st.upper))
         groups.append((rows, lambda Z: project_box_simplex_batch(Z, caps, st.total)))
     for i in np.flatnonzero(~capped):
-        agent = game.agents[i]
-        halfspaces = [halfspace_projector(a, float(s)) for a, s in zip(agent.A, slack[i])]
+        agent, room = game.agents[i], np.maximum(slack[i], own[i])
+        halfspaces = [halfspace_projector(a, float(s)) for a, s in zip(agent.A, room)]
         sets = [agent.omega.project] + halfspaces
         groups.append((np.array([i]), lambda Z, sets=sets: dykstra_projection(Z[0], sets)[None]))
     return groups
@@ -285,10 +283,10 @@ def epsilon_nash_gap(
     no aggregate-gradient oracle raises :class:`NonSmoothCost` there.  With
     ``samples`` set, each inner problem is estimated instead by the best of that
     many random candidates (drawn from ``seed``) projected onto the same sets,
-    from cost values alone.  Gaps are clipped at zero, which is sound where x_i
-    is in its deviation set: on a capped row, widened to keep x_i, and on every
-    row when x meets the coupling.  Else a Dykstra row's x_i can lie outside its
-    (maybe empty) set, and its gap certifies nothing.
+    from cost values alone.  Every deviation set is widened to keep x_i, so at
+    any x in the local sets no set is empty and the gaps, clipped at zero against
+    roundoff, are sound; where x violates the coupling, they measure deviations
+    within the widened room.
     """
     if samples is not None and samples < 1:
         raise ValueError("samples must be at least 1")
@@ -307,7 +305,7 @@ def epsilon_nash_gap(
             candidates = _deviation_candidates(game, rows, samples, seed)
             best = np.min([value(project(C)) for C in candidates], axis=0)
         base = value(X[rows])
-        # min <= base only where x_i is in its deviation set (see the docstring)
+        # x_i is in its own deviation set, so min <= base up to roundoff
         eps[rows] = base - np.minimum(best, base)
     return eps
 

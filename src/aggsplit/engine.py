@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, InvalidStepSizes, MaxItersExceeded
 from .game import AgentStacks, GameSpec, validate_game
-from .operators import ExtendedPoint, KktResidual, extended_subdifferential, kkt_residual
+from .operators import ExtendedPoint, KktResidual, kkt_residual
 from .resolvents import (
     DEFAULT_PROX_TOL,
     StepSizes,
@@ -176,23 +176,21 @@ class RunTrace:
 
 def dr_init(
     game: GameSpec, config: RunConfig, x0: np.ndarray | None = None
-) -> tuple[list[AgentState], CoordinatorState]:
-    """Build the initial agent and coordinator states.
+) -> tuple[np.ndarray, np.ndarray, CoordinatorState]:
+    """The initial (N, n) decisions, their (N, m) links and the coordinator state.
 
     Defaults: each agent starts at the projection of the origin onto its
     local set, links are recomputed, the coordinator seeds its aggregate
     estimate with the initial average and both multipliers at zero (a
-    nonnegative lam0 may be supplied through the config).
+    nonnegative lam0 may be supplied through the config).  The decisions
+    are a fresh writable array.
     """
     dims = game.dims
-    steps = config.steps
-    if steps.N != dims.N:
+    if config.steps.N != dims.N:
         raise InvalidStepSizes("per-agent step-size count differs from N")
-    # forces the central parameters back through their admissible intervals
-    StepSizes.from_central(steps.gamma, steps.alpha, steps.delta_c, steps.beta_c)
 
     if x0 is None:
-        X = game.default_points()
+        X = game.default_points().copy()
     else:
         X = np.asarray(x0, dtype=np.float64)
         if X.shape != (dims.N * dims.n,):
@@ -210,7 +208,6 @@ def dr_init(
     if np.any(lam0 < 0):
         raise ValueError("lam0 must be componentwise nonnegative")
 
-    agents = [AgentState(x=X[i].copy(), y=Y[i].copy()) for i in range(dims.N)]
     coord = CoordinatorState(
         sigma=X.mean(axis=0),
         mu=np.zeros(dims.n),
@@ -218,7 +215,7 @@ def dr_init(
         prev_xhat=X.mean(axis=0),
         prev_yhat=Y.mean(axis=0),
     )
-    return agents, coord
+    return X, Y, coord
 
 
 def agent_update(
@@ -287,11 +284,8 @@ class DrEngine:
     def __init__(self, game: GameSpec, config: RunConfig, x0: np.ndarray | None = None):
         self.game = game
         self.config = config
-        agents, coord = dr_init(game, config, x0)
-        self.X = np.stack([a.x for a in agents])
-        self.Y = np.stack([a.y for a in agents])
-        self.coord = coord
-        self.bcast = BroadcastMessage(lam=coord.lam, mu=coord.mu, sigma=coord.sigma)
+        self.X, self.Y, self.coord = dr_init(game, config, x0)
+        self.bcast = BroadcastMessage(lam=self.coord.lam, mu=self.coord.mu, sigma=self.coord.sigma)
 
     def point(self) -> ExtendedPoint:
         return ExtendedPoint(
@@ -549,8 +543,7 @@ def run_pfb(
     if validate:
         _require_valid(game)
     dims = game.dims
-    agents_init, coord = dr_init(game, config, x0)
-    X = np.stack([a.x for a in agents_init])
+    X, _, coord = dr_init(game, config, x0)
     lam = coord.lam.copy()
     tau, tau_lam = pfb_step_sizes(game)
     tau_col = tau[:, None]
@@ -568,8 +561,7 @@ def run_pfb(
 
     def advance() -> ExtendedPoint:
         Xc, lamc = state["X"], state["lam"]
-        grad = extended_subdifferential(game, Xc.ravel(), Xc.mean(axis=0)).reshape(Xc.shape)
-        grad = grad + np.einsum("imn,m->in", game.stacks.A, lamc)
+        grad = game.stacks.grad(Xc, Xc.mean(axis=0)) + np.einsum("imn,m->in", game.stacks.A, lamc)
         X_new = game.project_each(Xc - tau_col * grad)
         resid = game.coupling_value((2.0 * X_new - Xc).ravel()) - game.b_total
         lam_new = np.maximum(lamc + tau_lam * resid, 0.0)

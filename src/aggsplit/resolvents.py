@@ -102,40 +102,16 @@ class StepSizes:
         return float(np.sqrt(max(self.gamma_inv_inner(u, u), 0.0)))
 
 
-@dataclass
-class ProxProblem:
-    """B agents' proximal subproblems, one per row.
-
-    Row r minimizes over its agent's local set
-        f(z, sigma) + linear_r' z + 0.5 (z - center_r)' M_r (z - center_r)
-
-    ``linear``, ``center`` and ``metric_diag`` are (B, n) and ``sigma`` is
-    shared.  The metric has the form of :class:`AgentStacks`: M_r is
-    diag(``metric_diag[r]``) unless r is the j-th entry of ``dense_rows``,
-    in which case it is the SPD matrix ``metric_dense[j]`` of the
-    (k, n, n) stack and row r of ``metric_diag`` is ignored.
-    """
-
-    sigma: np.ndarray
-    linear: np.ndarray
-    center: np.ndarray
-    metric_diag: np.ndarray
-    dense_rows: np.ndarray
-    metric_dense: np.ndarray
-    tolerance: float = DEFAULT_PROX_TOL
-
-    def metric_range(self) -> tuple[np.ndarray, np.ndarray]:
-        """(B,) smallest and largest eigenvalue of every row's metric."""
-        lo, hi = self.metric_diag.min(axis=1), self.metric_diag.max(axis=1)
-        if self.dense_rows.size:
-            M = self.metric_dense
-            ends = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, 1, 2)))
-            lo[self.dense_rows], hi[self.dense_rows] = ends[:, 0], ends[:, -1]
-        return lo, hi
-
-
-def local_prox(stacks: AgentStacks, p: ProxProblem) -> np.ndarray:
-    """Solve the proximal subproblems of ``p``, row r for agent r of ``stacks``, as (B, n) rows.
+def local_prox(
+    stacks: AgentStacks,
+    sigma: np.ndarray,
+    linear: np.ndarray,
+    center: np.ndarray,
+    gamma: np.ndarray,
+    tol: float = DEFAULT_PROX_TOL,
+) -> np.ndarray:
+    """The subproblems of :func:`decoupled_prox`, in the metric read from
+    ``stacks``, as (B, n) rows; every gamma_i must be positive.
 
     The rows with a quadratic cost and a diagonal metric take the closed
     form of :func:`batched_quadratic_prox`.  All other rows are solved
@@ -143,45 +119,44 @@ def local_prox(stacks: AgentStacks, p: ProxProblem) -> np.ndarray:
     stopping at the requested natural-residual tolerance; every row equals
     its own one-row solve bit for bit.
     """
-    lo, hi = p.metric_range()
-    if np.any(lo <= 0):
-        raise InvalidStepSizes("prox metric must be positive definite in every row")
+    if not np.all(gamma > 0):
+        raise InvalidStepSizes("prox step sizes gamma_i must be positive")
+    diag = stacks.unit_diag / gamma[:, None]
     closed = stacks.quadratic.copy()
-    closed[p.dense_rows] = False
-    X = np.empty(p.center.shape)
+    closed[stacks.dense_rows] = False
+    X = np.empty(center.shape)
     rows = np.flatnonzero(closed)
     if rows.size:
         X[rows] = batched_quadratic_prox(
-            stacks.take(rows), p.sigma, p.linear[rows], p.center[rows], p.metric_diag[rows]
+            stacks.take(rows), sigma, linear[rows], center[rows], diag[rows]
         )
     rows = np.flatnonzero(~closed)
-    if rows.size:
-        X[rows] = _lockstep_prox(stacks.take(rows), p, rows, lo[rows], hi[rows])
-    return X
-
-
-def _lockstep_prox(
-    stacks: AgentStacks, p: ProxProblem, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """The iterative ``rows`` of :func:`local_prox`, for agents ``stacks``: one lock-step FISTA."""
-    linear, center, diag = p.linear[rows], p.center[rows], p.metric_diag[rows]
-    dense = np.searchsorted(rows, p.dense_rows)  # every dense row is iterative
+    if not rows.size:
+        return X
+    part, linear, center, diag = stacks.take(rows), linear[rows], center[rows], diag[rows]
+    lo, hi = diag.min(axis=1), diag.max(axis=1)
+    dense = np.searchsorted(rows, stacks.dense_rows)  # every dense row is iterative
+    metric = stacks.unit_dense / gamma[stacks.dense_rows, None, None]
+    if dense.size:
+        ends = np.linalg.eigvalsh(0.5 * (metric + np.swapaxes(metric, 1, 2)))
+        lo[dense], hi[dense] = ends[:, 0], ends[:, -1]
 
     def grad(Z: np.ndarray) -> np.ndarray:
         D = Z - center
         metric_D = diag * D
         if dense.size:
-            metric_D[dense] = (p.metric_dense @ D[dense, :, None])[..., 0]
-        return stacks.grad(Z, p.sigma) + linear + metric_D
+            metric_D[dense] = (metric @ D[dense, :, None])[..., 0]
+        return part.grad(Z, sigma) + linear + metric_D
 
-    return fista_minimize(
+    X[rows] = fista_minimize(
         grad,
-        stacks.project,
+        part.project,
         center,
-        lipschitz=stacks.curvature + hi,
-        strong_convexity=stacks.strong_convexity + lo,
-        tol=p.tolerance,
+        lipschitz=part.curvature + hi,
+        strong_convexity=part.strong_convexity + lo,
+        tol=tol,
     )
+    return X
 
 
 def batched_quadratic_prox(
@@ -215,11 +190,9 @@ def decoupled_prox(
     A closed-form set of agents takes :func:`batched_quadratic_prox` on
     every row; any other takes one :func:`local_prox` call.
     """
-    diag = stacks.unit_diag / gamma[:, None]
     if stacks.closed_form:
-        return batched_quadratic_prox(stacks, sigma, linear, center, diag)
-    dense = stacks.unit_dense / gamma[stacks.dense_rows, None, None]
-    return local_prox(stacks, ProxProblem(sigma, linear, center, diag, stacks.dense_rows, dense, tol))
+        return batched_quadratic_prox(stacks, sigma, linear, center, stacks.unit_diag / gamma[:, None])
+    return local_prox(stacks, sigma, linear, center, gamma, tol)
 
 
 def resolvent_A(

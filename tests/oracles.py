@@ -190,7 +190,8 @@ def deviation_gap(
     Agent i deviates over {z in Omega_i : A_i z <= slack_i} with the average
     moving along.  When Omega_i is a box-simplex, m = n and A_i = w_i I with
     w_i > 0, that set is the box-simplex with caps min(upper, slack_i / w_i),
-    widened to keep x_i; otherwise it is projected by Dykstra's method.  The
+    widened to keep x_i; otherwise slack_i is widened to max(slack_i, A_i x_i)
+    and the set is projected by Dykstra's method.  The
     exact gap solves the problem by projected gradient from x_i; with
     ``samples`` the best of that many projected draws of stream (seed, 2, i)
     counts, one draw at a time.
@@ -210,7 +211,8 @@ def deviation_gap(
             caps = np.minimum(omega.upper, np.maximum(slack, 0.0) / w)
             project = BoxSimplex(np.maximum(caps, np.minimum(X[i], omega.upper)), omega.total).project
         else:
-            rows = [halfspace_projector(a, float(r)) for a, r in zip(A, slack)]
+            room = np.maximum(slack, A @ X[i])
+            rows = [halfspace_projector(a, float(r)) for a, r in zip(A, room)]
             project = functools.partial(dykstra_projection, projectors=[omega.project] + rows)
         sigma_others = sigma - X[i] / N
 

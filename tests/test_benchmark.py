@@ -11,6 +11,7 @@ from aggsplit import (
     BenchmarkParams,
     BoxSimplex,
     Dimensions,
+    DrEngine,
     GameSpec,
     GenerationFailed,
     NonSmoothCost,
@@ -314,6 +315,32 @@ class TestBatchedGap:
         fista_calls = count_calls(monkeypatch, benchmark_mod, "fista_minimize")
         eps = epsilon_nash_gap(game, x)
         assert len(fista_calls) == 2
+        assert np.max(np.abs(eps - deviation_gap(game, x))) <= 1e-10
+
+    def test_dense_coupling_draw_widens_every_set_to_keep_x(self):
+        # every A_i dense and x violating the coupling: unwidened, every deviation set
+        # misses x_i and the gaps came back all zero
+        rng = np.random.default_rng(0)
+        N, n, m = 6, 4, 4
+        agents = [
+            AgentSpec(
+                BoxSimplex(np.full(n, 0.6), 1.0),
+                QuadraticAgg(1 + rng.random(), rng.random(n), np.eye(n) + 0.1 * rng.random((n, n))),
+                rng.uniform(0.2, 1, (m, n)),
+                np.zeros(m),
+            )
+            for _ in range(N)
+        ]
+        loose = GameSpec(dims=Dimensions(N, n, m), agents=agents)
+        b = 0.97 * loose.coupling_value(loose.default_points().ravel()) / N
+        game = GameSpec(dims=loose.dims, agents=[replace(agent, b=b) for agent in agents])
+        engine = DrEngine(game, RunConfig(steps=benchmark_steps(N)))
+        for _ in range(10):
+            engine.step()
+        x = engine.X.ravel()
+        assert np.max(coupling_violation(game, x)) > 0.02
+        eps = epsilon_nash_gap(game, x)
+        assert np.all(eps >= 0.0) and np.max(eps) > 1e-5
         assert np.max(np.abs(eps - deviation_gap(game, x))) <= 1e-10
 
     def test_projection_calls_stay_below_one_per_agent(self, gap_games, monkeypatch):

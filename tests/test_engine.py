@@ -93,20 +93,20 @@ def zero_coupling_game(n=3):
 class TestDrInit:
     def test_default_start_is_deterministic(self, desk_game, desk_steps):
         cfg = RunConfig(steps=desk_steps)
-        a1, c1 = dr_init(desk_game, cfg)
-        a2, c2 = dr_init(desk_game, cfg)
-        for s1, s2 in zip(a1, a2):
-            assert np.array_equal(s1.x, s2.x)
-            assert np.array_equal(s1.y, s2.y)
+        X1, Y1, c1 = dr_init(desk_game, cfg)
+        X2, Y2, c2 = dr_init(desk_game, cfg)
+        assert np.array_equal(X1, X2)
+        assert np.array_equal(Y1, Y2)
         assert np.array_equal(c1.sigma, c2.sigma)
-        # default point is the projection of the origin
-        assert np.array_equal(a1[0].x, desk_game.agents[0].omega.default_point())
+        # default point is the projection of the origin, in a fresh writable array
+        assert np.array_equal(X1[0], desk_game.agents[0].omega.default_point())
+        assert X1.flags.writeable and not np.shares_memory(X1, X2)
 
     def test_initial_links_and_aggregates(self, desk_game, desk_steps):
-        agents, coord = dr_init(desk_game, RunConfig(steps=desk_steps))
-        X = np.stack([s.x for s in agents])
+        X, Y, coord = dr_init(desk_game, RunConfig(steps=desk_steps))
+        assert X.shape == (desk_game.dims.N, desk_game.dims.n)
         for i, agent in enumerate(desk_game.agents):
-            assert np.allclose(agents[i].y, agent.link_value(agents[i].x), atol=1e-14)
+            assert np.allclose(Y[i], agent.link_value(X[i]), atol=1e-14)
         assert np.allclose(coord.sigma, X.mean(axis=0))
         assert np.all(coord.mu == 0.0)
         assert np.all(coord.lam == 0.0)
@@ -124,14 +124,24 @@ class TestDrInit:
         cfg = RunConfig(steps=desk_steps)
         bad = np.full(desk_game.dims.N * desk_game.dims.n, 5.0)
         with pytest.warns(UserWarning):
-            agents, _ = dr_init(desk_game, cfg, x0=bad)
+            X, _, _ = dr_init(desk_game, cfg, x0=bad)
         for i, agent in enumerate(desk_game.agents):
-            assert agent.omega.contains(agents[i].x, tol=1e-9)
+            assert agent.omega.contains(X[i], tol=1e-9)
 
     def test_negative_lam0_rejected(self, desk_game, desk_steps):
         cfg = RunConfig(steps=desk_steps, lam0=-np.ones(desk_game.dims.m))
         with pytest.raises(ValueError):
             dr_init(desk_game, cfg)
+
+    def test_extreme_admissible_raw_steps_run(self, desk_game, desk_steps):
+        # delta_c rounds to 1 / gamma_hat, yet the positive raw entries make the run admissible
+        steps = StepSizes(gamma=np.ones(desk_game.dims.N), alpha=1.0, beta=1.0, delta=1e16)
+        assert steps.delta_c == 1.0
+        ref = run_dr(desk_game, RunConfig(steps=desk_steps, stop_tol=1e-8)).final_point.x
+        for relaxation in (1.0, 0.9):
+            trace = run_dr(desk_game, RunConfig(steps=steps, stop_tol=1e-8, relaxation=relaxation))
+            assert trace.stop_reason == "stop_tol"
+            assert np.max(np.abs(trace.final_point.x - ref)) <= 1e-6
 
 
 class TestAgentUpdate:

@@ -19,7 +19,6 @@ from aggsplit import (
 )
 from aggsplit.game import AgentStacks
 from aggsplit.projections import fista_minimize
-from aggsplit.resolvents import ProxProblem
 from aggsplit.verify import inclusion_residual_A, inclusion_residual_B, random_extended_point
 from oracles import dense_resolvent_B, wrap_costs_in_oracles
 
@@ -71,11 +70,6 @@ class TestStepSizes:
             assert abs(back.beta - beta) <= 1e-12 * beta
 
 
-def no_dense(n):
-    """The empty dense part of a diagonal-only :class:`ProxProblem` metric."""
-    return np.zeros(0, dtype=int), np.zeros((0, n, n))
-
-
 class TestLocalProx:
     def test_singleton_set_ignores_cost(self):
         agent = AgentSpec(
@@ -84,25 +78,25 @@ class TestLocalProx:
             A=np.array([[1.0]]),
             b=np.array([0.0]),
         )
-        p = ProxProblem(
+        z = local_prox(
+            AgentStacks.of([agent]),
             sigma=np.array([9.0]),
             linear=np.array([[4.0]]),
             center=np.array([[-1.0]]),
-            metric_diag=np.array([[2.0]]),
-            dense_rows=np.zeros(0, dtype=int),
-            metric_dense=np.zeros((0, 1, 1)),
+            gamma=np.array([1.0]),
         )
-        assert np.allclose(local_prox(AgentStacks.of([agent]), p), [[1.0]])
+        assert np.allclose(z, [[1.0]])
 
     def test_fast_path_matches_generic_path(self, desk_game, rng):
-        # same subproblem through the exact projection and through FISTA
+        # same subproblem through the exact projection and through FISTA; gamma varies the metric
         agent = desk_game.agents[0]
+        stacks = AgentStacks.of([agent])
         n = desk_game.dims.n
         for _ in range(10):
             sigma, linear, center = rng.standard_normal((3, n))
-            metric = rng.uniform(0.5, 2.0, n)
-            p = ProxProblem(sigma, linear[None], center[None], metric[None], *no_dense(n), 1e-12)
-            fast = local_prox(AgentStacks.of([agent]), p)[0]
+            gamma = rng.uniform(0.5, 2.0, 1)
+            fast = local_prox(stacks, sigma, linear[None], center[None], gamma, 1e-12)[0]
+            metric = stacks.unit_diag[0] / gamma[0]
 
             def grad(z):
                 return agent.cost.grad(z, sigma) + linear + metric * (z - center)
@@ -117,22 +111,15 @@ class TestLocalProx:
             )
             assert np.max(np.abs(fast - generic)) <= 1e-8
 
-    def test_nonpositive_metric_raises_in_every_row(self, desk_game):
-        # an oracle cost takes the iterative path, which checks the metric like the closed form
-        agent = wrap_costs_in_oracles(desk_game).agents[0]
+    def test_nonpositive_gamma_raises_in_every_row(self, desk_game):
+        # the closed-form rows and the iterative rows check the step sizes alike
         n = desk_game.dims.n
         rows = np.zeros((2, n))
-        bad_diag = np.array([[1.0, 1.0, 1.0], [-5.0, 1.0, 1.0]])
-        bad_dense = np.stack([np.eye(n), np.diag([1.0, -0.5, 1.0]) + 0.1])
-        metrics = (
-            (bad_diag, *no_dense(n)),
-            (np.ones((2, n)), np.arange(2), bad_dense),
-            (np.ones((2, n)), np.array([1]), bad_dense[1:]),  # diagonal row 0, dense row 1
-        )
-        for metric in metrics:
-            p = ProxProblem(np.zeros(n), rows, rows, *metric)
-            with pytest.raises(InvalidStepSizes):
-                local_prox(AgentStacks.of([agent, agent]), p)
+        for game in (desk_game, wrap_costs_in_oracles(desk_game)):
+            stacks = AgentStacks.of(game.agents[:2])
+            for gamma in ([1.0, -1.0], [0.0, 1.0], [np.nan, 1.0]):
+                with pytest.raises(InvalidStepSizes):
+                    local_prox(stacks, np.zeros(n), rows, rows, np.array(gamma))
 
     def test_dense_metric_output_meets_tolerance(self, rng):
         n = 3
@@ -142,10 +129,10 @@ class TestLocalProx:
             A=rng.standard_normal((2, n)),
             b=np.zeros(2),
         )
-        M = agent.A.T @ agent.A + np.eye(n)
+        gamma = np.array([0.7])
+        M = (agent.A.T @ agent.A + np.eye(n)) / gamma[0]
         sigma, linear, center = rng.standard_normal((3, n))
-        p = ProxProblem(sigma, linear[None], center[None], np.zeros((1, n)), np.array([0]), M[None], 1e-10)
-        z = local_prox(AgentStacks.of([agent]), p)[0]
+        z = local_prox(AgentStacks.of([agent]), sigma, linear[None], center[None], gamma, 1e-10)[0]
 
         def grad(v):
             return agent.cost.grad(v, sigma) + linear + M @ (v - center)
