@@ -227,8 +227,6 @@ def _deviation_groups(game: GameSpec, X: np.ndarray) -> list[tuple[np.ndarray, C
     slack = game.b_total - (game.coupling_value(X.ravel()) - own)
     w = game.stacks.capped_weight
     capped = w > 0
-    if not game.stacks.all_box_simplex:
-        capped &= np.array([isinstance(agent.omega, BoxSimplex) for agent in game.agents])
     groups = []
     rows = np.flatnonzero(capped)
     if rows.size:
@@ -466,7 +464,7 @@ def run_comparison(
     jobs = [(params, s, methods, tol, ref_tol, max_iters) for s in seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one_seed_star, jobs))
+            records = list(pool.map(_run_one_seed, *zip(*jobs)))
     else:
         records = [_run_one_seed(*job) for job in jobs]
 
@@ -504,7 +502,3 @@ def run_comparison(
         mean_curves=mean_curves,
         speed_ratio=speed_ratio,
     )
-
-
-def _run_one_seed_star(job):
-    return _run_one_seed(*job)

@@ -109,6 +109,8 @@ class RunConfig:
             raise InvalidStepSizes("relaxation must lie in (0, 2)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if not (self.stop_tol >= 0 and (self.ref_stop is None or self.ref_stop >= 0)):
+            raise ValueError("stop_tol and ref_stop must be nonnegative numbers")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -195,6 +197,8 @@ def dr_init(
         X = np.asarray(x0, dtype=np.float64)
         if X.shape != (dims.N * dims.n,):
             raise DimensionMismatch("x0 must be a stacked vector of length N * n")
+        if not np.isfinite(X).all():
+            raise ValueError("x0 must be finite")
         X = X.reshape(dims.N, dims.n)
         fixed = game.project_each(X)
         if not np.allclose(fixed, X, atol=1e-12):
@@ -205,8 +209,8 @@ def dr_init(
     lam0 = np.zeros(dims.m) if config.lam0 is None else np.asarray(config.lam0, dtype=np.float64)
     if lam0.shape != (dims.m,):
         raise DimensionMismatch("lam0 must have length m")
-    if np.any(lam0 < 0):
-        raise ValueError("lam0 must be componentwise nonnegative")
+    if not np.all((lam0 >= 0) & (lam0 < np.inf)):
+        raise ValueError("lam0 must be finite and componentwise nonnegative")
 
     coord = CoordinatorState(
         sigma=X.mean(axis=0),

@@ -236,13 +236,15 @@ class AgentStacks:
     The unit prox metric I + A_i' A_i of row i is ``unit_diag[i]`` as a
     diagonal, unless i is in ``dense_rows`` (ascending): then it is the
     matching matrix of ``unit_dense`` and row i of ``unit_diag`` is zero.
-    ``curvature`` and ``strong_convexity`` are the cost moduli.
-    ``upper``/``total`` are set only when every local set is a box-simplex;
-    ``a``/``xtilde``/``Q`` hold the quadratic rows, in row order.  A closed-form
-    set of agents is all quadratic with no dense row.  ``value``, ``grad`` and
-    ``grad_sigma`` take a shared or a row-wise aggregate: the quadratic rule
-    when every cost is quadratic, else each agent's oracles.  The constants
-    derived from the agents alone are cached properties, computed on first use.
+    ``curvature`` and ``strong_convexity`` are the cost moduli.  The (N,) row
+    flags ``box``, ``quadratic``, ``closed`` and ``has_grad`` are the only record
+    of each agent's set and cost kinds; the ``all_*`` and ``closed_form`` flags
+    are their conjunctions.  ``upper``/``total`` are set only when every local
+    set is a box-simplex; ``a``/``xtilde``/``Q`` hold the quadratic rows, in row
+    order.  ``value``, ``grad`` and ``grad_sigma`` take a shared or a row-wise
+    aggregate: the quadratic rule when every cost is quadratic, else each
+    agent's oracles.  The constants derived from the agents alone are cached
+    properties, computed on first use.
     """
 
     agents: tuple[AgentSpec, ...]
@@ -251,7 +253,10 @@ class AgentStacks:
     unit_diag: np.ndarray  # (N, n) 1 + diag(A_i' A_i), zero on dense rows
     dense_rows: np.ndarray  # (k,) rows whose A_i' A_i is not diagonal
     unit_dense: np.ndarray  # (k, n, n) I + A_i' A_i of those rows
+    box: np.ndarray  # (N,) bool: the set is a BoxSimplex
     quadratic: np.ndarray  # (N,) bool: the cost is QuadraticAgg
+    closed: np.ndarray  # (N,) bool: quadratic with a diagonal metric, a closed-form prox row
+    has_grad: np.ndarray  # (N,) bool: the cost has a gradient oracle
     curvature: np.ndarray  # (N,) cost Hessian bounds
     strong_convexity: np.ndarray  # (N,) cost strong-convexity moduli
     all_box_simplex: bool
@@ -274,10 +279,13 @@ class AgentStacks:
         unit_diag = np.diagonal(units, axis1=1, axis2=2).copy()
         dense_rows = np.flatnonzero((units[:, ~np.eye(n, dtype=bool)] != 0).any(axis=1))
         unit_diag[dense_rows] = 0.0
-        box = all(isinstance(omega, BoxSimplex) for omega in sets)
+        box = np.array([isinstance(omega, BoxSimplex) for omega in sets])
+        all_box = bool(box.all())
         quadratic = np.array([isinstance(cost, QuadraticAgg) for cost in costs])
-        quad = bool(quadratic.all())
-        quads = [cost for cost in costs if isinstance(cost, QuadraticAgg)]
+        closed = quadratic.copy()
+        closed[dense_rows] = False
+        quads = [cost for cost, quad in zip(costs, quadratic) if quad]
+        has_grad = [not isinstance(cost, GenericSmooth) or cost.grad_fn is not None for cost in costs]
         return cls(
             agents=agents,
             A=A,
@@ -285,14 +293,17 @@ class AgentStacks:
             unit_diag=unit_diag,
             dense_rows=dense_rows,
             unit_dense=units[dense_rows],
+            box=box,
             quadratic=quadratic,
+            closed=closed,
+            has_grad=np.array(has_grad),
             curvature=np.array([cost.curvature for cost in costs], dtype=np.float64),
             strong_convexity=np.array([cost.strong_convexity for cost in costs], dtype=np.float64),
-            all_box_simplex=box,
-            all_quadratic=quad,
-            closed_form=quad and not dense_rows.size,
-            upper=np.stack([omega.upper for omega in sets]) if box else None,
-            total=np.array([omega.total for omega in sets]) if box else None,
+            all_box_simplex=all_box,
+            all_quadratic=bool(quadratic.all()),
+            closed_form=bool(closed.all()),
+            upper=np.stack([omega.upper for omega in sets]) if all_box else None,
+            total=np.array([omega.total for omega in sets]) if all_box else None,
             a=np.array([cost.a for cost in quads], dtype=np.float64),
             xtilde=np.array([cost.xtilde for cost in quads]).reshape(-1, n),
             Q=np.array([cost.Q for cost in quads]).reshape(-1, n, n),
@@ -329,9 +340,9 @@ class AgentStacks:
         return np.linalg.norm(0.5 * (self.Q + np.swapaxes(self.Q, 1, 2)), 2, axis=(1, 2))
 
     @cached_property
-    def capped_weight(self) -> np.ndarray:  # (N,) w_i where m = n and A_i = w_i I, w_i > 0; else 0
+    def capped_weight(self) -> np.ndarray:  # (N,) w_i on a box row where m = n, A_i = w_i I, w_i > 0; else 0
         w, (m, n) = self.A[:, 0, 0], self.A.shape[1:]
-        capped = (w > 0) & (m == n) & (self.A == w[:, None, None] * np.eye(m, n)).all(axis=(1, 2))
+        capped = self.box & (w > 0) & (m == n) & (self.A == w[:, None, None] * np.eye(m, n)).all(axis=(1, 2))
         return np.where(capped, w, 0.0)
 
     def take(self, rows: np.ndarray) -> "AgentStacks":
@@ -565,27 +576,18 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return all(self.nonempty) and self.feasible
+        return all(self.nonempty) and self.feasible and all(map(math.isfinite, self.gradient_rel_err))
 
     def summary(self) -> str:
         lines = [
             f"local sets nonempty: {sum(self.nonempty)}/{len(self.nonempty)}",
-            f"max gradient check error: {max(self.gradient_rel_err):.3e}"
+            f"max gradient check error: {np.max(self.gradient_rel_err):.3e}"
             if self.gradient_rel_err
             else "gradient check: skipped",
             f"coupling feasible: {self.feasible} (strict: {self.strictly_feasible})",
         ]
         lines.extend(self.messages)
         return "\n".join(lines)
-
-
-def _fd_gradient_error(cost: CostModel, x: np.ndarray, sigma: np.ndarray) -> float:
-    """Relative error between the gradient oracle and central differences."""
-    try:
-        g = cost.grad(x, sigma)
-    except NonSmoothCost:
-        return np.inf
-    return float(_fd_gradient_errors(lambda Z: np.array([cost.value(Z[0], sigma)]), x[None], g[None])[0])
 
 
 def _fd_gradient_errors(value: Callable, X: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -604,39 +606,37 @@ def validate_game(game: GameSpec) -> ValidationReport:
     """Run nonemptiness, gradient and feasibility checks; the dimensions are
     checked once, when the ``GameSpec`` is built.
 
-    The gradient check compares the gradients with central differences at
-    the default points: one batched pass over ``game.stacks`` when every cost
-    is quadratic, else per agent, skipping costs without a gradient oracle.
+    Box-simplex sets are nonempty by construction; the projection of every
+    oracle set must be idempotent on a probe point.  The gradient check
+    compares the gradients with central differences at the default points,
+    in one batched pass over the rows with a gradient oracle; its errors are
+    listed in row order, and a non-finite one fails validation.
 
     Pure: repeated calls on the same game produce identical reports.
     """
     dims, stacks = game.dims, game.stacks
     messages: list[str] = []
-    nonempty = []
-    for i, agent in enumerate(game.agents):
-        if isinstance(agent.omega, BoxSimplex):
-            ok = float(agent.omega.upper.sum()) >= agent.omega.total >= 0
-            if not ok:
-                messages.append(f"agent {i}: empty local set")
-        else:
-            # oracle sets: the projection must be idempotent on a probe point
-            p = agent.omega.project(np.full(dims.n, 0.5))
-            ok = bool(np.linalg.norm(p - agent.omega.project(p)) <= 1e-12)
-            if not ok:
-                messages.append(f"agent {i}: projection oracle is not idempotent")
-        nonempty.append(ok)
+    nonempty = np.ones(dims.N, dtype=bool)
+    rows = np.flatnonzero(~stacks.box)
+    if rows.size:
+        part = stacks.take(rows)
+        P = part.project(np.full((rows.size, dims.n), 0.5))
+        nonempty[rows] = np.linalg.norm(P - part.project(P), axis=1) <= 1e-12
+        messages += [f"agent {i}: projection oracle is not idempotent" for i in rows[~nonempty[rows]]]
 
-    X_probe, sigma_probe = game.default_points(), np.full(dims.n, 0.25)
-    if stacks.all_quadratic:
-        G = stacks.grad(X_probe, sigma_probe)
-        grad_errs = _fd_gradient_errors(lambda Z: stacks.value(Z, sigma_probe), X_probe, G).tolist()
-    else:
-        errs = (_fd_gradient_error(agent.cost, x, sigma_probe) for agent, x in zip(game.agents, X_probe))
-        grad_errs = [err for err in errs if np.isfinite(err)]
+    rows, sigma_probe = np.flatnonzero(stacks.has_grad), np.full(dims.n, 0.25)
+    grad_errs = []
+    if rows.size:
+        part, X_probe = stacks.take(rows), game.default_points()[rows]
+        G = part.grad(X_probe, sigma_probe)
+        grad_errs = _fd_gradient_errors(lambda Z: part.value(Z, sigma_probe), X_probe, G).tolist()
+        messages += [
+            f"agent {i}: gradient check error {e:.3e}" for i, e in zip(rows, grad_errs) if not math.isfinite(e)
+        ]
 
     feasible = strictly = False
     point = None
-    if all(nonempty):
+    if nonempty.all():
         try:
             point, strictly = find_feasible_point(game)
             feasible = True
@@ -646,7 +646,7 @@ def validate_game(game: GameSpec) -> ValidationReport:
             messages.append(str(exc))
 
     return ValidationReport(
-        nonempty=nonempty,
+        nonempty=nonempty.tolist(),
         gradient_rel_err=grad_errs,
         feasible=feasible,
         strictly_feasible=strictly,

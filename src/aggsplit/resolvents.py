@@ -46,8 +46,9 @@ class StepSizes:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "delta", float(self.delta))
-        if np.any(gamma <= 0) or self.alpha <= 0 or self.beta <= 0 or self.delta <= 0:
-            raise InvalidStepSizes("all raw step sizes must be positive")
+        raw = np.append(gamma, [self.alpha, self.beta, self.delta])
+        if not np.all((raw > 0) & (raw < np.inf)):
+            raise InvalidStepSizes("all raw step sizes must be positive and finite")
 
     @property
     def N(self) -> int:
@@ -113,8 +114,8 @@ def local_prox(
     """The subproblems of :func:`decoupled_prox`, in the metric read from
     ``stacks``, as (B, n) rows; every gamma_i must be positive.
 
-    The rows with a quadratic cost and a diagonal metric take the closed
-    form of :func:`batched_quadratic_prox`.  All other rows are solved
+    The ``closed`` rows (a quadratic cost and a diagonal metric) take the
+    closed form of :func:`batched_quadratic_prox`.  All other rows are solved
     together by one lock-step accelerated projected-gradient solve, each
     stopping at the requested natural-residual tolerance; every row equals
     its own one-row solve bit for bit.
@@ -122,15 +123,13 @@ def local_prox(
     if not np.all(gamma > 0):
         raise InvalidStepSizes("prox step sizes gamma_i must be positive")
     diag = stacks.unit_diag / gamma[:, None]
-    closed = stacks.quadratic.copy()
-    closed[stacks.dense_rows] = False
     X = np.empty(center.shape)
-    rows = np.flatnonzero(closed)
+    rows = np.flatnonzero(stacks.closed)
     if rows.size:
         X[rows] = batched_quadratic_prox(
             stacks.take(rows), sigma, linear[rows], center[rows], diag[rows]
         )
-    rows = np.flatnonzero(~closed)
+    rows = np.flatnonzero(~stacks.closed)
     if not rows.size:
         return X
     part, linear, center, diag = stacks.take(rows), linear[rows], center[rows], diag[rows]

@@ -34,6 +34,13 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
+def fd_gradient_error(cost, x: np.ndarray, sigma: np.ndarray) -> float:
+    """Relative error between a cost's gradient oracle at (x, sigma) and central differences."""
+    g = cost.grad(x, sigma)
+    fd = fd_gradient(lambda z: cost.value(z, sigma), x)
+    return float(np.linalg.norm(fd - g) / max(1.0, np.linalg.norm(g)))
+
+
 def box_simplex_active_set(
     v: np.ndarray, upper: np.ndarray, total: float, weights: np.ndarray | None = None
 ) -> np.ndarray:

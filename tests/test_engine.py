@@ -133,6 +133,17 @@ class TestDrInit:
         with pytest.raises(ValueError):
             dr_init(desk_game, cfg)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_start_rejected(self, desk_game, desk_steps, value):
+        x0 = desk_game.default_points().ravel().copy()
+        x0[0] = value
+        with pytest.raises(ValueError, match="x0"):
+            dr_init(desk_game, RunConfig(steps=desk_steps), x0=x0)
+        lam0 = np.zeros(desk_game.dims.m)
+        lam0[0] = value
+        with pytest.raises(ValueError, match="lam0"):
+            dr_init(desk_game, RunConfig(steps=desk_steps, lam0=lam0))
+
     def test_extreme_admissible_raw_steps_run(self, desk_game, desk_steps):
         # delta_c rounds to 1 / gamma_hat, yet the positive raw entries make the run admissible
         steps = StepSizes(gamma=np.ones(desk_game.dims.N), alpha=1.0, beta=1.0, delta=1e16)
@@ -400,6 +411,11 @@ class TestRunDr:
         with pytest.raises(InvalidStepSizes):
             RunConfig(steps=desk_steps, relaxation=2.0)
 
+    @pytest.mark.parametrize("tols", [{"stop_tol": np.nan}, {"stop_tol": -1e-8}, {"ref_stop": np.nan}])
+    def test_nan_or_negative_tolerance_rejected(self, desk_steps, tols):
+        with pytest.raises(ValueError):
+            RunConfig(steps=desk_steps, **tols)
+
     def test_reference_stop_halts_on_normalized_distance(self, desk_game, desk_steps):
         point, _ = ground_truth_point(desk_game, tol=1e-9, cross_check=False)
         cfg = RunConfig(steps=desk_steps, stop_tol=0.0, ref_stop=1e-4, max_iters=10_000)
@@ -539,6 +555,12 @@ class TestAgentStacks:
                         row = theirs[full.dense_rows == i] if f.name == "unit_dense" else theirs[i : i + 1]
                         assert mine.dtype == row.dtype and mine.shape == row.shape, f.name
                         assert mine.tobytes() == row.tobytes(), f.name
+
+    def test_capped_weight_is_zero_on_oracle_set_rows(self, desk_game):
+        oracle_sets = wrap_sets_in_oracles(desk_game).stacks
+        assert desk_game.stacks.box.all() and not oracle_sets.box.any()
+        assert (desk_game.stacks.capped_weight > 0).all()
+        assert not oracle_sets.capped_weight.any()
 
     def test_value_rows_equal_the_cost_values(self, desk_game, rng):
         # values to round-off; x- and aggregate gradients bit for bit

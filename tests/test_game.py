@@ -23,9 +23,9 @@ from aggsplit import (
 )
 from aggsplit.benchmark import BenchmarkParams, epsilon_nash_gap, generate_benchmark
 from aggsplit.engine import RunConfig, pfb_step_sizes, run_dr
-from aggsplit.game import _fd_gradient_error, find_feasible_point
+from aggsplit.game import find_feasible_point
 from aggsplit.operators import monotonicity_probe
-from oracles import wrap_costs_in_oracles
+from oracles import fd_gradient_error, wrap_costs_in_oracles, wrap_sets_in_oracles
 
 
 def make_single_agent_game(upper, total, A, b, a=1.0, xtilde=None, Q=None):
@@ -172,7 +172,7 @@ class TestValidateGame:
         game = desk_game if scale == "desk" else generate_benchmark(BenchmarkParams(seed=0))
         sigma = np.full(game.dims.n, 0.25)
         per_agent = [
-            _fd_gradient_error(agent.cost, x, sigma) for agent, x in zip(game.agents, game.default_points())
+            fd_gradient_error(agent.cost, x, sigma) for agent, x in zip(game.agents, game.default_points())
         ]
         errs = validate_game(game).gradient_rel_err
         assert len(errs) == game.dims.N
@@ -200,6 +200,29 @@ class TestValidateGame:
         assert len(errs) == game.dims.N
         assert errs[2] > 1e-4
         assert max(errs[:2] + errs[3:]) <= 1e-6
+
+    def test_non_finite_gradient_error_fails_validation_at_its_agent(self, desk_game):
+        game = wrap_costs_in_oracles(desk_game)
+        agents = list(game.agents)
+        nan_grad = dataclasses.replace(agents[3].cost, grad_fn=lambda x, s: np.full(len(x), np.nan))
+        agents[3] = dataclasses.replace(agents[3], cost=nan_grad)
+        report = validate_game(GameSpec(dims=game.dims, agents=agents))
+        errs = report.gradient_rel_err
+        assert len(errs) == game.dims.N and np.isnan(errs[3])
+        assert max(errs[:3] + errs[4:]) <= 1e-6
+        assert not report.ok
+        assert "max gradient check error: nan" in report.summary()
+        assert [m for m in report.messages if "gradient" in m] == ["agent 3: gradient check error nan"]
+
+    def test_non_idempotent_projection_oracle_is_reported_at_its_agent(self, desk_game):
+        agents = list(desk_game.agents)
+        agents[4] = wrap_sets_in_oracles(desk_game).agents[4]
+        shrink = GenericConvex(n=desk_game.dims.n, project_fn=lambda v, w: 0.5 * v)
+        agents[2] = dataclasses.replace(agents[2], omega=shrink)
+        report = validate_game(GameSpec(dims=desk_game.dims, agents=agents))
+        assert report.nonempty == [True, True, False, True, True]
+        assert not report.ok
+        assert "agent 2: projection oracle is not idempotent" in report.messages
 
     def test_cost_without_gradient_oracle_is_skipped(self, desk_game):
         agents = list(desk_game.agents)

@@ -48,6 +48,14 @@ class TestStepSizes:
         with pytest.raises(InvalidStepSizes):
             StepSizes(gamma=np.ones(2), alpha=0.0, beta=1.0, delta=1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["gamma", "alpha", "beta", "delta"])
+    def test_raw_must_be_finite(self, field, value):
+        raw = {"gamma": np.ones(2), "alpha": 1.0, "beta": 1.0, "delta": 1.0}
+        raw[field] = np.array([1.0, value]) if field == "gamma" else value
+        with pytest.raises(InvalidStepSizes):
+            StepSizes(**raw)
+
     @settings(max_examples=100, deadline=None)
     @given(st.floats(1e-3, 0.999), st.floats(1e-3, 0.999), st.floats(0.1, 5.0))
     def test_central_round_trip(self, dc_frac, bc_frac, alpha):
