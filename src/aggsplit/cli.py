@@ -113,14 +113,14 @@ def cmd_solve(args) -> int:
         record_every=args.record_every,
     )
     runner = run_dr if args.method == "dr" else run_pfb
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     code = EXIT_OK
     try:
         trace = runner(game, config)
     except MaxItersExceeded as exc:
         trace = exc.trace
         code = EXIT_NO_CONVERGENCE
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "trace.csv").write_text(trace.to_csv())
     (outdir / "report.json").write_text(json.dumps(trace.to_json_dict(), indent=2))
     kkt = trace.final_kkt.max_value()

@@ -1,13 +1,12 @@
-"""Solver engine: semi-decentralized rounds, raw splitting iteration, baseline.
+"""Solver engine: semi-decentralized rounds, the raw splitting oracle, baseline.
 
-The default mode runs communication rounds between agents and a central
+The solver runs communication rounds between agents and a central
 coordinator.  Per round each agent solves one proximal subproblem
 against the last broadcast, the agents' updates reach the coordinator
 only as two averages (an n-vector and an m-vector), and the coordinator
-answers with the updated multipliers and its aggregate estimate.  With
-unit relaxation these rounds are algebraically identical to the
-reflected-resolvent iteration on the extended space; for other constant
-relaxations the engine runs that raw iteration directly.
+answers with the updated multipliers and its aggregate estimate.  At any
+constant relaxation these rounds are algebraically identical to the relaxed
+reflected-resolvent iteration on the extended space, kept only to verify them.
 
 Derived state correspondence used throughout (established analytically
 and enforced by the trajectory-equivalence verification suite): the
@@ -22,7 +21,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,13 +53,17 @@ class AgentState:
 
 @dataclass
 class CoordinatorState:
-    """Coordinator iterate plus the lagged aggregates needed by the extrapolation."""
+    """Coordinator iterate, the lagged aggregates of the extrapolation, the relaxation offsets."""
 
     sigma: np.ndarray
     mu: np.ndarray
     lam: np.ndarray
     prev_xhat: np.ndarray
     prev_yhat: np.ndarray
+    relaxation: float = 1.0
+    s: np.ndarray | float = 0.0  # the offsets start at zero, and stay there at relaxation 1
+    c_x: np.ndarray | float = 0.0
+    c_y: np.ndarray | float = 0.0
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,8 @@ class RunConfig:
             raise ValueError("stop_tol and ref_stop must be nonnegative numbers")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
+        if not 0.0 < self.prox_tol < np.inf:
+            raise ValueError("prox_tol must be a positive finite number")
 
 
 @dataclass
@@ -218,6 +223,7 @@ def dr_init(
         lam=lam0,
         prev_xhat=X.mean(axis=0),
         prev_yhat=Y.mean(axis=0),
+        relaxation=config.relaxation,
     )
     return X, Y, coord
 
@@ -230,7 +236,7 @@ def agent_update(
     n_agents: int,
     tol: float = DEFAULT_PROX_TOL,
 ) -> AgentState:
-    """One agent's round: its row of the round's decoupled-half prox.
+    """One agent's row of a unit-relaxation round's decoupled-half prox.
 
     minimize over the local set:
         f_i(z, sigma) + (A_i' lam - mu / N)' z
@@ -254,28 +260,38 @@ def coordinator_update(
 ) -> tuple[CoordinatorState, BroadcastMessage]:
     """Central multiplier and aggregate-estimate updates from averages only.
 
-        lam+   = proj_{>=0}(lam + delta_c (2 yhat_new - yhat_old))
-        mu+    = mu - beta_c (2 xhat_new - xhat_old - sigma + alpha mu)
-        sigma+ = sigma - alpha mu+
+        lam+   = proj_{>=0}(lam + delta_c (2 yhat_new - yhat_old + c_y))
+        mu+    = mu - beta_c (2 xhat_new - xhat_old - sigma + alpha mu - c_x)
+        sigma+ = (sigma + s) - alpha mu+
+    then the relaxation offsets move by k = 1 - relaxation, and sigma+ + s+ is broadcast:
+        s+   = k alpha mu+
+        c_x+ = k (xhat_new - sigma+ + alpha mu+)
+        c_y+ = k (c_y + yhat_new - yhat_old + (lam - lam+) / delta_c)
     """
     if agg.xhat.shape != coord.sigma.shape or agg.yhat.shape != coord.lam.shape:
         raise DimensionMismatch("aggregate message has the wrong block sizes")
-    lam_new = np.maximum(coord.lam + steps.delta_c * (2.0 * agg.yhat - coord.prev_yhat), 0.0)
+    k, delta_c, alpha = 1.0 - coord.relaxation, steps.delta_c, steps.alpha
+    lam_new = np.maximum(coord.lam + delta_c * (2.0 * agg.yhat - coord.prev_yhat + coord.c_y), 0.0)
     mu_new = coord.mu - steps.beta_c * (
-        2.0 * agg.xhat - coord.prev_xhat - coord.sigma + steps.alpha * coord.mu
+        2.0 * agg.xhat - coord.prev_xhat - coord.sigma + alpha * coord.mu - coord.c_x
     )
-    sigma_new = coord.sigma - steps.alpha * mu_new
+    sigma_new = (coord.sigma + coord.s) - alpha * mu_new
     new_coord = CoordinatorState(
         sigma=sigma_new,
         mu=mu_new,
         lam=lam_new,
         prev_xhat=agg.xhat.copy(),
         prev_yhat=agg.yhat.copy(),
+        relaxation=coord.relaxation,
     )
-    return new_coord, BroadcastMessage(lam=lam_new, mu=mu_new, sigma=sigma_new)
+    if k != 0.0:  # the offsets stay exact zeros at unit relaxation; skip their arithmetic there
+        new_coord.s = k * alpha * mu_new
+        new_coord.c_x = k * (agg.xhat - sigma_new + alpha * mu_new)
+        new_coord.c_y = k * (coord.c_y + agg.yhat - coord.prev_yhat + (coord.lam - lam_new) / delta_c)
+    return new_coord, BroadcastMessage(lam=lam_new, mu=mu_new, sigma=sigma_new + new_coord.s)
 
 
-# -- engine (round-based, unit relaxation) ----------------------------------------------
+# -- engine (round-based, any constant relaxation) --------------------------------------
 
 
 class DrEngine:
@@ -283,12 +299,15 @@ class DrEngine:
 
     The coordinator code path receives nothing but an
     :class:`AggregateMessage`; per-agent data never crosses that boundary.
+    Agent i relaxes through the offsets D_i = x~_i - x_i - gamma_i mu / N and
+    F_i = y_i - gamma_i lam - y~_i of the raw iterate w~ from the round's image.
     """
 
     def __init__(self, game: GameSpec, config: RunConfig, x0: np.ndarray | None = None):
         self.game = game
         self.config = config
         self.X, self.Y, self.coord = dr_init(game, config, x0)
+        self.D, self.F = np.zeros_like(self.X), np.zeros_like(self.Y)
         self.bcast = BroadcastMessage(lam=self.coord.lam, mu=self.coord.mu, sigma=self.coord.sigma)
 
     def point(self) -> ExtendedPoint:
@@ -301,17 +320,24 @@ class DrEngine:
         )
 
     def step(self) -> None:
-        game, steps, bcast = self.game, self.config.steps, self.bcast
-        st = game.stacks
-        linear = np.einsum("imn,m->in", st.A, bcast.lam) - bcast.mu / game.dims.N
+        game, steps, bcast, coord = self.game, self.config.steps, self.bcast, self.coord
+        st, N, k = game.stacks, game.dims.N, 1.0 - self.config.relaxation
+        gamma = steps.gamma[:, None]
+        linear = np.einsum("imn,m->in", st.A, bcast.lam) - bcast.mu / N
+        # the offsets are exact zeros at unit relaxation; skip their (N, .) arithmetic there
+        if k != 0.0:
+            linear += (np.einsum("imn,im->in", st.A, self.F) - self.D) / gamma
         X_new = decoupled_prox(st, bcast.sigma, linear, self.X, steps.gamma, self.config.prox_tol)
         Y_new = game.link_values(X_new)
         agg = AggregateMessage(xhat=X_new.mean(axis=0), yhat=Y_new.mean(axis=0))
-        self.coord, self.bcast = coordinator_update(self.coord, agg, steps)
+        self.coord, self.bcast = coordinator_update(coord, agg, steps)
+        if k != 0.0:
+            self.D = k * (self.D + self.X - X_new + gamma * (coord.mu - self.coord.mu) / N)
+            self.F = k * (self.F + Y_new - self.Y + gamma * (coord.lam - self.coord.lam))
         self.X, self.Y = X_new, Y_new
 
 
-# -- raw reflected-resolvent iteration ---------------------------------------------------
+# -- raw reflected-resolvent iteration (the verification oracle) -------------------------
 
 
 class RawStep(NamedTuple):
@@ -327,7 +353,7 @@ def raw_dr_step(
     relaxation: float = 1.0,
     prox_tol: float = DEFAULT_PROX_TOL,
 ) -> RawStep:
-    """One raw iteration: resolve, reflect, resolve, relax.
+    """One raw iteration, the verification oracle of the rounds: resolve, reflect, resolve, relax.
 
         half  = J_A(w~)
         full  = J_B(2 half - w~)
@@ -340,13 +366,9 @@ def raw_dr_step(
 
 
 def raw_initial_tilde(game: GameSpec, config: RunConfig, x0: np.ndarray | None = None) -> ExtendedPoint:
-    """Seed for the raw iteration matching the round-based initialization."""
-    return _raw_tilde(DrEngine(game, config, x0).point(), config.steps)
-
-
-def _raw_tilde(point: ExtendedPoint, steps: StepSizes) -> ExtendedPoint:
-    """The raw-iteration state of a round-based point: y_i - gamma_i * lam per block."""
-    Y_tilde = point.y_blocks(point.lam.shape[0]) - steps.gamma[:, None] * point.lam[None, :]
+    """Seed for the raw iteration matching the rounds' start: y_i - gamma_i * lam per link block."""
+    point = DrEngine(game, config, x0).point()
+    Y_tilde = point.y_blocks(point.lam.shape[0]) - config.steps.gamma[:, None] * point.lam[None, :]
     return ExtendedPoint(point.x, Y_tilde.ravel(), point.sigma, point.mu, point.lam)
 
 
@@ -361,14 +383,12 @@ def _require_valid(game: GameSpec) -> None:
 
 
 def _run_loop(
-    game: GameSpec,
+    engine,
     config: RunConfig,
     reference: np.ndarray | None,
     method: str,
-    initial_point: ExtendedPoint,
-    advance: Callable[[], ExtendedPoint],
 ) -> RunTrace:
-    """Drive ``advance`` until the stopping metric and the optimality gate pass.
+    """Step ``engine`` until the stopping metric and the optimality gate pass.
 
     A run whose stopping metric has set no new low for ``GATE_RECHECK``
     rounds has reached its numerical floor; it ends ``"stalled"`` if the
@@ -378,16 +398,15 @@ def _run_loop(
     ``stop_tol=0`` no gate can pass, so such runs (the comparison runs
     that stop on ``ref_stop``) skip the stall check.
     """
-    steps = config.steps
+    game, steps = engine.game, config.steps
     t0 = time.perf_counter_ns()
     trace = RunTrace(method=method)
     dists: list[float] = []
 
-    point = initial_point
-    dist0 = None
+    point = engine.point()
     if reference is not None:
         reference = np.asarray(reference, dtype=np.float64)
-        dist0 = float(np.linalg.norm(point.x - reference))
+        dists.append(float(np.linalg.norm(point.x - reference)))
 
     def record(k: int, step_norm: float, kkt: KktResidual) -> None:
         trace.rows.append(
@@ -400,10 +419,7 @@ def _run_loop(
             )
         )
 
-    if reference is not None:
-        dists.append(dist0)
-    kkt = kkt_residual(game, point)
-    record(0, 0.0, kkt)
+    record(0, 0.0, kkt_residual(game, point))
 
     converged = False
     reason = "max_iters"
@@ -413,7 +429,8 @@ def _run_loop(
     step_plain = 0.0
     for k in range(1, config.max_iters + 1):
         prev = point
-        point = advance()
+        engine.step()
+        point = engine.point()
         diff = point - prev
         step_gamma = steps.gamma_inv_norm(diff)
         step_plain = diff.norm()
@@ -421,7 +438,7 @@ def _run_loop(
         if reference is not None:
             dist = float(np.linalg.norm(point.x - reference))
             dists.append(dist)
-            if config.ref_stop is not None and dist <= config.ref_stop * max(dist0, 1e-300):
+            if config.ref_stop is not None and dist <= config.ref_stop * max(dists[0], 1e-300):
                 converged, reason = True, "ref_stop"
                 record(k, step_plain, kkt_residual(game, point))
                 break
@@ -483,33 +500,12 @@ def run_dr(
 ) -> RunTrace:
     """Run the splitting to convergence and return the full trace.
 
-    Unit relaxation runs the round-based engine (aggregate-only uplink);
-    any other constant relaxation runs the raw iteration, which is the
-    same algorithm without the message-passing structure.
+    Every constant relaxation runs the rounds of :class:`DrEngine`, whose
+    coordinator sees only the two averages of the uplink.
     """
     if validate:
         _require_valid(game)
-
-    engine = DrEngine(game, config, x0)
-    initial = engine.point()
-    if config.relaxation == 1.0:
-
-        def advance() -> ExtendedPoint:
-            engine.step()
-            return engine.point()
-
-        return _run_loop(game, config, reference, "dr", initial, advance)
-
-    state = {"tilde": _raw_tilde(initial, config.steps)}
-
-    def advance_raw() -> ExtendedPoint:
-        out = raw_dr_step(state["tilde"], game, config.steps, config.relaxation, config.prox_tol)
-        state["tilde"] = out.tilde
-        return ExtendedPoint(
-            x=out.half.x, y=out.half.y, sigma=out.full.sigma, mu=out.full.mu, lam=out.full.lam
-        )
-
-    return _run_loop(game, config, reference, "dr", initial, advance_raw)
+    return _run_loop(DrEngine(game, config, x0), config, reference, "dr")
 
 
 # -- projected pseudo-gradient baseline --------------------------------------------------
@@ -532,6 +528,32 @@ def pfb_step_sizes(game: GameSpec) -> tuple[np.ndarray, float]:
     return 0.4 / L, tau_lam
 
 
+class _PfbEngine:
+    """The baseline's decisions and multiplier behind the run loop's ``step`` and ``point``."""
+
+    def __init__(self, game: GameSpec, config: RunConfig, x0: np.ndarray | None):
+        self.game = game
+        self.X, _, coord = dr_init(game, config, x0)
+        self.lam = coord.lam.copy()
+        self.tau, self.tau_lam = pfb_step_sizes(game)
+
+    def point(self) -> ExtendedPoint:
+        return ExtendedPoint(
+            x=self.X.ravel().copy(),
+            y=self.game.link_values(self.X).ravel(),
+            sigma=self.X.mean(axis=0),
+            mu=np.zeros(self.game.dims.n),
+            lam=self.lam.copy(),
+        )
+
+    def step(self) -> None:
+        game, X, lam = self.game, self.X, self.lam
+        grad = game.stacks.grad(X, X.mean(axis=0)) + np.einsum("imn,m->in", game.stacks.A, lam)
+        self.X = game.project_each(X - self.tau[:, None] * grad)
+        resid = game.coupling_value((2.0 * self.X - X).ravel()) - game.b_total
+        self.lam = np.maximum(lam + self.tau_lam * resid, 0.0)
+
+
 def run_pfb(
     game: GameSpec,
     config: RunConfig,
@@ -544,32 +566,8 @@ def run_pfb(
         x_i+ = proj(x_i - tau_i (grad_i(x_i, xhat) + A_i' lam))
         lam+ = proj_{>=0}(lam + tau_lam (A (2 x+ - x) - b))
     """
+    if config.relaxation != 1.0:
+        raise InvalidStepSizes("the pfb baseline runs unrelaxed; relaxation must be 1")
     if validate:
         _require_valid(game)
-    dims = game.dims
-    X, _, coord = dr_init(game, config, x0)
-    lam = coord.lam.copy()
-    tau, tau_lam = pfb_step_sizes(game)
-    tau_col = tau[:, None]
-
-    def point_of(Xc, lamc) -> ExtendedPoint:
-        return ExtendedPoint(
-            x=Xc.ravel().copy(),
-            y=game.link_values(Xc).ravel(),
-            sigma=Xc.mean(axis=0),
-            mu=np.zeros(dims.n),
-            lam=lamc.copy(),
-        )
-
-    state = {"X": X, "lam": lam}
-
-    def advance() -> ExtendedPoint:
-        Xc, lamc = state["X"], state["lam"]
-        grad = game.stacks.grad(Xc, Xc.mean(axis=0)) + np.einsum("imn,m->in", game.stacks.A, lamc)
-        X_new = game.project_each(Xc - tau_col * grad)
-        resid = game.coupling_value((2.0 * X_new - Xc).ravel()) - game.b_total
-        lam_new = np.maximum(lamc + tau_lam * resid, 0.0)
-        state["X"], state["lam"] = X_new, lam_new
-        return point_of(X_new, lam_new)
-
-    return _run_loop(game, config, reference, "pfb", point_of(X, lam), advance)
+    return _run_loop(_PfbEngine(game, config, x0), config, reference, "pfb")

@@ -104,6 +104,12 @@ class TestSolve:
         )
         assert code == 0
 
+    def test_pfb_refuses_a_relaxation(self, tmp_path, game_file, capsys):
+        out = tmp_path / "o"
+        assert run_cli(["solve", str(game_file), "--method", "pfb", "--relaxation", "0.3", "-o", str(out)]) == 2
+        assert "relaxation" in capsys.readouterr().err
+        assert not out.exists()  # a refused run writes nothing
+
     def test_iteration_cap_exits_three_with_partial_trace(self, tmp_path, game_file):
         out = tmp_path / "short"
         code = run_cli(

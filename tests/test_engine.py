@@ -35,6 +35,9 @@ from aggsplit.game import AgentStacks
 from aggsplit.projections import fista_minimize
 from oracles import reference_rounds, wrap_costs_in_oracles, wrap_sets_in_oracles
 
+# unit, under- and over-relaxed rounds, each checked against the raw iteration
+RELAXATIONS = (1.0, 0.9, 1.5)
+
 
 def assert_rounds_match_row_views(game, steps, rounds=5):
     """The batched round against every agent's own row view of the same broadcast, bitwise."""
@@ -411,6 +414,11 @@ class TestRunDr:
         with pytest.raises(InvalidStepSizes):
             RunConfig(steps=desk_steps, relaxation=2.0)
 
+    @pytest.mark.parametrize("prox_tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_positive_or_non_finite_prox_tol_rejected(self, desk_steps, prox_tol):
+        with pytest.raises(ValueError, match="prox_tol"):
+            RunConfig(steps=desk_steps, prox_tol=prox_tol)
+
     @pytest.mark.parametrize("tols", [{"stop_tol": np.nan}, {"stop_tol": -1e-8}, {"ref_stop": np.nan}])
     def test_nan_or_negative_tolerance_rejected(self, desk_steps, tols):
         with pytest.raises(ValueError):
@@ -443,24 +451,26 @@ class TestRawIteration:
         assert (after - tilde).norm() <= 1e-10
 
     def test_round_engine_matches_raw_trajectories(self, desk_game, desk_steps):
-        cfg = RunConfig(steps=desk_steps, prox_tol=1e-12)
-        engine = DrEngine(desk_game, cfg)
-        tilde = raw_initial_tilde(desk_game, cfg)
-        for _ in range(30):
-            engine.step()
-            half, full, tilde = raw_dr_step(tilde, desk_game, desk_steps, prox_tol=1e-12)
-            assert np.max(np.abs(engine.X.ravel() - half.x)) <= 1e-9
-            assert np.max(np.abs(engine.coord.lam - full.lam)) <= 1e-9
+        for rho in RELAXATIONS:
+            cfg = RunConfig(steps=desk_steps, relaxation=rho, prox_tol=1e-12)
+            engine = DrEngine(desk_game, cfg)
+            tilde = raw_initial_tilde(desk_game, cfg)
+            for _ in range(30):
+                engine.step()
+                half, full, tilde = raw_dr_step(tilde, desk_game, desk_steps, rho, prox_tol=1e-12)
+                assert np.max(np.abs(engine.X.ravel() - half.x)) <= 1e-9, rho
+                assert np.max(np.abs(engine.coord.lam - full.lam)) <= 1e-9, rho
 
     def test_mapping_holds_with_nonzero_initial_multiplier(self, desk_game, desk_steps):
         lam0 = np.array([0.3, 0.1, 0.2])
-        cfg = RunConfig(steps=desk_steps, prox_tol=1e-12, lam0=lam0)
-        engine = DrEngine(desk_game, cfg)
-        tilde = raw_initial_tilde(desk_game, cfg)
-        for _ in range(10):
-            engine.step()
-            half, full, tilde = raw_dr_step(tilde, desk_game, desk_steps, prox_tol=1e-12)
-            assert np.max(np.abs(engine.X.ravel() - half.x)) <= 1e-9
+        for rho in RELAXATIONS:
+            cfg = RunConfig(steps=desk_steps, relaxation=rho, prox_tol=1e-12, lam0=lam0)
+            engine = DrEngine(desk_game, cfg)
+            tilde = raw_initial_tilde(desk_game, cfg)
+            for _ in range(10):
+                engine.step()
+                half, full, tilde = raw_dr_step(tilde, desk_game, desk_steps, rho, prox_tol=1e-12)
+                assert np.max(np.abs(engine.X.ravel() - half.x)) <= 1e-9, rho
 
     def test_tilde_steps_are_nonincreasing_on_monotone_instance(
         self, monotone_game, monotone_steps
@@ -620,14 +630,15 @@ class TestMixedMetricDiagonality:
     def test_rounds_match_raw_trajectory(self):
         game = mixed_metric_game()
         steps = benchmark_steps(game.dims.N)
-        cfg = RunConfig(steps=steps, prox_tol=1e-12)
-        engine = DrEngine(game, cfg)
-        tilde = raw_initial_tilde(game, cfg)
-        for _ in range(10):
-            engine.step()
-            half, full, tilde = raw_dr_step(tilde, game, steps, prox_tol=1e-12)
-            assert np.max(np.abs(engine.X.ravel() - half.x)) <= 1e-8
-            assert np.max(np.abs(engine.coord.lam - full.lam)) <= 1e-8
+        for rho in RELAXATIONS:
+            cfg = RunConfig(steps=steps, relaxation=rho, prox_tol=1e-12)
+            engine = DrEngine(game, cfg)
+            tilde = raw_initial_tilde(game, cfg)
+            for _ in range(10):
+                engine.step()
+                half, full, tilde = raw_dr_step(tilde, game, steps, rho, prox_tol=1e-12)
+                assert np.max(np.abs(engine.X.ravel() - half.x)) <= 1e-8, rho
+                assert np.max(np.abs(engine.coord.lam - full.lam)) <= 1e-8, rho
 
     def test_only_the_dense_agent_takes_the_iterative_prox(self, monkeypatch):
         import aggsplit.resolvents as resolvents_mod
@@ -699,6 +710,10 @@ class TestLockStepProx:
 
 
 class TestRunPfb:
+    def test_relaxation_other_than_one_is_refused(self, desk_game, desk_steps):
+        with pytest.raises(InvalidStepSizes, match="relaxation"):
+            run_pfb(desk_game, RunConfig(steps=desk_steps, relaxation=0.3), validate=False)
+
     def test_zero_coupling_toy_hits_closed_form(self):
         game = zero_coupling_game()
         steps = benchmark_steps(3)
@@ -754,12 +769,33 @@ class TestInformationBoundary:
         assert params == ["coord", "agg", "steps"]
 
     def test_uplink_payload_is_n_plus_m_numbers(self, desk_game, desk_steps):
-        engine = DrEngine(desk_game, RunConfig(steps=desk_steps))
-        engine.step()
-        agg = AggregateMessage(xhat=engine.X.mean(axis=0), yhat=engine.Y.mean(axis=0))
-        payload = sum(np.asarray(getattr(agg, f)).size for f in ("xhat", "yhat"))
-        assert payload == desk_game.dims.n + desk_game.dims.m
-        assert set(AggregateMessage.__dataclass_fields__) == {"xhat", "yhat"}
+        for rho in (1.0, 0.9):
+            engine = DrEngine(desk_game, RunConfig(steps=desk_steps, relaxation=rho))
+            engine.step()
+            agg = AggregateMessage(xhat=engine.X.mean(axis=0), yhat=engine.Y.mean(axis=0))
+            payload = sum(np.asarray(getattr(agg, f)).size for f in ("xhat", "yhat"))
+            assert payload == desk_game.dims.n + desk_game.dims.m
+            assert set(AggregateMessage.__dataclass_fields__) == {"xhat", "yhat"}
+
+    def test_relaxed_run_never_calls_the_raw_oracle(self, desk_game, desk_steps, monkeypatch):
+        import aggsplit.engine as engine_mod
+        import aggsplit.resolvents as resolvents_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the raw iteration is the oracle, not a solver path")
+
+        for module, name in [
+            (engine_mod, "raw_dr_step"),
+            (engine_mod, "resolvent_A"),
+            (engine_mod, "resolvent_B"),
+            (resolvents_mod, "resolvent_A"),
+            (resolvents_mod, "resolvent_B"),
+        ]:
+            monkeypatch.setattr(module, name, forbidden)
+        trace = run_dr(
+            desk_game, RunConfig(steps=desk_steps, stop_tol=1e-8, relaxation=0.9), validate=False
+        )
+        assert trace.converged
 
 
 class TestTraceFormat:

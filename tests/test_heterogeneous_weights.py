@@ -53,20 +53,21 @@ def test_both_inclusions_hold(desk_game, het_steps, rng):
 
 
 def test_round_engine_still_matches_raw_iteration(desk_game, het_steps):
-    config = RunConfig(steps=het_steps, prox_tol=1e-12)
-    engine = DrEngine(desk_game, config)
-    tilde = raw_initial_tilde(desk_game, config)
-    worst = 0.0
-    for _ in range(40):
-        engine.step()
-        half, full, tilde = raw_dr_step(tilde, desk_game, het_steps, prox_tol=1e-12)
-        worst = max(
-            worst,
-            float(np.max(np.abs(engine.X.ravel() - half.x))),
-            float(np.max(np.abs(engine.coord.mu - full.mu))),
-            float(np.max(np.abs(engine.coord.lam - full.lam))),
-        )
-    assert worst <= 1e-9
+    for rho in (1.0, 0.9, 1.5):  # unit, under- and over-relaxed
+        config = RunConfig(steps=het_steps, relaxation=rho, prox_tol=1e-12)
+        engine = DrEngine(desk_game, config)
+        tilde = raw_initial_tilde(desk_game, config)
+        worst = 0.0
+        for _ in range(40):
+            engine.step()
+            half, full, tilde = raw_dr_step(tilde, desk_game, het_steps, rho, prox_tol=1e-12)
+            worst = max(
+                worst,
+                float(np.max(np.abs(engine.X.ravel() - half.x))),
+                float(np.max(np.abs(engine.coord.mu - full.mu))),
+                float(np.max(np.abs(engine.coord.lam - full.lam))),
+            )
+        assert worst <= 1e-9, rho
 
 
 def test_solver_converges_with_spread_weights():
