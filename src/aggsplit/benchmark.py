@@ -20,15 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AggsplitError, GenerationFailed, MaxItersExceeded, NotCertified
-from .game import (
-    AgentSpec,
-    AgentStacks,
-    BoxSimplex,
-    GameSpec,
-    Dimensions,
-    QuadraticAgg,
-    validate_game,
-)
+from .game import AgentStacks, Dimensions, GameSpec, validate_game
 from .engine import GATE_FACTOR, RunConfig, RunTrace, run_dr, run_pfb
 from .operators import ExtendedPoint, monotonicity_probe, stationarity_residual
 from .projections import (
@@ -93,44 +85,27 @@ def _draw_upper(rng: np.random.Generator, n: int, total: float) -> np.ndarray:
 def generate_benchmark(params: BenchmarkParams) -> GameSpec:
     """Draw one benchmark instance; validated before returning."""
     N, n = params.N, params.n
-
-    agents = []
-    w = np.empty(N)
-    uppers = np.empty((N, n))
+    a, w, Q, upper = np.empty(N), np.empty(N), np.empty((N, n, n)), np.empty((N, n))
     for i in range(N):
         rng = np.random.default_rng(np.random.SeedSequence((params.seed, AGENT_STREAM, i)))
-        a_i = rng.uniform(*params.a_range)
+        a[i] = rng.uniform(*params.a_range)
         w[i] = rng.uniform(*params.w_range)
         q_i = rng.uniform(*params.q_range)
-        qbar = rng.uniform(params.qbar_range[0], params.qbar_range[1], size=(n, n))
-        uppers[i] = _draw_upper(rng, n, params.upper_total)
-        agents.append(
-            {
-                "omega": BoxSimplex(uppers[i], params.simplex_total),
-                "cost_a": a_i,
-                "Q": q_i * np.eye(n) + qbar,
-            }
-        )
+        Q[i] = q_i * np.eye(n) + rng.uniform(*params.qbar_range, size=(n, n))
+        upper[i] = _draw_upper(rng, n, params.upper_total)
+    total = np.full(N, float(params.simplex_total))
     # preferred schedules: every agent's projection of the first unit vector
     e1 = np.zeros((N, n))
     e1[:, 0] = 1.0
-    xtilde = project_box_simplex_batch(e1, uppers, np.full(N, float(params.simplex_total)))
+    xtilde = project_box_simplex_batch(e1, upper, total)
 
     rng_global = np.random.default_rng(np.random.SeedSequence((params.seed, GLOBAL_STREAM)))
-    cap_totals = np.einsum("i,ij->j", w, uppers)
+    cap_totals = np.einsum("i,ij->j", w, upper)
     lo, hi = params.b_fraction
     b = rng_global.uniform(lo * cap_totals, hi * cap_totals)
 
-    spec_agents = [
-        AgentSpec(
-            omega=raw["omega"],
-            cost=QuadraticAgg(a=raw["cost_a"], xtilde=xtilde[i], Q=raw["Q"]),
-            A=w[i] * np.eye(n),
-            b=b / N,
-        )
-        for i, raw in enumerate(agents)
-    ]
-    game = GameSpec(dims=Dimensions(N=N, n=n, m=n), agents=spec_agents)
+    A = w[:, None, None] * np.eye(n)
+    game = GameSpec.from_columns(Dimensions(N, n, n), upper, total, a, xtilde, Q, A, np.tile(b / N, (N, 1)))
     report = validate_game(game)
     if not report.ok:
         raise GenerationFailed("generated instance failed validation:\n" + report.summary())
@@ -346,9 +321,6 @@ class ExperimentReport:
     records: list[SeedRecord]
     mean_curves: dict[str, np.ndarray]
     speed_ratio: float | None
-
-    def iters(self, method: str) -> list[int | None]:
-        return [r.results[method].iters_to_tol for r in self.records if method in r.results]
 
     def to_json_dict(self) -> dict:
         return {

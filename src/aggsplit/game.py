@@ -458,8 +458,8 @@ class GameSpec:
 
     @classmethod
     def from_json_dict(cls, payload) -> "GameSpec":
-        """The game of a :meth:`to_json_dict` payload, every agent built through its
-        constructor checks; a payload of any other shape raises ``ValueError`` naming the field."""
+        """The game of a :meth:`to_json_dict` payload, built by :meth:`from_columns`;
+        a payload of any other shape raises ``ValueError`` naming the field."""
         if not isinstance(payload, dict):
             raise ValueError("a game file must hold a JSON object")
         if "agents" in payload:
@@ -472,12 +472,18 @@ class GameSpec:
             raise ValueError(f"dims must give integers N, n and m, got {sizes}")
         dims = Dimensions(sizes["N"], sizes["n"], sizes["m"])
         stacks = _json_object(payload.get("stacks"), "stacks")
-        upper, total, a, xtilde, Q, A, b = (
+        columns = [
             _decode_column(stacks, name, tuple(sizes[k] for k in axes)) for name, axes in _COLUMNS.items()
-        )
+        ]
+        return cls.from_columns(dims, *columns)
+
+    @classmethod
+    def from_columns(cls, dims: Dimensions, upper, total, a, xtilde, Q, A, b) -> "GameSpec":
+        """The box-simplex/quadratic game whose agent i is row i of the seven
+        :data:`_COLUMNS` arrays, every agent built through its constructor checks."""
         agents = [
-            AgentSpec(BoxSimplex(upper[i], total[i]), QuadraticAgg(a[i], xtilde[i], Q[i]), A[i], b[i])
-            for i in range(dims.N)
+            AgentSpec(BoxSimplex(u, t), QuadraticAgg(a_i, x, Q_i), A_i, b_i)
+            for u, t, a_i, x, Q_i, A_i, b_i in zip(upper, total, a, xtilde, Q, A, b, strict=True)
         ]
         return cls(dims=dims, agents=agents)
 
@@ -533,12 +539,8 @@ def coupling_violation(game: GameSpec, x: np.ndarray) -> np.ndarray:
     return np.maximum(game.coupling_value(x) - game.b_total, 0.0)
 
 
-def find_feasible_point(
-    game: GameSpec,
-    margin: float = SLATER_MARGIN,
-    max_iters: int = FEASIBILITY_MAX_ITERS,
-) -> tuple[np.ndarray, bool]:
-    """Phase-1 projected-gradient search for a point with A x <= b - margin.
+def find_feasible_point(game: GameSpec) -> tuple[np.ndarray, bool]:
+    """Phase-1 projected-gradient search for a point with A x <= b - SLATER_MARGIN.
 
     Returns ``(x, strict)``.  ``strict`` is False when only a point with
     ``A x <= b`` (no margin) was reached; raises :class:`Infeasible` when
@@ -547,8 +549,8 @@ def find_feasible_point(
     """
     X = game.default_points().copy()  # the caller owns the returned point
     step = 1.0 / max(game.stacks.coupling_norm**2, 1e-12)
-    target = game.b_total - margin
-    for _ in range(max_iters):
+    target = game.b_total - SLATER_MARGIN
+    for _ in range(FEASIBILITY_MAX_ITERS):
         resid = np.maximum(game.coupling_value(X.ravel()) - target, 0.0)
         if not resid.any():
             return X.ravel(), True

@@ -10,7 +10,7 @@ first-order optimality residuals used for certification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -202,24 +202,10 @@ class KktResidual:
     link: float
 
     def max_value(self) -> float:
-        return max(
-            self.stationarity,
-            self.primal,
-            self.complementarity,
-            self.dual_sign,
-            self.consensus,
-            self.link,
-        )
+        return max(self.to_dict().values())
 
     def to_dict(self) -> dict:
-        return {
-            "stationarity": self.stationarity,
-            "primal": self.primal,
-            "complementarity": self.complementarity,
-            "dual_sign": self.dual_sign,
-            "consensus": self.consensus,
-            "link": self.link,
-        }
+        return asdict(self)
 
 
 def stationarity_residual(game: GameSpec, x: np.ndarray, lam: np.ndarray) -> float:

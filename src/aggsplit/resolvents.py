@@ -11,6 +11,7 @@ blocks, and alpha, beta, delta on the aggregate and multiplier blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -54,15 +55,15 @@ class StepSizes:
     def N(self) -> int:
         return self.gamma.shape[0]
 
-    @property
+    @cached_property
     def gamma_hat(self) -> float:
         return float(self.gamma.mean())
 
-    @property
+    @cached_property
     def delta_c(self) -> float:
         return self.delta / (self.delta * self.gamma_hat + 1.0 / self.N)
 
-    @property
+    @cached_property
     def beta_c(self) -> float:
         return self.beta / (1.0 + self.beta * (self.alpha + self.gamma_hat / self.N))
 

@@ -100,8 +100,8 @@ def inclusion_residual_B(
 # -- suites ------------------------------------------------------------------------------
 
 
-def suite_step_sizes(steps: StepSizes, draws: int = 1000, seed: int = 0) -> SuiteResult:
-    """Round-trip the raw/central step-size bijections across random draws.
+def suite_step_sizes(game: GameSpec, steps: StepSizes) -> SuiteResult:
+    """Round-trip the raw/central step-size bijections across 1000 random draws.
 
     Central draws cover the full admissible intervals; raw draws are
     log-uniform over moderate decades.  (Raw values far into the
@@ -109,12 +109,12 @@ def suite_step_sizes(steps: StepSizes, draws: int = 1000, seed: int = 0) -> Suit
     lose precision through the reparameterization, so such draws would
     test conditioning, not correctness.)
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     gamma = steps.gamma
     gamma_hat = steps.gamma_hat
     N = steps.N
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(1000):
         delta = float(10.0 ** rng.uniform(-1.5, 1.5))
         beta = float(10.0 ** rng.uniform(-1.5, 1.5))
         alpha = float(10.0 ** rng.uniform(-1, 1))
@@ -136,22 +136,22 @@ def suite_step_sizes(steps: StepSizes, draws: int = 1000, seed: int = 0) -> Suit
     return SuiteResult("step-sizes", worst <= 1e-12, f"max round-trip relative error {worst:.3e}")
 
 
-def suite_skew(game: GameSpec, count: int = 100, seed: int = 0) -> SuiteResult:
-    """<w, S w> must vanish for the linear coupling map."""
-    rng = np.random.default_rng(seed)
+def suite_skew(game: GameSpec, steps: StepSizes) -> SuiteResult:
+    """<w, S w> must vanish for the linear coupling map, at 100 random points."""
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(100):
         w = random_extended_point(game, rng)
         val = abs(float(w.as_vector() @ apply_S(game.dims, w).as_vector()))
         worst = max(worst, val / max(w.norm() ** 2, 1e-300))
     return SuiteResult("skew", worst <= 1e-10, f"max relative skew defect {worst:.3e}")
 
 
-def suite_splitting(game: GameSpec, count: int = 50, seed: int = 0) -> SuiteResult:
-    """Single-valued selections of the two halves must sum to the full operator."""
-    rng = np.random.default_rng(seed)
+def suite_splitting(game: GameSpec, steps: StepSizes) -> SuiteResult:
+    """Single-valued selections of the two halves must sum to the full operator, at 50 random points."""
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(50):
         w = random_extended_point(game, rng)
         w.lam = np.abs(w.lam) + 0.1  # strictly positive multiplier
         total = apply_A_selection(game, w) + apply_S(game.dims, w)
@@ -160,33 +160,25 @@ def suite_splitting(game: GameSpec, count: int = 50, seed: int = 0) -> SuiteResu
     return SuiteResult("splitting", worst <= 1e-10, f"max splitting defect {worst:.3e}")
 
 
-def suite_resolvents(
-    game: GameSpec,
-    steps: StepSizes,
-    count: int = 50,
-    tol: float = 1e-8,
-    seed: int = 0,
-    prox_tol: float = 1e-10,
-) -> SuiteResult:
-    """Both resolvent outputs must satisfy their defining inclusions."""
-    rng = np.random.default_rng(seed)
+def suite_resolvents(game: GameSpec, steps: StepSizes) -> SuiteResult:
+    """Both resolvent outputs must satisfy their defining inclusions to 1e-8, at 50 random points."""
+    rng = np.random.default_rng(0)
     worst_a = worst_b = 0.0
-    for _ in range(count):
+    for _ in range(50):
         w = random_extended_point(game, rng)
-        wa = resolvent_A(game, steps, w, tol=prox_tol)
+        wa = resolvent_A(game, steps, w)
         worst_a = max(worst_a, inclusion_residual_A(game, steps, w, wa))
         wb = resolvent_B(game.dims, steps, w)
         worst_b = max(worst_b, inclusion_residual_B(game, steps, w, wb))
-    ok = worst_a <= tol and worst_b <= tol
+    ok = worst_a <= 1e-8 and worst_b <= 1e-8
     return SuiteResult(
         "resolvents", ok, f"max inclusion residuals: A {worst_a:.3e}, B {worst_b:.3e}"
     )
 
 
-def suite_firmness(
-    game: GameSpec, steps: StepSizes, count: int = 100, slack: float = 1e-8, seed: int = 0
-) -> SuiteResult:
-    """Firm nonexpansiveness of both resolvents in the preconditioned metric.
+def suite_firmness(game: GameSpec, steps: StepSizes) -> SuiteResult:
+    """Firm nonexpansiveness of both resolvents in the preconditioned metric,
+    up to a slack of 1e-8 on 100 random pairs.
 
     Holds exactly when the extended gradient map is monotone, which any
     genuine dependence of a cost on the broadcast aggregate destroys (and
@@ -201,9 +193,9 @@ def suite_firmness(
             "skipped: costs depend on the aggregate, so the extended map is not monotone",
             skipped=True,
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = -np.inf
-    for _ in range(count):
+    for _ in range(100):
         w1 = random_extended_point(game, rng)
         w2 = random_extended_point(game, rng)
         for J in (
@@ -215,28 +207,23 @@ def suite_firmness(
             lhs = steps.gamma_inv_inner(d_out, d_out)
             rhs = steps.gamma_inv_inner(d_out, d_in)
             worst = max(worst, lhs - rhs)
-    return SuiteResult("firmness", worst <= slack, f"max firmness defect {worst:.3e}")
+    return SuiteResult("firmness", worst <= 1e-8, f"max firmness defect {worst:.3e}")
 
 
-def suite_trajectory(
-    game: GameSpec,
-    steps: StepSizes,
-    iters: int = 50,
-    tol: float = 1e-8,
-    prox_tol: float = 1e-12,
-) -> SuiteResult:
-    """Round-based and raw formulations must produce the same trajectories.
+def suite_trajectory(game: GameSpec, steps: StepSizes) -> SuiteResult:
+    """Round-based and raw formulations must produce the same trajectories,
+    to 1e-8 over 50 rounds with prox tolerance 1e-12.
 
     Mapping: round iterate k equals the raw half-step of round k-1; the
     central variables equal the raw full-step values.
     """
-    config = RunConfig(steps=steps, prox_tol=prox_tol)
+    config = RunConfig(steps=steps, prox_tol=1e-12)
     engine = DrEngine(game, config)
     tilde = raw_initial_tilde(game, config)
     worst = 0.0
-    for _ in range(iters):
+    for _ in range(50):
         engine.step()
-        half, full, tilde = raw_dr_step(tilde, game, steps, 1.0, prox_tol)
+        half, full, tilde = raw_dr_step(tilde, game, steps, 1.0, config.prox_tol)
         worst = max(
             worst,
             float(np.max(np.abs(engine.X.ravel() - half.x))),
@@ -244,20 +231,18 @@ def suite_trajectory(
             float(np.max(np.abs(engine.coord.mu - full.mu))),
             float(np.max(np.abs(engine.coord.lam - full.lam))),
         )
-    return SuiteResult("trajectory", worst <= tol, f"max trajectory deviation {worst:.3e}")
+    return SuiteResult("trajectory", worst <= 1e-8, f"max trajectory deviation {worst:.3e}")
 
 
-def suite_kkt(
-    game: GameSpec, steps: StepSizes, stop_tol: float = 1e-8, max_iters: int = 100_000
-) -> SuiteResult:
-    """A converged run must land on a point with matching optimality residuals."""
-    config = RunConfig(steps=steps, stop_tol=stop_tol, max_iters=max_iters, record_every=max_iters)
+def suite_kkt(game: GameSpec, steps: StepSizes) -> SuiteResult:
+    """A run converged to 1e-8 must land on a point with matching optimality residuals."""
+    config = RunConfig(steps=steps, stop_tol=1e-8, max_iters=100_000, record_every=100_000)
     try:
         trace = run_dr(game, config, validate=False)
     except MaxItersExceeded:
-        return SuiteResult("kkt", False, f"no convergence within {max_iters} iterations")
+        return SuiteResult("kkt", False, f"no convergence within {config.max_iters} iterations")
     kkt = trace.final_kkt
-    bound = 10.0 * stop_tol
+    bound = 10.0 * config.stop_tol
     ok = kkt.max_value() <= bound and float(np.max(np.abs(trace.final_point.mu))) <= bound
     return SuiteResult(
         "kkt",
@@ -266,25 +251,23 @@ def suite_kkt(
     )
 
 
-# suite name -> runner(game, steps, seed); the keys, in order, are SUITES
+# suite name -> runner(game, steps); the keys, in order, are SUITES
 _SUITE_RUNNERS = {
-    "step-sizes": lambda game, steps, seed: suite_step_sizes(steps, seed=seed),
-    "skew": lambda game, steps, seed: suite_skew(game, seed=seed),
-    "splitting": lambda game, steps, seed: suite_splitting(game, seed=seed),
-    "resolvents": lambda game, steps, seed: suite_resolvents(game, steps, seed=seed),
-    "firmness": lambda game, steps, seed: suite_firmness(game, steps, seed=seed),
-    "trajectory": lambda game, steps, seed: suite_trajectory(game, steps),
-    "kkt": lambda game, steps, seed: suite_kkt(game, steps),
+    "step-sizes": suite_step_sizes,
+    "skew": suite_skew,
+    "splitting": suite_splitting,
+    "resolvents": suite_resolvents,
+    "firmness": suite_firmness,
+    "trajectory": suite_trajectory,
+    "kkt": suite_kkt,
 }
 SUITES = tuple(_SUITE_RUNNERS)
 
 
-def run_suites(
-    game: GameSpec, steps: StepSizes, suites: tuple[str, ...] | None = None, seed: int = 0
-) -> list[SuiteResult]:
+def run_suites(game: GameSpec, steps: StepSizes, suites: tuple[str, ...] | None = None) -> list[SuiteResult]:
     """Run the requested suites (all by default) and collect their results."""
     chosen = SUITES if suites is None else tuple(suites)
     for name in chosen:
         if name not in _SUITE_RUNNERS:
             raise ValueError(f"unknown suite '{name}'")
-    return [_SUITE_RUNNERS[name](game, steps, seed) for name in chosen]
+    return [_SUITE_RUNNERS[name](game, steps) for name in chosen]

@@ -15,12 +15,14 @@ import numpy as np
 from aggsplit.game import (
     AgentSpec,
     BoxSimplex,
+    Dimensions,
     GameSpec,
     GenericConvex,
     GenericSmooth,
     QuadraticAgg,
 )
 from aggsplit.operators import ExtendedPoint
+from aggsplit.projections import project_box_simplex_batch
 from aggsplit.resolvents import StepSizes
 
 
@@ -282,3 +284,35 @@ def wrap_sets_in_oracles(game: GameSpec) -> GameSpec:
             )
         )
     return GameSpec(dims=game.dims, agents=agents)
+
+
+def per_agent_benchmark(params) -> GameSpec:
+    """The benchmark instance of ``params``, drawn agent by agent into its own
+    set, cost and coupling objects: the same streams and draw order as
+    ``generate_benchmark`` (per agent a, w, q, qbar, then caps resampled until
+    every entry is at most 1; then b from the shared stream), no validation."""
+    N, n = params.N, params.n
+    agents, w, uppers = [], np.empty(N), np.empty((N, n))
+    for i in range(N):
+        rng = np.random.default_rng(np.random.SeedSequence((params.seed, 1, i)))
+        a_i = rng.uniform(*params.a_range)
+        w[i] = rng.uniform(*params.w_range)
+        q_i = rng.uniform(*params.q_range)
+        qbar = rng.uniform(params.qbar_range[0], params.qbar_range[1], size=(n, n))
+        while True:
+            u = rng.random(n)
+            if u.sum() != 0.0 and np.all(u * (params.upper_total / u.sum()) <= 1.0):
+                break
+        uppers[i] = u * (params.upper_total / u.sum())
+        agents.append((BoxSimplex(uppers[i], params.simplex_total), a_i, q_i * np.eye(n) + qbar))
+    e1 = np.zeros((N, n))
+    e1[:, 0] = 1.0
+    xtilde = project_box_simplex_batch(e1, uppers, np.full(N, float(params.simplex_total)))
+    rng_global = np.random.default_rng(np.random.SeedSequence((params.seed, 0)))
+    cap_totals = np.einsum("i,ij->j", w, uppers)
+    b = rng_global.uniform(params.b_fraction[0] * cap_totals, params.b_fraction[1] * cap_totals)
+    spec_agents = [
+        AgentSpec(omega=omega, cost=QuadraticAgg(a=a_i, xtilde=xtilde[i], Q=Q), A=w[i] * np.eye(n), b=b / N)
+        for i, (omega, a_i, Q) in enumerate(agents)
+    ]
+    return GameSpec(dims=Dimensions(N=N, n=n, m=n), agents=spec_agents)

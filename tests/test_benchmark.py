@@ -12,6 +12,7 @@ from aggsplit import (
     BoxSimplex,
     Dimensions,
     DrEngine,
+    EmptyLocalSet,
     GameSpec,
     GenerationFailed,
     NonSmoothCost,
@@ -30,7 +31,7 @@ from aggsplit import (
     run_dr,
     validate_game,
 )
-from oracles import deviation_gap, wrap_costs_in_oracles, wrap_sets_in_oracles
+from oracles import deviation_gap, per_agent_benchmark, wrap_costs_in_oracles, wrap_sets_in_oracles
 
 
 class TestParams:
@@ -103,6 +104,36 @@ class TestGenerate:
         game.save(tmp_path / "batched.json")
         per_agent.save(tmp_path / "per_agent.json")
         assert (tmp_path / "batched.json").read_bytes() == (tmp_path / "per_agent.json").read_bytes()
+
+    @pytest.mark.parametrize("N, n, seed", [(6, 4, 21), (50, 5, 4), (1, 10, 0), (30, 6, 2)])
+    def test_columns_equal_the_per_agent_draw(self, N, n, seed):
+        params = BenchmarkParams(N=N, n=n, seed=seed)
+        expected = json.dumps(per_agent_benchmark(params).to_json_dict())
+        assert json.dumps(generate_benchmark(params).to_json_dict()) == expected
+
+    def test_generator_and_game_file_build_through_from_columns(self, monkeypatch, tmp_path):
+        built = []
+        real = GameSpec.from_columns.__func__
+
+        def spy(cls, *args):
+            built.append(args[0])
+            return real(cls, *args)
+
+        monkeypatch.setattr(GameSpec, "from_columns", classmethod(spy))
+        game = generate_benchmark(BenchmarkParams(N=6, n=4, seed=21))
+        game.save(tmp_path / "game.json")
+        GameSpec.load(tmp_path / "game.json")
+        assert built == [game.dims, game.dims]
+        monkeypatch.undo()
+
+        names = ("upper", "total", "a", "xtilde", "Q", "A", "b")
+        cases = [(name, np.nan, ValueError) for name in names]  # every column is checked finite
+        cases += [("upper", -0.5, ValueError), ("total", 10.0, EmptyLocalSet), ("a", 0.0, ValueError)]
+        for name, value, error in cases:
+            columns = {key: getattr(game.stacks, key).copy() for key in names}
+            columns[name][2] = value  # all of agent 2's entries in that column
+            with pytest.raises(error):
+                GameSpec.from_columns(game.dims, **columns)
 
     def test_single_agent_instance_degenerates_cleanly(self):
         game = generate_benchmark(BenchmarkParams(N=1, n=10, seed=0))
