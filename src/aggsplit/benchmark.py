@@ -198,8 +198,8 @@ def _deviation_groups(game: GameSpec, X: np.ndarray) -> list[tuple[np.ndarray, C
     and is a group of its own, projected by Dykstra's method over Omega_i and its
     halfspaces.
     """
-    own = (game.stacks.A @ X[..., None])[..., 0]  # rounds like the per-agent A_i @ x_i
-    slack = game.b_total - (game.coupling_value(X.ravel()) - own)
+    own = (game.stacks.A @ X[..., None])[..., 0]  # rounds like the per-agent A_i @ x_i, which einsum may not
+    slack = game.stacks.b_total - (game.stacks.coupling_value(X) - own)
     w = game.stacks.capped_weight
     capped = w > 0
     groups = []
@@ -434,6 +434,7 @@ def run_comparison(
         ref_tol = min(1e-8, tol * 1e-2)
     seeds = [params.seed + k for k in range(num_seeds)]
     jobs = [(params, s, methods, tol, ref_tol, max_iters) for s in seeds]
+    workers = min(workers, num_seeds)  # a process pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_one_seed, *zip(*jobs)))

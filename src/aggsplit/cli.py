@@ -84,13 +84,20 @@ def _params_from_args(args) -> BenchmarkParams:
 # -- subcommands -------------------------------------------------------------------------
 
 
+def _load_game(path: str) -> GameSpec:
+    """The game in file ``path``; exits with EXIT_INPUT_ERROR after saying why it cannot be read."""
+    try:
+        return GameSpec.load(path)
+    except (OSError, ValueError, KeyError, AggsplitError) as exc:
+        print(f"failed to read game file {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT_ERROR) from None
+
+
 def cmd_generate(args) -> int:
     params = _params_from_args(args)
-    game = generate_benchmark(params)
+    game = generate_benchmark(params)  # raises GenerationFailed unless the game validates
     report = validate_game(game)
     print(report.summary())
-    if not report.ok:
-        return EXIT_INPUT_ERROR
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     game.save(out)
@@ -99,11 +106,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        game = GameSpec.load(args.game)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"failed to read game file: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    game = _load_game(args.game)
     steps = benchmark_steps(game.dims.N, args.gamma, args.alpha, args.delta_c, args.beta_c)
     config = RunConfig(
         steps=steps,
@@ -164,11 +167,7 @@ def cmd_compare(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.game:
-        try:
-            game = GameSpec.load(args.game)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"failed to read game file: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+        game = _load_game(args.game)
     else:
         params = _params_from_args(args)
         game = generate_benchmark(params)

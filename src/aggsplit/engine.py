@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, InvalidStepSizes, MaxItersExceeded
-from .game import AgentStacks, GameSpec, validate_game
+from .game import AgentStacks, GameSpec, coupling_violation, validate_game
 from .operators import ExtendedPoint, KktResidual, kkt_residual
 from .resolvents import (
     DEFAULT_PROX_TOL,
@@ -197,7 +197,7 @@ def dr_init(
         raise InvalidStepSizes("per-agent step-size count differs from N")
 
     if x0 is None:
-        X = game.default_points().copy()
+        X = game.stacks.default_points.copy()
     else:
         X = np.asarray(x0, dtype=np.float64)
         if X.shape != (dims.N * dims.n,):
@@ -209,7 +209,7 @@ def dr_init(
         if not np.allclose(fixed, X, atol=1e-12):
             warnings.warn("x0 was outside the local sets and has been projected")
         X = fixed
-    Y = game.link_values(X)
+    Y = game.stacks.link_values(X)
 
     lam0 = np.zeros(dims.m) if config.lam0 is None else np.asarray(config.lam0, dtype=np.float64)
     if lam0.shape != (dims.m,):
@@ -323,12 +323,12 @@ class DrEngine:
         game, steps, bcast, coord = self.game, self.config.steps, self.bcast, self.coord
         st, N, k = game.stacks, game.dims.N, 1.0 - self.config.relaxation
         gamma = steps.gamma[:, None]
-        linear = np.einsum("imn,m->in", st.A, bcast.lam) - bcast.mu / N
+        linear = st.adjoint(bcast.lam) - bcast.mu / N
         # the offsets are exact zeros at unit relaxation; skip their (N, .) arithmetic there
         if k != 0.0:
-            linear += (np.einsum("imn,im->in", st.A, self.F) - self.D) / gamma
+            linear += (st.adjoint(self.F) - self.D) / gamma
         X_new = decoupled_prox(st, bcast.sigma, linear, self.X, steps.gamma, self.config.prox_tol)
-        Y_new = game.link_values(X_new)
+        Y_new = st.link_values(X_new)
         agg = AggregateMessage(xhat=X_new.mean(axis=0), yhat=Y_new.mean(axis=0))
         self.coord, self.bcast = coordinator_update(coord, agg, steps)
         if k != 0.0:
@@ -421,7 +421,6 @@ def _run_loop(
 
     record(0, 0.0, kkt_residual(game, point))
 
-    converged = False
     reason = "max_iters"
     gate_block_until = 0
     best_cheap, window_start, floor_kkt = np.inf, 0, np.inf
@@ -434,28 +433,23 @@ def _run_loop(
         diff = point - prev
         step_gamma = steps.gamma_inv_norm(diff)
         step_plain = diff.norm()
+        kkt = None
 
         if reference is not None:
             dist = float(np.linalg.norm(point.x - reference))
             dists.append(dist)
             if config.ref_stop is not None and dist <= config.ref_stop * max(dists[0], 1e-300):
-                converged, reason = True, "ref_stop"
-                record(k, step_plain, kkt_residual(game, point))
+                reason = "ref_stop"
                 break
 
         consensus = float(np.max(np.abs(point.sigma - point.x.reshape(-1, game.dims.n).mean(axis=0))))
-        primal = float(
-            np.max(np.maximum(game.coupling_value(point.x) - game.b_total, 0.0), initial=0.0)
-        )
+        primal = float(np.max(coupling_violation(game, point.x), initial=0.0))
         cheap = max(step_gamma, consensus, primal)
 
-        need_row = k % config.record_every == 0
-        kkt = None
         if cheap <= config.stop_tol and k >= gate_block_until:
             kkt = kkt_residual(game, point)
             if kkt.max_value() <= GATE_FACTOR * config.stop_tol:
-                converged, reason = True, "stop_tol"
-                record(k, step_plain, kkt)
+                reason = "stop_tol"
                 break
             gate_block_until = k + GATE_RECHECK
         if cheap < best_cheap:
@@ -464,29 +458,27 @@ def _run_loop(
             if kkt is None:
                 kkt = kkt_residual(game, point)
             if kkt.max_value() <= GATE_FACTOR * config.stop_tol:
-                converged, reason = True, "stalled"
-                record(k, step_plain, kkt)
+                reason = "stalled"
                 break
             if kkt.max_value() >= floor_kkt:
                 reason = "floor"
-                record(k, step_plain, kkt)
                 break
             floor_kkt, window_start = kkt.max_value(), k
-        if need_row:
+        if k % config.record_every == 0:
             if kkt is None:
                 kkt = kkt_residual(game, point)
             record(k, step_plain, kkt)
 
-    if not converged and trace.rows[-1].iter != k:
-        record(k, step_plain, kkt_residual(game, point))
+    if trace.rows[-1].iter != k:  # each stop breaks before its row; a budget stop may have recorded it
+        record(k, step_plain, kkt_residual(game, point) if kkt is None else kkt)
 
     trace.final_point = point
     trace.final_kkt = trace.rows[-1].kkt
-    trace.converged = converged
+    trace.converged = reason in ("stop_tol", "stalled", "ref_stop")  # "floor" and "max_iters" raise
     trace.iterations = k
     trace.stop_reason = reason
     trace.dist_curve = np.asarray(dists) if reference is not None else None
-    if not converged:
+    if not trace.converged:
         raise MaxItersExceeded(trace)
     return trace
 
@@ -540,17 +532,17 @@ class _PfbEngine:
     def point(self) -> ExtendedPoint:
         return ExtendedPoint(
             x=self.X.ravel().copy(),
-            y=self.game.link_values(self.X).ravel(),
+            y=self.game.stacks.link_values(self.X).ravel(),
             sigma=self.X.mean(axis=0),
             mu=np.zeros(self.game.dims.n),
             lam=self.lam.copy(),
         )
 
     def step(self) -> None:
-        game, X, lam = self.game, self.X, self.lam
-        grad = game.stacks.grad(X, X.mean(axis=0)) + np.einsum("imn,m->in", game.stacks.A, lam)
+        game, st, X, lam = self.game, self.game.stacks, self.X, self.lam
+        grad = st.grad(X, X.mean(axis=0)) + st.adjoint(lam)
         self.X = game.project_each(X - self.tau[:, None] * grad)
-        resid = game.coupling_value((2.0 * self.X - X).ravel()) - game.b_total
+        resid = st.coupling_value(2.0 * self.X - X) - st.b_total
         self.lam = np.maximum(lam + self.tau_lam * resid, 0.0)
 
 

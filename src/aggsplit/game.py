@@ -243,8 +243,9 @@ class AgentStacks:
     set is a box-simplex; ``a``/``xtilde``/``Q`` hold the quadratic rows, in row
     order.  ``value``, ``grad`` and ``grad_sigma`` take a shared or a row-wise
     aggregate: the quadratic rule when every cost is quadratic, else each
-    agent's oracles.  The constants derived from the agents alone are cached
-    properties, computed on first use.
+    agent's oracles.  ``link_values``, ``coupling_value`` and ``adjoint`` are the
+    only products with the coupling blocks A_i.  The constants derived from the
+    agents alone are cached properties, computed on first use.
     """
 
     agents: tuple[AgentSpec, ...]
@@ -356,6 +357,16 @@ class AgentStacks:
         """(B, m) link rows A_r x_r - b_r of a (B, n) decision array."""
         return np.einsum("imn,in->im", self.A, X) - self.b
 
+    def coupling_value(self, X: np.ndarray) -> np.ndarray:
+        """(m,) coupling sum A x = sum_r A_r x_r of a (B, n) decision array, ascending row order."""
+        return np.einsum("imn,in->m", self.A, X)
+
+    def adjoint(self, V: np.ndarray) -> np.ndarray:
+        """(B, n) rows A_r' v of a shared (m,) ``v``, or A_r' V[r] of a (B, m) ``V``."""
+        if V.ndim == 1:
+            return np.einsum("imn,m->in", self.A, V)
+        return np.einsum("imn,im->in", self.A, V)
+
     def value(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         """(B,) cost values, row r at ``X[r]`` with the aggregate ``sigma``, or
         ``sigma[r]`` when ``sigma`` is (B, n)."""
@@ -403,25 +414,6 @@ class GameSpec:
         for agent in self.agents:
             agent.check_dims(self.dims)
 
-    # -- assembled coupling data -------------------------------------------------
-
-    @property
-    def b_total(self) -> np.ndarray:
-        return self.stacks.b_total
-
-    def full_matrix(self) -> np.ndarray:
-        """The assembled (m, n N) coupling matrix."""
-        return np.concatenate(self.stacks.A, axis=1)
-
-    def coupling_value(self, x: np.ndarray) -> np.ndarray:
-        """A x = sum_i A_i x_i, fixed ascending agent order."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dims.N * self.dims.n,):
-            raise DimensionMismatch(f"stacked decision must have length {self.dims.N * self.dims.n}")
-        return np.einsum("imn,in->m", self.stacks.A, x.reshape(self.dims.N, self.dims.n))
-
-    # -- per-row stacks -----------------------------------------------------------
-
     @cached_property
     def stacks(self) -> AgentStacks:
         """The agents' :class:`AgentStacks`, built once per game (``replace`` builds anew)."""
@@ -431,13 +423,14 @@ class GameSpec:
     def _probes(self) -> dict:  # (sample_count, seed) -> monotonicity ProbeReport, filled on demand
         return {}
 
-    def link_values(self, X: np.ndarray) -> np.ndarray:
-        """(N, m) link rows A_i x_i - b_i of an (N, n) decision array."""
-        return self.stacks.link_values(X)
+    # -- checked entry points over the per-row stacks ------------------------------
 
-    def default_points(self) -> np.ndarray:
-        """(N, n) read-only rows: each agent's projection of the origin, computed once."""
-        return self.stacks.default_points
+    def coupling_value(self, x: np.ndarray) -> np.ndarray:
+        """A x = sum_i A_i x_i of a stacked decision vector, fixed ascending agent order."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.dims.N * self.dims.n,):
+            raise DimensionMismatch(f"stacked decision must have length {self.dims.N * self.dims.n}")
+        return self.stacks.coupling_value(x.reshape(self.dims.N, self.dims.n))
 
     def project_each(self, X: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Per-agent projection of the rows of an (N, n) array onto the local sets."""
@@ -480,11 +473,16 @@ class GameSpec:
     @classmethod
     def from_columns(cls, dims: Dimensions, upper, total, a, xtilde, Q, A, b) -> "GameSpec":
         """The box-simplex/quadratic game whose agent i is row i of the seven
-        :data:`_COLUMNS` arrays, every agent built through its constructor checks."""
-        agents = [
-            AgentSpec(BoxSimplex(u, t), QuadraticAgg(a_i, x, Q_i), A_i, b_i)
-            for u, t, a_i, x, Q_i, A_i, b_i in zip(upper, total, a, xtilde, Q, A, b, strict=True)
-        ]
+        :data:`_COLUMNS` arrays, every agent built through its constructor checks;
+        a row that fails them raises its error again, naming agent i."""
+        agents = []
+        for i, (u, t, a_i, x, Q_i, A_i, b_i) in enumerate(zip(upper, total, a, xtilde, Q, A, b, strict=True)):
+            try:
+                agents.append(AgentSpec(BoxSimplex(u, t), QuadraticAgg(a_i, x, Q_i), A_i, b_i))
+            except EmptyLocalSet:
+                raise EmptyLocalSet(agent=i) from None
+            except ValueError as exc:
+                raise ValueError(f"agent {i}: {exc}") from None
         return cls(dims=dims, agents=agents)
 
     def save(self, path: str | Path) -> None:
@@ -536,7 +534,7 @@ def average(x: np.ndarray, n: int) -> np.ndarray:
 
 def coupling_violation(game: GameSpec, x: np.ndarray) -> np.ndarray:
     """Componentwise positive part of A x - b; zero iff the coupling holds."""
-    return np.maximum(game.coupling_value(x) - game.b_total, 0.0)
+    return np.maximum(game.coupling_value(x) - game.stacks.b_total, 0.0)
 
 
 def find_feasible_point(game: GameSpec) -> tuple[np.ndarray, bool]:
@@ -547,14 +545,14 @@ def find_feasible_point(game: GameSpec) -> tuple[np.ndarray, bool]:
     even that fails, at a fixed point of the projected-gradient step or
     when the iteration budget runs out.
     """
-    X = game.default_points().copy()  # the caller owns the returned point
+    X = game.stacks.default_points.copy()  # the caller owns the returned point
     step = 1.0 / max(game.stacks.coupling_norm**2, 1e-12)
-    target = game.b_total - SLATER_MARGIN
+    target = game.stacks.b_total - SLATER_MARGIN
     for _ in range(FEASIBILITY_MAX_ITERS):
-        resid = np.maximum(game.coupling_value(X.ravel()) - target, 0.0)
+        resid = np.maximum(game.stacks.coupling_value(X) - target, 0.0)
         if not resid.any():
             return X.ravel(), True
-        grad = np.einsum("imn,m->in", game.stacks.A, resid)
+        grad = game.stacks.adjoint(resid)
         X_next = game.project_each(X - step * grad)
         if np.array_equal(X_next, X):
             break  # a fixed point minimizes the convex phase-1 objective: no step can help
@@ -629,7 +627,7 @@ def validate_game(game: GameSpec) -> ValidationReport:
     rows, sigma_probe = np.flatnonzero(stacks.has_grad), np.full(dims.n, 0.25)
     grad_errs = []
     if rows.size:
-        part, X_probe = stacks.take(rows), game.default_points()[rows]
+        part, X_probe = stacks.take(rows), stacks.default_points[rows]
         G = part.grad(X_probe, sigma_probe)
         grad_errs = _fd_gradient_errors(lambda Z: part.value(Z, sigma_probe), X_probe, G).tolist()
         messages += [

@@ -209,22 +209,21 @@ class KktResidual:
 
 
 def stationarity_residual(game: GameSpec, x: np.ndarray, lam: np.ndarray) -> float:
-    """Worst-agent natural residual of 0 in grad_i + A_i' lam + normal cone."""
-    dims = game.dims
-    X = x.reshape(dims.N, dims.n)
-    G = aggregative_subdifferential(game, x).reshape(dims.N, dims.n)
-    G = G + np.einsum("imn,m->in", game.stacks.A, lam)
+    """Worst-agent natural residual of 0 in grad_i + A_i' lam + normal cone,
+    the gradients taken with the aggregate frozen at the actual average."""
+    st, X = game.stacks, x.reshape(game.dims.N, game.dims.n)
+    G = st.grad(X, X.mean(axis=0)) + st.adjoint(lam)
     P = game.project_each(X - G)
     return float(np.max(np.linalg.norm(X - P, axis=1)))
 
 
 def kkt_residual(game: GameSpec, w: ExtendedPoint) -> KktResidual:
     """All first-order residuals of an extended point."""
-    dims = game.dims
+    dims, st = game.dims, game.stacks
     w.check_dims(dims)
-    resid = game.coupling_value(w.x) - game.b_total
-    Y = w.y.reshape(dims.N, dims.m)
-    links = game.link_values(w.x.reshape(dims.N, dims.n))
+    X, Y = w.x.reshape(dims.N, dims.n), w.y.reshape(dims.N, dims.m)
+    resid = st.coupling_value(X) - st.b_total
+    links = st.link_values(X)
     return KktResidual(
         stationarity=stationarity_residual(game, w.x, w.lam),
         primal=float(np.max(np.maximum(resid, 0.0), initial=0.0)),

@@ -207,16 +207,16 @@ def resolvent_A(
         y_i+ = A_i x_i+ - b_i
     The aggregate and multiplier blocks pass through unchanged.
     """
-    dims = game.dims
+    dims, st = game.dims, game.stacks
     w.check_dims(dims)
     X = w.x_blocks(dims.n)
     Y = w.y_blocks(dims.m)
     gamma = steps.gamma[:, None]
-    linear = np.einsum("imn,im->in", game.stacks.A, game.link_values(X) - Y) / gamma
-    X_new = decoupled_prox(game.stacks, w.sigma, linear, X, steps.gamma, tol)
+    linear = st.adjoint(st.link_values(X) - Y) / gamma
+    X_new = decoupled_prox(st, w.sigma, linear, X, steps.gamma, tol)
     return ExtendedPoint(
         x=X_new.ravel(),
-        y=game.link_values(X_new).ravel(),
+        y=st.link_values(X_new).ravel(),
         sigma=w.sigma.copy(),
         mu=w.mu.copy(),
         lam=w.lam.copy(),

@@ -16,7 +16,7 @@ import numpy as np
 from .engine import DrEngine, RunConfig, raw_dr_step, raw_initial_tilde, run_dr
 from .errors import MaxItersExceeded
 from .game import GameSpec
-from .operators import ExtendedPoint, apply_S, apply_A_selection, apply_T_selection
+from .operators import ExtendedPoint, apply_S, apply_A_selection, apply_T_selection, extended_subdifferential
 from .resolvents import StepSizes, resolvent_A, resolvent_B
 
 @dataclass
@@ -61,13 +61,11 @@ def inclusion_residual_A(
     X, Xp = w.x_blocks(dims.n), w_plus.x_blocks(dims.n)
     Y, Yp = w.y_blocks(dims.m), w_plus.y_blocks(dims.m)
     gamma = steps.gamma[:, None]
-    from .operators import extended_subdifferential
-
     G = extended_subdifferential(game, w_plus.x, w.sigma).reshape(dims.N, dims.n)
-    H = (Xp - X) / gamma + G + np.einsum("imn,im->in", game.stacks.A, (Yp - Y) / gamma)
+    H = (Xp - X) / gamma + G + game.stacks.adjoint((Yp - Y) / gamma)
     proj = game.project_each(Xp - H)
     r_x = float(np.max(np.linalg.norm(Xp - proj, axis=1)))
-    r_y = float(np.max(np.abs(Yp - game.link_values(Xp)), initial=0.0))
+    r_y = float(np.max(np.abs(Yp - game.stacks.link_values(Xp)), initial=0.0))
     r_pass = max(
         float(np.max(np.abs(w_plus.sigma - w.sigma), initial=0.0)),
         float(np.max(np.abs(w_plus.mu - w.mu), initial=0.0)),

@@ -213,7 +213,7 @@ def deviation_gap(
     eps = np.empty(N)
     for i, agent in enumerate(game.agents):
         cost, omega, A = agent.cost, agent.omega, agent.A
-        slack = game.b_total - (coupled - A @ X[i])
+        slack = game.stacks.b_total - (coupled - A @ X[i])
         w = A[0, 0]
         scaled_identity = A.shape == (n, n) and w > 0 and np.array_equal(A, w * np.eye(n))
         if isinstance(omega, BoxSimplex) and scaled_identity:

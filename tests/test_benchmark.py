@@ -73,7 +73,7 @@ class TestGenerate:
         w = np.array([agent.A[0, 0] for agent in game.agents])
         uppers = np.stack([agent.omega.upper for agent in game.agents])
         cap_totals = np.einsum("i,ij->j", w, uppers)
-        b = game.b_total
+        b = game.stacks.b_total
         assert np.all(b >= 0.5 * cap_totals - 1e-9)
         assert np.all(b <= (2.0 / 3.0) * cap_totals + 1e-9)
 
@@ -132,7 +132,7 @@ class TestGenerate:
         for name, value, error in cases:
             columns = {key: getattr(game.stacks, key).copy() for key in names}
             columns[name][2] = value  # all of agent 2's entries in that column
-            with pytest.raises(error):
+            with pytest.raises(error, match="agent 2"):
                 GameSpec.from_columns(game.dims, **columns)
 
     def test_single_agent_instance_degenerates_cleanly(self):
@@ -140,7 +140,7 @@ class TestGenerate:
         x = game.agents[0].omega.default_point()
         w1 = game.agents[0].A[0, 0]
         assert np.allclose(game.coupling_value(x), w1 * x)
-        assert np.allclose(game.b_total, game.agents[0].b)
+        assert np.allclose(game.stacks.b_total, game.agents[0].b)
 
     def test_impossible_cap_law_raises(self):
         # entries <= 1 summing to 2 cannot exist at n = 1
@@ -255,14 +255,14 @@ class TestEpsilonGap:
         generic = wrap_costs_in_oracles(desk_game).agents[0]
         agents[0] = replace(generic, cost=replace(generic.cost, grad_sigma_fn=None))
         game = GameSpec(dims=desk_game.dims, agents=agents)
-        eps = epsilon_nash_gap(game, game.default_points().ravel(), samples=5)
+        eps = epsilon_nash_gap(game, game.stacks.default_points.ravel(), samples=5)
         assert np.all(np.isfinite(eps)) and np.all(eps >= 0.0)
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_sample_count_below_one_is_rejected(self, desk_game, samples):
         # no candidate at all would certify every agent with a zero gap
         with pytest.raises(ValueError):
-            epsilon_nash_gap(desk_game, desk_game.default_points().ravel(), samples=samples)
+            epsilon_nash_gap(desk_game, desk_game.stacks.default_points.ravel(), samples=samples)
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +277,7 @@ def gap_games(desk_game):
 
 def gap_points(game, x_eq):
     """The certified equilibrium, and the default points, where many iterations run."""
-    return {"equilibrium": x_eq, "default": game.default_points().ravel()}
+    return {"equilibrium": x_eq, "default": game.stacks.default_points.ravel()}
 
 
 def count_calls(monkeypatch, module, name):
@@ -321,7 +321,7 @@ class TestBatchedGap:
         game = GameSpec(dims=desk_game.dims, agents=agents)
         fista_calls = count_calls(monkeypatch, benchmark_mod, "fista_minimize")
         with pytest.raises(NonSmoothCost):
-            epsilon_nash_gap(game, game.default_points().ravel())
+            epsilon_nash_gap(game, game.stacks.default_points.ravel())
         assert len(fista_calls) == 1
 
     def test_one_coupling_block_off_the_family_solves_per_dykstra_row(self, desk_game, monkeypatch):
@@ -363,7 +363,7 @@ class TestBatchedGap:
             for _ in range(N)
         ]
         loose = GameSpec(dims=Dimensions(N, n, m), agents=agents)
-        b = 0.97 * loose.coupling_value(loose.default_points().ravel()) / N
+        b = 0.97 * loose.coupling_value(loose.stacks.default_points.ravel()) / N
         game = GameSpec(dims=loose.dims, agents=[replace(agent, b=b) for agent in agents])
         engine = DrEngine(game, RunConfig(steps=benchmark_steps(N)))
         for _ in range(10):
@@ -385,7 +385,7 @@ class TestBatchedGap:
         assert 0 < len(calls) < game.dims.N
 
     def test_sampled_gaps_equal_the_per_agent_loop(self, desk_game):
-        x = desk_game.default_points().ravel()
+        x = desk_game.stacks.default_points.ravel()
         for game in (desk_game, wrap_costs_in_oracles(desk_game)):
             sampled = epsilon_nash_gap(game, x, samples=30, seed=3)
             assert np.max(np.abs(sampled - deviation_gap(game, x, samples=30, seed=3))) <= 1e-14
@@ -407,6 +407,30 @@ class TestComparison:
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "curve_dr.csv").exists()
+
+    def test_workers_are_capped_at_the_seed_count(self, monkeypatch):
+        # a process pool starts all its workers at once; this stand-in starts none
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(benchmark_mod, "ProcessPoolExecutor", SerialPool)
+        report = run_comparison(BenchmarkParams(N=10, n=4, seed=31), num_seeds=2, tol=1e-5, workers=8)
+        assert pools == [2]
+        assert [rec.error for rec in report.records] == [None, None]
+        run_comparison(BenchmarkParams(N=10, n=4, seed=31), num_seeds=1, tol=1e-5, workers=8)
+        assert pools == [2]  # one seed runs in process
 
     def test_seed_count_validated(self):
         with pytest.raises(ValueError):

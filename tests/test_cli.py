@@ -138,6 +138,17 @@ class TestSolve:
         assert run_cli(["solve", str(game_file), f"--tol={tol}", "-o", str(tmp_path / "o")]) == 64
         assert run_cli(["compare", "--seeds", "1", f"--tol={tol}", "-o", str(tmp_path / "c")]) == 64
 
+    def test_a_bad_row_names_the_file_and_the_agent(self, tmp_path, game_file, capsys):
+        payload = json.loads(game_file.read_text())
+        total = np.frombuffer(base64.b64decode(payload["stacks"]["total"]["f8"]), "<f8").copy()
+        total[7] = 5.0  # agent 7's caps sum to 2: its local set is empty
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_with_column(payload, "total", f8=base64.b64encode(total.tobytes()).decode())))
+        for command in (["solve", str(bad), "-o", str(tmp_path / "o")], ["verify", "--game", str(bad)]):
+            assert run_cli(command) == 2
+            err = capsys.readouterr().err
+            assert f"failed to read game file {bad}: local set of agent 7 is empty" in err
+
     def test_missing_file_exits_two(self, tmp_path):
         assert run_cli(["solve", str(tmp_path / "absent.json"), "-o", str(tmp_path / "o")]) == 2
 

@@ -24,6 +24,7 @@ from aggsplit import (
     benchmark_steps,
     coordinator_update,
     dr_init,
+    kkt_residual,
     raw_dr_step,
     raw_initial_tilde,
     run_dr,
@@ -138,7 +139,7 @@ class TestDrInit:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_start_rejected(self, desk_game, desk_steps, value):
-        x0 = desk_game.default_points().ravel().copy()
+        x0 = desk_game.stacks.default_points.ravel().copy()
         x0[0] = value
         with pytest.raises(ValueError, match="x0"):
             dr_init(desk_game, RunConfig(steps=desk_steps), x0=x0)
@@ -366,6 +367,31 @@ class TestRunDr:
         assert trace.final_kkt.max_value() > GATE_FACTOR * config.stop_tol
         assert trace.rows[-1].iter == trace.iterations
 
+    @pytest.mark.parametrize("reason", ["stop_tol", "stalled", "floor", "max_iters", "ref_stop"])
+    def test_every_stop_writes_one_last_row(self, desk_game, desk_steps, reason):
+        # the floor runs of the two tests above; every run stops before its first recorded round
+        game, reference = desk_game, None
+        config = RunConfig(steps=desk_steps, stop_tol=1e-8, record_every=1000)
+        if reason in ("stalled", "floor"):
+            game = generate_benchmark(BenchmarkParams(N=100, n=10, seed=1))
+            tol = 8e-15 if reason == "stalled" else 1e-15
+            config = RunConfig(steps=benchmark_steps(100), stop_tol=tol, max_iters=600, record_every=1000)
+        elif reason == "max_iters":
+            config = dataclasses.replace(config, stop_tol=1e-14, max_iters=26)
+        elif reason == "ref_stop":
+            reference = ground_truth_point(game, tol=1e-9, cross_check=False)[0].x
+            config = dataclasses.replace(config, stop_tol=0.0, ref_stop=1e-4)
+        try:
+            trace = run_dr(game, config, reference=reference, validate=False)
+        except MaxItersExceeded as exc:
+            trace = exc.trace
+        iters = [row.iter for row in trace.rows]
+        assert trace.stop_reason == reason
+        assert trace.converged == (reason in ("stop_tol", "stalled", "ref_stop"))
+        assert iters == [0, trace.iterations]
+        assert trace.final_kkt is trace.rows[-1].kkt
+        assert trace.final_kkt == kkt_residual(game, trace.final_point)
+
     def test_repeated_runs_are_bit_identical(self, desk_game, desk_steps):
         cfg = RunConfig(steps=desk_steps, stop_tol=1e-8)
         t1 = run_dr(desk_game, cfg, validate=False)
@@ -380,7 +406,7 @@ class TestRunDr:
         xhat = point.x.reshape(dims.N, dims.n).mean(axis=0)
         assert np.max(np.abs(point.sigma - xhat)) <= 10 * tol
         assert np.max(np.abs(point.mu)) <= 10 * tol
-        resid = desk_game.coupling_value(point.x) - desk_game.b_total
+        resid = desk_game.coupling_value(point.x) - desk_game.stacks.b_total
         assert abs(point.lam @ resid) <= 10 * tol * (1.0 + np.linalg.norm(point.lam))
 
     def test_relaxed_runs_reach_the_same_solution(self, desk_game, desk_steps):
@@ -759,7 +785,7 @@ class TestRunPfb:
         for game in (desk_game, wrap_costs_in_oracles(desk_game), paper, mixed):
             tau, tau_lam = pfb_step_sizes(game)
             assert np.array_equal(tau, per_agent_taus(game))
-            norm_A = float(np.linalg.norm(game.full_matrix(), 2))
+            norm_A = float(np.linalg.norm(np.concatenate(game.stacks.A, axis=1), 2))
             assert tau_lam == 0.4 / max(norm_A**2, 1e-12)
 
 

@@ -172,7 +172,7 @@ class TestValidateGame:
         game = desk_game if scale == "desk" else generate_benchmark(BenchmarkParams(seed=0))
         sigma = np.full(game.dims.n, 0.25)
         per_agent = [
-            fd_gradient_error(agent.cost, x, sigma) for agent, x in zip(game.agents, game.default_points())
+            fd_gradient_error(agent.cost, x, sigma) for agent, x in zip(game.agents, game.stacks.default_points)
         ]
         errs = validate_game(game).gradient_rel_err
         assert len(errs) == game.dims.N
@@ -249,30 +249,40 @@ class TestLinkInvariant:
 
 
     def test_batched_default_points_and_links_match_the_agents(self, desk_game):
-        X = desk_game.default_points()
-        assert desk_game.default_points() is X
+        X = desk_game.stacks.default_points
+        assert desk_game.stacks.default_points is X
         assert not X.flags.writeable
-        Y = desk_game.link_values(X)
+        Y = desk_game.stacks.link_values(X)
         for i, agent in enumerate(desk_game.agents):
             assert np.array_equal(X[i], agent.omega.default_point())
             assert np.allclose(Y[i], agent.link_value(X[i]), atol=1e-15)
+
+    def test_coupling_sum_and_adjoint_match_the_agents(self, desk_game, rng):
+        st, X = desk_game.stacks, desk_game.stacks.default_points
+        v, V = rng.random(desk_game.dims.m), rng.random((desk_game.dims.N, desk_game.dims.m))
+        total = sum(agent.A @ x for agent, x in zip(desk_game.agents, X))
+        assert np.allclose(st.coupling_value(X), total, atol=1e-14)
+        assert np.array_equal(desk_game.coupling_value(X.ravel()), st.coupling_value(X))
+        for i, agent in enumerate(desk_game.agents):
+            assert np.allclose(st.adjoint(v)[i], agent.A.T @ v, atol=1e-14)
+            assert np.allclose(st.adjoint(V)[i], agent.A.T @ V[i], atol=1e-14)
 
 
 class TestDerivedData:
     def test_replace_builds_the_new_games_own_data(self, desk_game):
         old_probe = monotonicity_probe(desk_game, sample_count=5)
-        old_b, old_points = desk_game.b_total, desk_game.default_points()
+        old_b, old_points = desk_game.stacks.b_total, desk_game.stacks.default_points
         agent = desk_game.agents[0]
         new = dataclasses.replace(
             desk_game, agents=[dataclasses.replace(agent, b=agent.b + 1.0), *desk_game.agents[1:]]
         )
         fresh = GameSpec(dims=new.dims, agents=list(new.agents))
         assert new.stacks is not desk_game.stacks
-        assert np.array_equal(new.b_total, fresh.b_total)
-        assert np.allclose(new.b_total, old_b + 1.0)
+        assert np.array_equal(new.stacks.b_total, fresh.stacks.b_total)
+        assert np.allclose(new.stacks.b_total, old_b + 1.0)
         assert new.stacks.coupling_norm == fresh.stacks.coupling_norm
-        assert new.default_points() is not old_points
-        assert np.array_equal(new.default_points(), fresh.default_points())
+        assert new.stacks.default_points is not old_points
+        assert np.array_equal(new.stacks.default_points, fresh.stacks.default_points)
         probe = monotonicity_probe(new, sample_count=5)
         assert probe is not old_probe
         assert probe == monotonicity_probe(fresh, sample_count=5)
@@ -332,7 +342,7 @@ class TestFeasibleSearch:
         monkeypatch.setattr(np.linalg, "norm", spy)
         find_feasible_point(game)
         validate_game(game)
-        x = game.default_points().ravel()
+        x = game.stacks.default_points.ravel()
         pfb_step_sizes(game)
         epsilon_nash_gap(game, x)
         # ||A||, and the per-row ||A_i||, ||Q_i|| and ||(Q_i + Q_i')/2||: one call each
@@ -340,4 +350,4 @@ class TestFeasibleSearch:
         pfb_step_sizes(game)
         epsilon_nash_gap(game, x)
         assert len(svds) == 4
-        assert game.stacks.coupling_norm == float(real(game.full_matrix(), 2))
+        assert game.stacks.coupling_norm == float(real(np.concatenate(game.stacks.A, axis=1), 2))
