@@ -244,7 +244,8 @@ class AgentStacks:
     order.  ``value``, ``grad`` and ``grad_sigma`` take a shared or a row-wise
     aggregate: the quadratic rule when every cost is quadratic, else each
     agent's oracles.  ``link_values``, ``coupling_value`` and ``adjoint`` are the
-    only products with the coupling blocks A_i.  The constants derived from the
+    only products with the coupling blocks A_i; when ``all_capped``, they scale
+    by ``capped_weight`` instead of contracting A.  The constants derived from the
     agents alone are cached properties, computed on first use.
     """
 
@@ -346,6 +347,10 @@ class AgentStacks:
         capped = self.box & (w > 0) & (m == n) & (self.A == w[:, None, None] * np.eye(m, n)).all(axis=(1, 2))
         return np.where(capped, w, 0.0)
 
+    @cached_property
+    def all_capped(self) -> bool:  # every A_r = w_r I: the products with the blocks are broadcasts
+        return bool(self.capped_weight.all())
+
     def take(self, rows: np.ndarray) -> "AgentStacks":
         """The stacks of ``rows`` alone, built once per row set; ``self`` when that is every row."""
         key = rows.tobytes()
@@ -355,14 +360,20 @@ class AgentStacks:
 
     def link_values(self, X: np.ndarray) -> np.ndarray:
         """(B, m) link rows A_r x_r - b_r of a (B, n) decision array."""
+        if self.all_capped:
+            return self.capped_weight[:, None] * X - self.b
         return np.einsum("imn,in->im", self.A, X) - self.b
 
     def coupling_value(self, X: np.ndarray) -> np.ndarray:
         """(m,) coupling sum A x = sum_r A_r x_r of a (B, n) decision array, ascending row order."""
+        if self.all_capped:
+            return np.einsum("i,im->m", self.capped_weight, X)
         return np.einsum("imn,in->m", self.A, X)
 
     def adjoint(self, V: np.ndarray) -> np.ndarray:
         """(B, n) rows A_r' v of a shared (m,) ``v``, or A_r' V[r] of a (B, m) ``V``."""
+        if self.all_capped:
+            return self.capped_weight[:, None] * V
         if V.ndim == 1:
             return np.einsum("imn,m->in", self.A, V)
         return np.einsum("imn,im->in", self.A, V)
