@@ -541,7 +541,7 @@ class _PfbEngine:
     def step(self) -> None:
         game, st, X, lam = self.game, self.game.stacks, self.X, self.lam
         grad = st.grad(X, X.mean(axis=0)) + st.adjoint(lam)
-        self.X = game.project_each(X - self.tau[:, None] * grad)
+        self.X = game.project_each(X - self.tau[:, None] * grad, guess=X)
         resid = st.coupling_value(2.0 * self.X - X) - st.b_total
         self.lam = np.maximum(lam + self.tau_lam * resid, 0.0)
 

@@ -402,12 +402,15 @@ class AgentStacks:
         S = np.broadcast_to(sigma, X.shape)
         return np.array([agent.cost.grad_sigma(x, s) for agent, x, s in zip(self.agents, X, S)])
 
-    def project(self, V: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    def project(
+        self, V: np.ndarray, weights: np.ndarray | None = None, guess: np.ndarray | None = None
+    ) -> np.ndarray:
         """Row r of (B, n) ``V`` projected onto agent r's set, in the diagonal
         metric of row r of ``weights`` (Euclidean when omitted): one batched
-        kernel call when every set is a box-simplex, else one oracle call per row."""
+        kernel call when every set is a box-simplex, warm-started from the
+        (B, n) ``guess`` when given, else one oracle call per row (no guess)."""
         if self.all_box_simplex:
-            return project_box_simplex_batch(V, self.upper, self.total, weights)
+            return project_box_simplex_batch(V, self.upper, self.total, weights, guess)
         W = [None] * len(self.agents) if weights is None else weights
         return np.stack([agent.omega.project(v, w) for agent, v, w in zip(self.agents, V, W)])
 
@@ -443,11 +446,14 @@ class GameSpec:
             raise DimensionMismatch(f"stacked decision must have length {self.dims.N * self.dims.n}")
         return self.stacks.coupling_value(x.reshape(self.dims.N, self.dims.n))
 
-    def project_each(self, X: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """Per-agent projection of the rows of an (N, n) array onto the local sets."""
+    def project_each(
+        self, X: np.ndarray, weights: np.ndarray | None = None, guess: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per-agent projection of the rows of an (N, n) array onto the local sets,
+        warm-started from an (N, n) ``guess`` when given (see :meth:`AgentStacks.project`)."""
         if X.shape != (self.dims.N, self.dims.n):
             raise DimensionMismatch("expected an (N, n) block matrix")
-        return self.stacks.project(X, weights)
+        return self.stacks.project(X, weights, guess)
 
     # -- serialization -------------------------------------------------------------
 

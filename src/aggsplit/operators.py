@@ -210,10 +210,11 @@ class KktResidual:
 
 def stationarity_residual(game: GameSpec, x: np.ndarray, lam: np.ndarray) -> float:
     """Worst-agent natural residual of 0 in grad_i + A_i' lam + normal cone,
-    the gradients taken with the aggregate frozen at the actual average."""
+    the gradients taken with the aggregate frozen at the actual average; the
+    projection is warm-started from x."""
     st, X = game.stacks, x.reshape(game.dims.N, game.dims.n)
     G = st.grad(X, X.mean(axis=0)) + st.adjoint(lam)
-    P = game.project_each(X - G)
+    P = game.project_each(X - G, guess=X)
     return float(np.max(np.linalg.norm(X - P, axis=1)))
 
 

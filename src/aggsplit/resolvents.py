@@ -167,11 +167,12 @@ def batched_quadratic_prox(
     metric_diag: np.ndarray,
 ) -> np.ndarray:
     """The closed-form prox of every row of quadratic ``stacks`` in a diagonal
-    metric: one weighted projection of the unconstrained minimizer."""
+    metric: one weighted projection of the unconstrained minimizer, warm-started
+    from ``center``."""
     a = stacks.a[:, None]
     weights = a + metric_diag
     V = (a * stacks.xtilde + metric_diag * center - stacks.Q @ sigma - linear) / weights
-    return stacks.project(V, weights)
+    return stacks.project(V, weights, guess=center)
 
 
 def decoupled_prox(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
@@ -150,13 +151,15 @@ def dense_resolvent_B(dims, steps: StepSizes, w: ExtendedPoint) -> ExtendedPoint
     raise AssertionError("no sign-feasible pattern in the dense resolvent solve")
 
 
-def reference_rounds(game: GameSpec, steps: StepSizes, iters: int):
+def reference_rounds(game: GameSpec, steps: StepSizes, iters: int, guess: bool = True):
     """Straight-line sequential reference of the communication rounds.
 
     Plain per-agent loops over the printed updates; quadratic costs with
     scaled-identity coupling only, so each proximal step reduces to one
     weighted capped-simplex projection (computed by the shared kernel,
     which is validated independently against the active-set oracle).
+    With ``guess`` each projection is warm-started from the agent's
+    current iterate, as the engine's is.
     Returns the list of stacked decision iterates x^1 ... x^iters.
     """
     from aggsplit.projections import project_box_simplex
@@ -179,7 +182,8 @@ def reference_rounds(game: GameSpec, steps: StepSizes, iters: int):
             linear = agent.A.T @ lam - mu / N
             weights = cost.a + metric
             v = (cost.a * cost.xtilde + metric * xs[i] - cost.Q @ sigma - linear) / weights
-            xs[i] = project_box_simplex(v, agent.omega.upper, agent.omega.total, weights)
+            start = xs[i] if guess else None
+            xs[i] = project_box_simplex(v, agent.omega.upper, agent.omega.total, weights, start)
             ys[i] = agent.A @ xs[i] - agent.b
         xhat = np.mean(np.stack(xs), axis=0)
         yhat = np.mean(np.stack(ys), axis=0)
@@ -247,6 +251,25 @@ def deviation_gap(
             best = min(value(project(lo + (hi - lo) * rng.random(n))) for _ in range(samples))
         eps[i] = base - min(best, base)
     return eps
+
+
+def dense_coupling_draw(seed: int = 0) -> GameSpec:
+    """N=6, n=m=4 box-simplex game with every A_i a dense uniform(0.2, 1) matrix,
+    whose coupling bound sits 3% below A x at the default points."""
+    rng = np.random.default_rng(seed)
+    N, n, m = 6, 4, 4
+    agents = [
+        AgentSpec(
+            BoxSimplex(np.full(n, 0.6), 1.0),
+            QuadraticAgg(1 + rng.random(), rng.random(n), np.eye(n) + 0.1 * rng.random((n, n))),
+            rng.uniform(0.2, 1, (m, n)),
+            np.zeros(m),
+        )
+        for _ in range(N)
+    ]
+    loose = GameSpec(dims=Dimensions(N, n, m), agents=agents)
+    b = 0.97 * loose.coupling_value(loose.stacks.default_points.ravel()) / N
+    return GameSpec(dims=loose.dims, agents=[replace(agent, b=b) for agent in agents])
 
 
 def wrap_costs_in_oracles(game: GameSpec) -> GameSpec:

@@ -31,7 +31,7 @@ from aggsplit import (
     run_dr,
     validate_game,
 )
-from oracles import deviation_gap, per_agent_benchmark, wrap_costs_in_oracles, wrap_sets_in_oracles
+from oracles import dense_coupling_draw, deviation_gap, per_agent_benchmark, wrap_costs_in_oracles, wrap_sets_in_oracles
 
 
 class TestParams:
@@ -351,21 +351,8 @@ class TestBatchedGap:
     def test_dense_coupling_draw_widens_every_set_to_keep_x(self):
         # every A_i dense and x violating the coupling: unwidened, every deviation set
         # misses x_i and the gaps came back all zero
-        rng = np.random.default_rng(0)
-        N, n, m = 6, 4, 4
-        agents = [
-            AgentSpec(
-                BoxSimplex(np.full(n, 0.6), 1.0),
-                QuadraticAgg(1 + rng.random(), rng.random(n), np.eye(n) + 0.1 * rng.random((n, n))),
-                rng.uniform(0.2, 1, (m, n)),
-                np.zeros(m),
-            )
-            for _ in range(N)
-        ]
-        loose = GameSpec(dims=Dimensions(N, n, m), agents=agents)
-        b = 0.97 * loose.coupling_value(loose.stacks.default_points.ravel()) / N
-        game = GameSpec(dims=loose.dims, agents=[replace(agent, b=b) for agent in agents])
-        engine = DrEngine(game, RunConfig(steps=benchmark_steps(N)))
+        game = dense_coupling_draw(0)
+        engine = DrEngine(game, RunConfig(steps=benchmark_steps(game.dims.N)))
         for _ in range(10):
             engine.step()
         x = engine.X.ravel()

@@ -288,10 +288,13 @@ class TestEngineRounds:
         game = two_agent_toy()
         steps = benchmark_steps(2)
         want = reference_rounds(game, steps, iters=3)
+        cold = reference_rounds(game, steps, iters=3, guess=False)
         engine = DrEngine(game, RunConfig(steps=steps))
         for k in range(3):
             engine.step()
             assert np.array_equal(engine.X.ravel(), want[k])
+            # the warm start moves a projection by a few ulps at most
+            assert np.max(np.abs(engine.X.ravel() - cold[k])) <= 1e-15
 
     def test_batched_and_per_agent_paths_agree(self, desk_game, desk_steps):
         assert desk_game.stacks.closed_form

@@ -25,7 +25,7 @@ from aggsplit.benchmark import BenchmarkParams, epsilon_nash_gap, generate_bench
 from aggsplit.engine import RunConfig, pfb_step_sizes, run_dr
 from aggsplit.game import find_feasible_point
 from aggsplit.operators import monotonicity_probe
-from oracles import fd_gradient_error, wrap_costs_in_oracles, wrap_sets_in_oracles
+from oracles import dense_coupling_draw, fd_gradient_error, wrap_costs_in_oracles, wrap_sets_in_oracles
 
 
 def make_single_agent_game(upper, total, A, b, a=1.0, xtilde=None, Q=None):
@@ -264,6 +264,23 @@ class TestLinkInvariant:
         assert np.allclose(st.coupling_value(X), total, atol=1e-14)
         assert np.array_equal(desk_game.coupling_value(X.ravel()), st.coupling_value(X))
         for i, agent in enumerate(desk_game.agents):
+            assert np.allclose(st.adjoint(v)[i], agent.A.T @ v, atol=1e-14)
+            assert np.allclose(st.adjoint(V)[i], agent.A.T @ V[i], atol=1e-14)
+        # every family row is capped: the products are broadcasts, bit for bit the contractions of A
+        assert st.all_capped
+        assert np.array_equal(st.link_values(X), np.einsum("imn,in->im", st.A, X) - st.b)
+        assert np.array_equal(st.coupling_value(X), np.einsum("imn,in->m", st.A, X))
+        assert np.array_equal(st.adjoint(v), np.einsum("imn,m->in", st.A, v))
+        assert np.array_equal(st.adjoint(V), np.einsum("imn,im->in", st.A, V))
+        # a dense row keeps the contractions
+        game = dense_coupling_draw(0)
+        st, X = game.stacks, game.stacks.default_points
+        v, V = rng.random(game.dims.m), rng.random((game.dims.N, game.dims.m))
+        assert not st.all_capped
+        total = sum(agent.A @ x for agent, x in zip(game.agents, X))
+        assert np.allclose(st.coupling_value(X), total, atol=1e-14)
+        for i, agent in enumerate(game.agents):
+            assert np.allclose(st.link_values(X)[i], agent.A @ X[i] - agent.b, atol=1e-14)
             assert np.allclose(st.adjoint(v)[i], agent.A.T @ v, atol=1e-14)
             assert np.allclose(st.adjoint(V)[i], agent.A.T @ V[i], atol=1e-14)
 

@@ -53,31 +53,52 @@ def _degenerate_draw(rng):
     return v, upper, total, weights
 
 
+# guesses for the warm-started kernel: (rng, v, upper, total, weights, solution) -> (n,) guess or None
+GUESSES = {
+    "none": lambda rng, v, u, t, w, x: None,
+    "solution": lambda rng, v, u, t, w, x: x,
+    "point-of-the-set": lambda rng, v, u, t, w, x: box_simplex_active_set(rng.uniform(-1, 2, v.size), u, t),
+    "zeros": lambda rng, v, u, t, w, x: np.zeros_like(v),
+    "caps": lambda rng, v, u, t, w, x: u.copy(),
+}
+
+
+@pytest.mark.parametrize("guess", GUESSES.values(), ids=GUESSES.keys())
 @pytest.mark.parametrize("draw", [_generic_draw, _degenerate_draw], ids=["generic", "degenerate"])
-def test_matches_active_set_enumeration_randomized(draw):
-    rng = np.random.default_rng(42)
+def test_matches_active_set_enumeration_randomized(draw, guess):
+    rng, guess_rng = np.random.default_rng(42), np.random.default_rng(7)
     worst = 0.0
     for _ in range(300):
         v, upper, total, weights = draw(rng)
-        got = project_box_simplex(v, upper, total, weights)
         want = box_simplex_active_set(v, upper, total, weights)
+        got = project_box_simplex(v, upper, total, weights, guess(guess_rng, v, upper, total, weights, want))
         worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst <= 1e-14
 
 
+@pytest.mark.parametrize("guessed", [False, True], ids=["unguessed", "guessed"])
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(-3, 3), min_size=1, max_size=6),
     st.integers(0, 10**6),
 )
-def test_output_always_feasible(v_list, seed):
+def test_output_always_feasible(guessed, v_list, seed):
     rng = np.random.default_rng(seed)
     v = np.array(v_list)
     upper = rng.uniform(0.05, 1.0, v.shape[0])
     total = float(rng.uniform(0.0, upper.sum()))
-    x = project_box_simplex(v, upper, total)
+    # below 0, inside and above the caps
+    guess = rng.uniform(-0.5, 1.5, v.shape[0]) * upper if guessed else None
+    x = project_box_simplex(v, upper, total, guess=guess)
     assert np.all(x >= 0.0) and np.all(x <= upper)
     assert abs(x.sum() - total) <= 1e-14
+
+
+def test_a_guess_of_the_wrong_shape_raises():
+    v, upper, total = np.zeros((3, 4)), np.ones((3, 4)), np.ones(3)
+    for guess in (np.zeros((3, 3)), np.zeros(4), np.zeros((1, 3, 4))):
+        with pytest.raises(ValueError, match="guess"):
+            project_box_simplex_batch(v, upper, total, guess=guess)
 
 
 def test_projection_is_idempotent():
@@ -115,8 +136,9 @@ def test_batch_matches_per_row_bitwise():
         assert np.array_equal(batch[i], single)
 
 
+@pytest.mark.parametrize("guessed", [False, True], ids=["unguessed", "guessed"])
 @pytest.mark.parametrize("B", [1, 20, 1000])
-def test_batch_matches_one_row_calls_bitwise_with_tied_kinks(B):
+def test_batch_matches_one_row_calls_bitwise_with_tied_kinks(B, guessed):
     rng = np.random.default_rng(B)
     V = rng.standard_normal((B, 10))
     U = rng.uniform(0.1, 0.4, (B, 10))
@@ -128,10 +150,12 @@ def test_batch_matches_one_row_calls_bitwise_with_tied_kinks(B):
     W[tied] = np.tile([0.5, 1.5], 5)
     totals = rng.uniform(0.2, 1.0, B)
     for weights in (None, W):
-        batch = project_box_simplex_batch(V, U, totals, weights)
+        # a nearby problem's answer names most rows' patterns, so both the guessed and the fallback rows run
+        G = project_box_simplex_batch(V + 0.1 * rng.standard_normal((B, 10)), U, totals, weights) if guessed else None
+        batch = project_box_simplex_batch(V, U, totals, weights, G)
         for i in range(B):
-            w_i = None if weights is None else weights[i]
-            assert np.array_equal(batch[i], project_box_simplex(V[i], U[i], totals[i], w_i))
+            w_i, g_i = (None if a is None else a[i] for a in (weights, G))
+            assert np.array_equal(batch[i], project_box_simplex(V[i], U[i], totals[i], w_i, g_i))
 
 
 def test_fista_solves_box_constrained_quadratic():
