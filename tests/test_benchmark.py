@@ -31,7 +31,13 @@ from aggsplit import (
     run_dr,
     validate_game,
 )
-from oracles import dense_coupling_draw, deviation_gap, per_agent_benchmark, wrap_costs_in_oracles, wrap_sets_in_oracles
+from oracles import (
+    dense_coupling_draw,
+    deviation_gap,
+    per_agent_benchmark,
+    wrap_costs_in_oracles,
+    wrap_sets_in_oracles,
+)
 
 
 class TestParams:

@@ -53,36 +53,42 @@ def _degenerate_draw(rng):
     return v, upper, total, weights
 
 
-# guesses for the warm-started kernel: (rng, v, upper, total, weights, solution) -> (n,) guess or None
+# guesses for the warm-started kernel: (rng, upper, total, solution) -> (n,) guess or None
 GUESSES = {
-    "none": lambda rng, v, u, t, w, x: None,
-    "solution": lambda rng, v, u, t, w, x: x,
-    "point-of-the-set": lambda rng, v, u, t, w, x: box_simplex_active_set(rng.uniform(-1, 2, v.size), u, t),
-    "zeros": lambda rng, v, u, t, w, x: np.zeros_like(v),
-    "caps": lambda rng, v, u, t, w, x: u.copy(),
+    "none": lambda rng, u, t, x: None,
+    "solution": lambda rng, u, t, x: x,
+    "point-of-the-set": lambda rng, u, t, x: box_simplex_active_set(rng.uniform(-1, 2, u.size), u, t),
+    "zeros": lambda rng, u, t, x: np.zeros_like(u),
+    "caps": lambda rng, u, t, x: u.copy(),
 }
 
 
-@pytest.mark.parametrize("guess", GUESSES.values(), ids=GUESSES.keys())
-@pytest.mark.parametrize("draw", [_generic_draw, _degenerate_draw], ids=["generic", "degenerate"])
+@pytest.mark.parametrize(
+    "draw, guess",
+    [
+        pytest.param(draw, guess, id=draw_id if name == "none" else f"{draw_id}-{name}")
+        for draw, draw_id in [(_generic_draw, "generic"), (_degenerate_draw, "degenerate")]
+        for name, guess in GUESSES.items()
+    ],
+)
 def test_matches_active_set_enumeration_randomized(draw, guess):
     rng, guess_rng = np.random.default_rng(42), np.random.default_rng(7)
     worst = 0.0
     for _ in range(300):
         v, upper, total, weights = draw(rng)
         want = box_simplex_active_set(v, upper, total, weights)
-        got = project_box_simplex(v, upper, total, weights, guess(guess_rng, v, upper, total, weights, want))
+        got = project_box_simplex(v, upper, total, weights, guess(guess_rng, upper, total, want))
         worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst <= 1e-14
 
 
-@pytest.mark.parametrize("guessed", [False, True], ids=["unguessed", "guessed"])
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(-3, 3), min_size=1, max_size=6),
     st.integers(0, 10**6),
+    st.booleans(),
 )
-def test_output_always_feasible(guessed, v_list, seed):
+def test_output_always_feasible(v_list, seed, guessed):
     rng = np.random.default_rng(seed)
     v = np.array(v_list)
     upper = rng.uniform(0.05, 1.0, v.shape[0])
@@ -136,8 +142,10 @@ def test_batch_matches_per_row_bitwise():
         assert np.array_equal(batch[i], single)
 
 
-@pytest.mark.parametrize("guessed", [False, True], ids=["unguessed", "guessed"])
-@pytest.mark.parametrize("B", [1, 20, 1000])
+@pytest.mark.parametrize(
+    "B, guessed", [(B, guessed) for guessed in (False, True) for B in (1, 20, 1000)],
+    ids=["1", "20", "1000", "1-guessed", "20-guessed", "1000-guessed"],
+)
 def test_batch_matches_one_row_calls_bitwise_with_tied_kinks(B, guessed):
     rng = np.random.default_rng(B)
     V = rng.standard_normal((B, 10))
@@ -151,7 +159,9 @@ def test_batch_matches_one_row_calls_bitwise_with_tied_kinks(B, guessed):
     totals = rng.uniform(0.2, 1.0, B)
     for weights in (None, W):
         # a nearby problem's answer names most rows' patterns, so both the guessed and the fallback rows run
-        G = project_box_simplex_batch(V + 0.1 * rng.standard_normal((B, 10)), U, totals, weights) if guessed else None
+        G = None
+        if guessed:
+            G = project_box_simplex_batch(V + 0.1 * rng.standard_normal((B, 10)), U, totals, weights)
         batch = project_box_simplex_batch(V, U, totals, weights, G)
         for i in range(B):
             w_i, g_i = (None if a is None else a[i] for a in (weights, G))
