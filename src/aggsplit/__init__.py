@@ -72,10 +72,9 @@ from .operators import (
     extended_subdifferential,
     kkt_residual,
     monotonicity_probe,
-    pseudo_subdifferential,
     stationarity_residual,
 )
 from .projections import fista_minimize, project_box_simplex, project_box_simplex_batch
-from .resolvents import StepSizes, local_prox, reflect, resolvent_A, resolvent_B
+from .resolvents import StepSizes, local_prox, resolvent_A, resolvent_B
 
 __version__ = "0.1.0"

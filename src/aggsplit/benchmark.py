@@ -15,7 +15,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -39,27 +39,23 @@ UPPER_RESAMPLE_LIMIT = 100
 
 @dataclass(frozen=True)
 class BenchmarkParams:
-    """Instance-family parameters; defaults are the full-scale experiment."""
+    """Instance-family parameters; defaults are the full-scale experiment.
+
+    Fixed across the family: the cost weights a_i and the coupling weights w_i
+    are uniform in [1, 2], each agent's caps sum to 2 with every entry at most 1,
+    its simplex total is 1, and each slot's bound b is uniform between 1/2 and
+    2/3 of that slot's weighted cap total.
+    """
 
     N: int = 1000
     n: int = 10
-    a_range: tuple[float, float] = (1.0, 2.0)
-    w_range: tuple[float, float] = (1.0, 2.0)
     q_range: tuple[float, float] = (1.0, 2.0)
     qbar_range: tuple[float, float] = (0.0, 0.1)
-    upper_total: float = 2.0
-    simplex_total: float = 1.0
-    b_fraction: tuple[float, float] = (0.5, 2.0 / 3.0)
     seed: int = 0
 
     def __post_init__(self):
         if self.N < 1 or self.n < 1:
             raise ValueError("N and n must be at least 1")
-        lo, hi = self.b_fraction
-        if not (0.5 - 1e-12 <= lo <= hi <= 2.0 / 3.0 + 1e-12):
-            raise ValueError("b_fraction must stay within [1/2, 2/3]")
-        if self.upper_total <= 0 or self.simplex_total < 0:
-            raise ValueError("totals must be positive")
 
 
 def benchmark_steps(
@@ -69,14 +65,14 @@ def benchmark_steps(
     return StepSizes.from_central(np.full(N, gamma), alpha, delta_c, beta_c)
 
 
-def _draw_upper(rng: np.random.Generator, n: int, total: float) -> np.ndarray:
-    """Caps summing to ``total`` with every entry in [0, 1]; resamples bad draws."""
+def _draw_upper(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Caps summing to 2 with every entry in [0, 1]; resamples bad draws."""
     for _ in range(UPPER_RESAMPLE_LIMIT):
         u = rng.random(n)
         s = u.sum()
         if s == 0.0:
             continue
-        u = u * (total / s)
+        u = u * (2.0 / s)
         if np.all(u <= 1.0):
             return u
     raise GenerationFailed(f"no cap vector with entries <= 1 after {UPPER_RESAMPLE_LIMIT} draws")
@@ -88,12 +84,12 @@ def generate_benchmark(params: BenchmarkParams) -> GameSpec:
     a, w, Q, upper = np.empty(N), np.empty(N), np.empty((N, n, n)), np.empty((N, n))
     for i in range(N):
         rng = np.random.default_rng(np.random.SeedSequence((params.seed, AGENT_STREAM, i)))
-        a[i] = rng.uniform(*params.a_range)
-        w[i] = rng.uniform(*params.w_range)
+        a[i] = rng.uniform(1.0, 2.0)
+        w[i] = rng.uniform(1.0, 2.0)
         q_i = rng.uniform(*params.q_range)
         Q[i] = q_i * np.eye(n) + rng.uniform(*params.qbar_range, size=(n, n))
-        upper[i] = _draw_upper(rng, n, params.upper_total)
-    total = np.full(N, float(params.simplex_total))
+        upper[i] = _draw_upper(rng, n)
+    total = np.ones(N)
     # preferred schedules: every agent's projection of the first unit vector
     e1 = np.zeros((N, n))
     e1[:, 0] = 1.0
@@ -101,8 +97,7 @@ def generate_benchmark(params: BenchmarkParams) -> GameSpec:
 
     rng_global = np.random.default_rng(np.random.SeedSequence((params.seed, GLOBAL_STREAM)))
     cap_totals = np.einsum("i,ij->j", w, upper)
-    lo, hi = params.b_fraction
-    b = rng_global.uniform(lo * cap_totals, hi * cap_totals)
+    b = rng_global.uniform(0.5 * cap_totals, 2.0 / 3.0 * cap_totals)
 
     A = w[:, None, None] * np.eye(n)
     game = GameSpec.from_columns(Dimensions(N, n, n), upper, total, a, xtilde, Q, A, np.tile(b / N, (N, 1)))
@@ -118,11 +113,11 @@ def generate_benchmark(params: BenchmarkParams) -> GameSpec:
 def ground_truth_point(
     game: GameSpec,
     tol: float = 1e-9,
-    steps: StepSizes | None = None,
     cross_check: bool = True,
     max_iters: int = 1_000_000,
 ) -> tuple[ExtendedPoint, RunTrace]:
-    """High-accuracy solve, certified by its optimality residuals.
+    """High-accuracy solve in the :func:`benchmark_steps` step sizes, certified by
+    its optimality residuals.
 
     The run stops at ``tol / GATE_FACTOR``, so its optimality gate is the
     certificate itself: every residual at or below ``tol``.  With
@@ -135,8 +130,7 @@ def ground_truth_point(
             f"monotonicity probe found a negative inner product ({probe.min_inner:.3e}); "
             "the reference run may not converge"
         )
-    if steps is None:
-        steps = benchmark_steps(game.dims.N)
+    steps = benchmark_steps(game.dims.N)
     config = RunConfig(
         steps=steps,
         stop_tol=tol / GATE_FACTOR,
@@ -245,14 +239,13 @@ def epsilon_nash_gap(
     game: GameSpec,
     x: np.ndarray,
     samples: int | None = None,
-    tol: float = 1e-9,
     seed: int = 0,
 ) -> np.ndarray:
     """Per-agent suboptimality against unilateral feasible deviations.
 
     The deviation moves the average along with the deviating agent.  Each group
     of :func:`_deviation_groups` is solved in one lock-step accelerated
-    projected-gradient call, each row stopping on its own residual; a cost with
+    projected-gradient call, each row stopping on its own residual of 1e-9; a cost with
     no aggregate-gradient oracle raises :class:`NonSmoothCost` there.  With
     ``samples`` set, each inner problem is estimated instead by the best of that
     many random candidates (drawn from ``seed``) projected onto the same sets,
@@ -273,7 +266,7 @@ def epsilon_nash_gap(
         value, grad = _deviation_objective(game.stacks.take(rows), sigma_others[rows], N)
         if samples is None:
             L, mu = lipschitz[rows], strong[rows]
-            best = value(fista_minimize(grad, project, X[rows], L, strong_convexity=mu, tol=tol))
+            best = value(fista_minimize(grad, project, X[rows], L, strong_convexity=mu, tol=1e-9))
         else:
             candidates = _deviation_candidates(game, rows, samples, seed)
             best = np.min([value(project(C)) for C in candidates], axis=0)
@@ -367,20 +360,16 @@ class ExperimentReport:
             (outdir / f"curve_{name}.csv").write_text("\n".join(rows) + "\n")
 
 
-def _run_one_seed(
-    params: BenchmarkParams,
-    seed: int,
-    methods: tuple[str, ...],
-    tol: float,
-    ref_tol: float,
-    max_iters: int,
-) -> SeedRecord:
+_METHODS = ("dr", "pfb")  # the compared methods, in report order
+
+
+def _run_one_seed(params: BenchmarkParams, seed: int, tol: float, max_iters: int) -> SeedRecord:
     record = SeedRecord(seed=seed)
     try:
         game = generate_benchmark(replace(params, seed=seed))
-        xbar = ground_truth(game, tol=ref_tol, cross_check=False)
+        xbar = ground_truth(game, tol=min(1e-8, tol * 1e-2), cross_check=False)
         steps = benchmark_steps(game.dims.N)
-        for name in methods:
+        for name in _METHODS:
             config = RunConfig(
                 steps=steps,
                 stop_tol=0.0,
@@ -411,14 +400,13 @@ def _run_one_seed(
 def run_comparison(
     params: BenchmarkParams,
     num_seeds: int,
-    methods: Sequence[str] = ("dr", "pfb"),
     tol: float = 1e-6,
-    ref_tol: float | None = None,
     max_iters: int = 200_000,
     workers: int = 1,
 ) -> ExperimentReport:
-    """Generate instances for consecutive seeds, solve with each method,
-    and aggregate normalized error curves and iteration counts.
+    """Generate instances for consecutive seeds, solve with both methods (dr and
+    pfb) against a reference certified to min(1e-8, tol / 100), and aggregate
+    normalized error curves and iteration counts.
 
     Per-seed failures are recorded and skipped; at least one seed must
     succeed.  Seed k uses ``params.seed + k``; results are assembled in
@@ -426,14 +414,8 @@ def run_comparison(
     """
     if num_seeds < 1:
         raise ValueError("num_seeds must be at least 1")
-    methods = tuple(methods)
-    for name in methods:
-        if name not in ("dr", "pfb"):
-            raise ValueError(f"unknown method '{name}'")
-    if ref_tol is None:
-        ref_tol = min(1e-8, tol * 1e-2)
     seeds = [params.seed + k for k in range(num_seeds)]
-    jobs = [(params, s, methods, tol, ref_tol, max_iters) for s in seeds]
+    jobs = [(params, s, tol, max_iters) for s in seeds]
     workers = min(workers, num_seeds)  # a process pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -446,10 +428,8 @@ def run_comparison(
         raise AggsplitError("every seed of the comparison failed")
 
     mean_curves: dict[str, np.ndarray] = {}
-    for name in methods:
-        curves = [r.results[name].curve for r in good if name in r.results]
-        if not curves:
-            continue
+    for name in _METHODS:
+        curves = [r.results[name].curve for r in good]
         length = max(c.shape[0] for c in curves)
         padded = np.stack(
             [np.concatenate([c, np.full(length - c.shape[0], c[-1])]) for c in curves]
@@ -457,20 +437,15 @@ def run_comparison(
         mean_curves[name] = padded.mean(axis=0)
 
     speed_ratio = None
-    if "dr" in methods and "pfb" in methods:
-        pairs = [
-            (r.results["dr"].iters_to_tol, r.results["pfb"].iters_to_tol)
-            for r in good
-            if r.results.get("dr") and r.results.get("pfb")
-        ]
-        resolved = [(d, p) for d, p in pairs if d is not None and p is not None]
-        if resolved:
-            speed_ratio = float(np.mean([p / d for d, p in resolved]))
+    pairs = [(r.results["dr"].iters_to_tol, r.results["pfb"].iters_to_tol) for r in good]
+    resolved = [(d, p) for d, p in pairs if d is not None and p is not None]
+    if resolved:
+        speed_ratio = float(np.mean([p / d for d, p in resolved]))
 
     return ExperimentReport(
         params=params,
         tol=tol,
-        methods=methods,
+        methods=_METHODS,
         records=records,
         mean_curves=mean_curves,
         speed_ratio=speed_ratio,

@@ -93,7 +93,8 @@ class RunConfig:
     are required to be within ``GATE_FACTOR * stop_tol``.  A run whose
     stopping metric stalls above ``stop_tol`` while that gate passes ends
     with ``stop_reason="stalled"``; one stalled above the gate as well
-    ends unconverged with ``stop_reason="floor"``.
+    ends unconverged with ``stop_reason="floor"``, or ``"diverged"`` when its
+    optimality residual there is no lower than at round 0.
     ``ref_stop``, when set together with a reference point, stops the run
     once ||x - ref|| / ||x0 - ref|| drops below it (comparison runs).
     """
@@ -394,7 +395,8 @@ def _run_loop(
     rounds has reached its numerical floor; it ends ``"stalled"`` if the
     optimality gate passes there, and otherwise looks again after another
     such window; a failed look whose KKT residual is no lower than at the
-    previous failed look ends the run unconverged, ``"floor"``.  With
+    previous failed look ends the run unconverged: ``"diverged"`` when that
+    residual is no lower than at round 0, else ``"floor"``.  With
     ``stop_tol=0`` no gate can pass, so such runs (the comparison runs
     that stop on ``ref_stop``) skip the stall check.
     """
@@ -461,7 +463,7 @@ def _run_loop(
                 reason = "stalled"
                 break
             if kkt.max_value() >= floor_kkt:
-                reason = "floor"
+                reason = "diverged" if kkt.max_value() >= trace.rows[0].kkt.max_value() else "floor"
                 break
             floor_kkt, window_start = kkt.max_value(), k
         if k % config.record_every == 0:
@@ -474,7 +476,7 @@ def _run_loop(
 
     trace.final_point = point
     trace.final_kkt = trace.rows[-1].kkt
-    trace.converged = reason in ("stop_tol", "stalled", "ref_stop")  # "floor" and "max_iters" raise
+    trace.converged = reason in ("stop_tol", "stalled", "ref_stop")  # the others raise
     trace.iterations = k
     trace.stop_reason = reason
     trace.dist_curve = np.asarray(dists) if reference is not None else None

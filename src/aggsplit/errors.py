@@ -56,11 +56,11 @@ class NotCertified(AggsplitError):
 
 class MaxItersExceeded(AggsplitError):
     """An outer solver run ended unconverged: out of its iteration budget,
-    or stalled at a numerical floor above its optimality gate.
+    stalled at a numerical floor above its optimality gate, or diverged.
 
     Carries the partial trace in ``trace``; its ``stop_reason`` says which.
     """
 
     def __init__(self, trace=None, message: str = ""):
         self.trace = trace
-        super().__init__(message or "run ended unconverged (iteration cap or numerical floor)")
+        super().__init__(message or "run ended unconverged (iteration cap, numerical floor or divergence)")

@@ -79,17 +79,6 @@ class BoxSimplex:
     def project(self, v: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         return project_box_simplex(v, self.upper, self.total, weights)
 
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        x = _as_float_array(x, (self.n,))
-        return bool(
-            np.all(x >= -tol)
-            and np.all(x <= self.upper + tol)
-            and abs(float(x.sum()) - self.total) <= tol
-        )
-
-    def default_point(self) -> np.ndarray:
-        return self.project(np.zeros(self.n))
-
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(self.n), self.upper.copy()
 
@@ -107,13 +96,6 @@ class GenericConvex:
 
     def project(self, v: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         return np.asarray(self.project_fn(np.asarray(v, dtype=np.float64), weights), dtype=np.float64)
-
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        x = _as_float_array(x, (self.n,))
-        return bool(np.linalg.norm(x - self.project(x)) <= tol)
-
-    def default_point(self) -> np.ndarray:
-        return self.project(np.zeros(self.n))
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         # probe with projected Gaussians; good enough for sampling domains
@@ -169,7 +151,7 @@ class GenericSmooth:
 
     ``curvature`` bounds the Hessian of ``x -> value(x, sigma)``; it is
     required by the fixed-step inner solver.  ``grad_sigma_fn`` is only
-    needed for the full pseudo-subdifferential.
+    needed for the exact epsilon-Nash gap.
     """
 
     value_fn: Callable[[np.ndarray, np.ndarray], float]
@@ -223,10 +205,6 @@ class AgentSpec:
             raise DimensionMismatch("local set dimension differs from n")
         if isinstance(self.cost, QuadraticAgg) and self.cost.xtilde.shape != (dims.n,):
             raise DimensionMismatch("cost target dimension differs from n")
-
-    def link_value(self, x_i: np.ndarray) -> np.ndarray:
-        """The link variable paired with x_i: A_i x_i - b_i."""
-        return self.A @ x_i - self.b
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,16 +50,6 @@ class ExtendedPoint:
             lam=np.zeros(dims.m),
         )
 
-    @classmethod
-    def from_vector(cls, dims: Dimensions, v: np.ndarray) -> "ExtendedPoint":
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (dims.d,):
-            raise DimensionMismatch(f"expected length {dims.d}, got {v.shape}")
-        nN, mN, n, m = dims.n * dims.N, dims.m * dims.N, dims.n, dims.m
-        cuts = np.cumsum([nN, mN, n, n])
-        x, y, sigma, mu, lam = np.split(v, cuts)
-        return cls(x=x, y=y, sigma=sigma, mu=mu, lam=lam)
-
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.x, self.y, self.sigma, self.mu, self.lam])
 
@@ -118,18 +108,6 @@ def extended_subdifferential(game: GameSpec, x: np.ndarray, sigma: np.ndarray) -
 def aggregative_subdifferential(game: GameSpec, x: np.ndarray) -> np.ndarray:
     """Stacked gradients with the aggregate frozen, then set to the actual average."""
     return extended_subdifferential(game, x, average(x, game.dims.n))
-
-
-def pseudo_subdifferential(game: GameSpec, x: np.ndarray) -> np.ndarray:
-    """Stacked gradients of x_i -> f_i(x_i, average(x)), chain rule included.
-
-    Each agent's own 1/N influence on the average contributes an extra
-    term relative to :func:`aggregative_subdifferential`.
-    """
-    dims = game.dims
-    sigma = average(x, dims.n)
-    base = extended_subdifferential(game, x, sigma)
-    return base + game.stacks.grad_sigma(x.reshape(dims.N, dims.n), sigma).ravel() / dims.N
 
 
 # -- the linear skew coupling map ------------------------------------------------------

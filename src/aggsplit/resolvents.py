@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -252,7 +251,3 @@ def resolvent_B(dims, steps: StepSizes, w: ExtendedPoint) -> ExtendedPoint:
         x=X_new.ravel(), y=Y_new.ravel(), sigma=sigma_new, mu=mu_new, lam=lam_new
     )
 
-
-def reflect(J: Callable[[ExtendedPoint], ExtendedPoint], w: ExtendedPoint) -> ExtendedPoint:
-    """Reflected resolvent 2 J(w) - w."""
-    return 2.0 * J(w) - w

@@ -166,7 +166,7 @@ def reference_rounds(game: GameSpec, steps: StepSizes, iters: int, guess: bool =
 
     dims = game.dims
     N, n = dims.N, dims.n
-    xs = [agent.omega.default_point() for agent in game.agents]
+    xs = [agent.omega.project(np.zeros(n)) for agent in game.agents]
     ys = [game.agents[i].A @ xs[i] - game.agents[i].b for i in range(N)]
     sigma = np.mean(np.stack(xs), axis=0)
     mu = np.zeros(n)
@@ -312,30 +312,37 @@ def wrap_sets_in_oracles(game: GameSpec) -> GameSpec:
 def per_agent_benchmark(params) -> GameSpec:
     """The benchmark instance of ``params``, drawn agent by agent into its own
     set, cost and coupling objects: the same streams and draw order as
-    ``generate_benchmark`` (per agent a, w, q, qbar, then caps resampled until
-    every entry is at most 1; then b from the shared stream), no validation."""
+    ``generate_benchmark`` (per agent a and w in [1, 2], q, qbar, then caps summing
+    to 2 resampled until every entry is at most 1, in a simplex of total 1; then b
+    between 1/2 and 2/3 of the weighted cap totals from the shared stream), no
+    validation."""
     N, n = params.N, params.n
     agents, w, uppers = [], np.empty(N), np.empty((N, n))
     for i in range(N):
         rng = np.random.default_rng(np.random.SeedSequence((params.seed, 1, i)))
-        a_i = rng.uniform(*params.a_range)
-        w[i] = rng.uniform(*params.w_range)
+        a_i = rng.uniform(1.0, 2.0)
+        w[i] = rng.uniform(1.0, 2.0)
         q_i = rng.uniform(*params.q_range)
         qbar = rng.uniform(params.qbar_range[0], params.qbar_range[1], size=(n, n))
         while True:
             u = rng.random(n)
-            if u.sum() != 0.0 and np.all(u * (params.upper_total / u.sum()) <= 1.0):
+            if u.sum() != 0.0 and np.all(u * (2.0 / u.sum()) <= 1.0):
                 break
-        uppers[i] = u * (params.upper_total / u.sum())
-        agents.append((BoxSimplex(uppers[i], params.simplex_total), a_i, q_i * np.eye(n) + qbar))
+        uppers[i] = u * (2.0 / u.sum())
+        agents.append((BoxSimplex(uppers[i], 1.0), a_i, q_i * np.eye(n) + qbar))
     e1 = np.zeros((N, n))
     e1[:, 0] = 1.0
-    xtilde = project_box_simplex_batch(e1, uppers, np.full(N, float(params.simplex_total)))
+    xtilde = project_box_simplex_batch(e1, uppers, np.full(N, 1.0))
     rng_global = np.random.default_rng(np.random.SeedSequence((params.seed, 0)))
     cap_totals = np.einsum("i,ij->j", w, uppers)
-    b = rng_global.uniform(params.b_fraction[0] * cap_totals, params.b_fraction[1] * cap_totals)
+    b = rng_global.uniform(0.5 * cap_totals, 2.0 / 3.0 * cap_totals)
     spec_agents = [
         AgentSpec(omega=omega, cost=QuadraticAgg(a=a_i, xtilde=xtilde[i], Q=Q), A=w[i] * np.eye(n), b=b / N)
         for i, (omega, a_i, Q) in enumerate(agents)
     ]
     return GameSpec(dims=Dimensions(N=N, n=n, m=n), agents=spec_agents)
+
+
+def in_box_simplex(x: np.ndarray, omega: BoxSimplex, tol: float = 1e-9) -> bool:
+    """Whether 0 <= x <= omega.upper and sum(x) = omega.total, each within ``tol``."""
+    return bool(np.all(x >= -tol) and np.all(x <= omega.upper + tol) and abs(x.sum() - omega.total) <= tol)

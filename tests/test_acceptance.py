@@ -152,7 +152,7 @@ def test_criterion_4_equilibrium_certification(population_run):
     vi = gae_vi_residual(game, point.x, point.lam)
     dims = game.dims
     X = point.x.reshape(dims.N, dims.n)
-    links = np.stack([agent.link_value(X[i]) for i, agent in enumerate(game.agents)])
+    links = np.stack([agent.A @ X[i] - agent.b for i, agent in enumerate(game.agents)])
     link_gap = float(np.max(np.abs(point.y.reshape(dims.N, dims.m) - links)))
     ok = vi <= 1e-5 and link_gap <= 1e-10
     print(

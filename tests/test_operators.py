@@ -14,11 +14,18 @@ from aggsplit import (
     extended_subdifferential,
     kkt_residual,
     monotonicity_probe,
-    pseudo_subdifferential,
 )
 from aggsplit.benchmark import BenchmarkParams, generate_benchmark, ground_truth_point
 from aggsplit.operators import apply_A_selection, apply_T_selection
 from oracles import fd_gradient, wrap_costs_in_oracles
+
+
+def chain_rule_gradient(game, x):
+    """Stacked gradients of x_i -> f_i(x_i, average(x)), with the 1/N chain-rule term
+    of each agent's own weight in the average: the exact gap's deviation gradient."""
+    X = x.reshape(game.dims.N, game.dims.n)
+    sigma = average(x, game.dims.n)
+    return game.stacks.grad(X, sigma).ravel() + game.stacks.grad_sigma(X, sigma).ravel() / game.dims.N
 
 
 def scalar_game(a=1.0, q=0.0, xtilde=0.0, upper=2.0, total=1.0, A=1.0, b=5.0):
@@ -47,23 +54,21 @@ class TestSubdifferentials:
         q = 0.7
         game = scalar_game(a=1.0, q=q)
         x = np.array([0.4])
-        assert pseudo_subdifferential(game, x) == pytest.approx((1 + 2 * q) * 0.4)
+        assert chain_rule_gradient(game, x) == pytest.approx((1 + 2 * q) * 0.4)
         assert aggregative_subdifferential(game, x) == pytest.approx((1 + q) * 0.4)
         # finite differences of the fully substituted cost confirm the full variant
         f = lambda z: game.agents[0].cost.value(z, z)
-        assert pseudo_subdifferential(game, x) == pytest.approx(
-            fd_gradient(f, x)[0], rel=1e-6
-        )
+        assert chain_rule_gradient(game, x) == pytest.approx(fd_gradient(f, x)[0], rel=1e-6)
 
     def test_chain_rule_equals_the_oracle_costs_bitwise(self, desk_game):
         x = np.random.default_rng(4).random(desk_game.dims.N * desk_game.dims.n)
         wrapped = wrap_costs_in_oracles(desk_game)
-        assert np.array_equal(pseudo_subdifferential(desk_game, x), pseudo_subdifferential(wrapped, x))
+        assert np.array_equal(chain_rule_gradient(desk_game, x), chain_rule_gradient(wrapped, x))
 
     def test_zero_at_target_with_no_coupling(self):
         game = scalar_game(a=2.0, q=0.0, xtilde=0.3)
         x = np.array([0.3])
-        assert pseudo_subdifferential(game, x) == pytest.approx(0.0)
+        assert chain_rule_gradient(game, x) == pytest.approx(0.0)
         assert aggregative_subdifferential(game, x) == pytest.approx(0.0)
 
     def test_extended_matches_frozen_at_the_average(self, desk_game):
@@ -128,7 +133,7 @@ class TestSkewMap:
             ],
             dtype=float,
         )
-        w = ExtendedPoint.from_vector(dims, np.ones(5))
+        w = ExtendedPoint(x=np.ones(1), y=np.ones(1), sigma=np.ones(1), mu=np.ones(1), lam=np.ones(1))
         want = S @ np.ones(5)
         got = apply_S(dims, w).as_vector()
         assert np.array_equal(got, want)
@@ -162,7 +167,7 @@ class TestKktResidual:
         x = np.array([0.5])
         w = ExtendedPoint(
             x=x,
-            y=game.agents[0].link_value(x),
+            y=game.agents[0].A @ x - game.agents[0].b,
             sigma=average(x, 1),
             mu=np.zeros(1),
             lam=np.zeros(1),

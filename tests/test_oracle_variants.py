@@ -16,7 +16,6 @@ from aggsplit import (
     RunConfig,
     benchmark_steps,
     extended_subdifferential,
-    pseudo_subdifferential,
     run_comparison,
     run_dr,
     validate_game,
@@ -66,7 +65,7 @@ def test_value_only_cost_raises_nonsmooth(small_game):
         b=agent.b,
     )
     game = GameSpec(dims=Dimensions(1, small_game.dims.n, small_game.dims.m), agents=[bare])
-    x = agent.omega.default_point()
+    x = agent.omega.project(np.zeros(small_game.dims.n))
     with pytest.raises(NonSmoothCost):
         extended_subdifferential(game, x, np.zeros(small_game.dims.n))
 
@@ -80,8 +79,9 @@ def test_full_variant_needs_aggregate_gradient_oracle(small_game):
         b=agent.b,
     )
     game = GameSpec(dims=Dimensions(1, small_game.dims.n, small_game.dims.m), agents=[partial])
+    x = agent.omega.project(np.zeros(small_game.dims.n))
     with pytest.raises(NonSmoothCost):
-        pseudo_subdifferential(game, agent.omega.default_point())
+        game.stacks.grad_sigma(x[None], x)
 
 
 def test_inner_solver_budget_raises_no_convergence():

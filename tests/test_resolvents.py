@@ -13,14 +13,13 @@ from aggsplit import (
     QuadraticAgg,
     StepSizes,
     local_prox,
-    reflect,
     resolvent_A,
     resolvent_B,
 )
 from aggsplit.game import AgentStacks
 from aggsplit.projections import fista_minimize
 from aggsplit.verify import inclusion_residual_A, inclusion_residual_B, random_extended_point
-from oracles import dense_resolvent_B, wrap_costs_in_oracles
+from oracles import dense_resolvent_B, in_box_simplex, wrap_costs_in_oracles
 
 
 class TestStepSizes:
@@ -153,7 +152,7 @@ class TestResolventA:
     def test_fixed_point_when_gradient_vanishes_on_the_graph(self, monotone_game, monotone_steps):
         # aggregate-free costs with interior targets: x = xtilde has zero gradient
         X = np.stack([agent.cost.xtilde for agent in monotone_game.agents])
-        Y = np.stack([agent.link_value(X[i]) for i, agent in enumerate(monotone_game.agents)])
+        Y = np.stack([agent.A @ X[i] - agent.b for i, agent in enumerate(monotone_game.agents)])
         w = ExtendedPoint(
             x=X.ravel(),
             y=Y.ravel(),
@@ -183,8 +182,8 @@ class TestResolventA:
         out = resolvent_A(desk_game, desk_steps, w)
         X = out.x_blocks(dims.n)
         for i, agent in enumerate(desk_game.agents):
-            assert agent.omega.contains(X[i], tol=1e-9)
-            assert np.allclose(out.y_blocks(dims.m)[i], agent.link_value(X[i]), atol=1e-14)
+            assert in_box_simplex(X[i], agent.omega, tol=1e-9)
+            assert np.allclose(out.y_blocks(dims.m)[i], agent.A @ X[i] - agent.b, atol=1e-14)
 
     def test_general_coupling_blocks_through_fista(self, rng):
         # non-diagonal A' A exercises the dense-metric path inside the resolvent
@@ -215,7 +214,7 @@ class TestResolventB:
     def test_scalar_hand_values(self):
         dims = Dimensions(1, 1, 1)
         steps = StepSizes(gamma=np.array([1.0]), alpha=1.0, beta=1.0, delta=1.0)
-        w = ExtendedPoint.from_vector(dims, np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
+        w = ExtendedPoint(x=np.ones(1), y=np.ones(1), sigma=np.zeros(1), mu=np.zeros(1), lam=np.zeros(1))
         out = resolvent_B(dims, steps, w)
         assert out.mu == pytest.approx(-1.0 / 3.0)
         assert out.lam == pytest.approx(0.5)
@@ -256,25 +255,6 @@ class TestResolventB:
             assert min(r1.lam.min(), r2.lam.min(), lhs.lam.min()) > 0
             rhs = t * r1 + (1.0 - t) * r2
             assert np.max(np.abs(lhs.as_vector() - rhs.as_vector())) <= 1e-10
-
-
-class TestReflect:
-    def test_identity_reflects_to_identity(self, desk_game, rng):
-        w = random_extended_point(desk_game, rng)
-        out = reflect(lambda u: u, w)
-        assert np.allclose(out.as_vector(), w.as_vector())
-
-    def test_fixed_point_is_reflected_to_itself(self, desk_game, desk_steps):
-        w = ExtendedPoint.zeros(desk_game.dims)
-        out = reflect(lambda u: resolvent_B(desk_game.dims, desk_steps, u), w)
-        assert out.norm() == 0.0
-
-    def test_definition_on_random_points(self, desk_game, desk_steps, rng):
-        w = random_extended_point(desk_game, rng)
-        J = lambda u: resolvent_B(desk_game.dims, desk_steps, u)
-        lhs = reflect(J, w)
-        rhs = 2.0 * J(w) - w
-        assert np.array_equal(lhs.as_vector(), rhs.as_vector())
 
 
 class TestFirmNonexpansiveness:
