@@ -67,7 +67,6 @@ from .operators import (
     ExtendedPoint,
     KktResidual,
     ProbeReport,
-    aggregative_subdifferential,
     apply_S,
     extended_subdifferential,
     kkt_residual,

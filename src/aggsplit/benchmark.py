@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AggsplitError, GenerationFailed, MaxItersExceeded, NotCertified
+from .errors import AggsplitError, DimensionMismatch, GenerationFailed, MaxItersExceeded, NotCertified
 from .game import AgentStacks, Dimensions, GameSpec, validate_game
 from .engine import GATE_FACTOR, RunConfig, RunTrace, run_dr, run_pfb
 from .operators import ExtendedPoint, monotonicity_probe, stationarity_residual
@@ -169,6 +169,16 @@ def ground_truth(game: GameSpec, tol: float = 1e-9, **kwargs) -> np.ndarray:
 # -- equilibrium quality -----------------------------------------------------------------
 
 
+def _decisions(game: GameSpec, x: np.ndarray) -> np.ndarray:
+    """The (N, n) blocks of a finite stacked decision vector x of length N * n."""
+    dims, x = game.dims, np.asarray(x, dtype=np.float64)
+    if x.shape != (dims.N * dims.n,):
+        raise DimensionMismatch(f"stacked decision must have length {dims.N * dims.n}")
+    if not np.isfinite(x).all():
+        raise ValueError("stacked decision must be finite")
+    return x.reshape(dims.N, dims.n)
+
+
 def gae_vi_residual(game: GameSpec, x: np.ndarray, lam: np.ndarray | None = None) -> float:
     """Natural-map residual of the aggregative variational inequality at x.
 
@@ -177,7 +187,7 @@ def gae_vi_residual(game: GameSpec, x: np.ndarray, lam: np.ndarray | None = None
     """
     if lam is None:
         lam = np.zeros(game.dims.m)
-    return stationarity_residual(game, np.asarray(x, dtype=np.float64), np.asarray(lam))
+    return stationarity_residual(game, _decisions(game, x).ravel(), np.asarray(lam))
 
 
 def _deviation_groups(game: GameSpec, X: np.ndarray) -> list[tuple[np.ndarray, Callable]]:
@@ -225,51 +235,25 @@ def _deviation_objective(st: AgentStacks, sigma_others: np.ndarray, N: int):
     return value, grad
 
 
-def _deviation_candidates(game: GameSpec, rows: np.ndarray, samples: int, seed: int) -> np.ndarray:
-    """(samples, B, n) uniform draws in the sets' bounding boxes; agent i draws from (seed, 2, i)."""
-    C = np.empty((samples, rows.size, game.dims.n))
-    for k, i in enumerate(rows):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 2, int(i))))
-        lo, hi = game.agents[i].omega.bounding_box()
-        C[:, k] = lo + (hi - lo) * rng.random((samples, game.dims.n))
-    return C
-
-
-def epsilon_nash_gap(
-    game: GameSpec,
-    x: np.ndarray,
-    samples: int | None = None,
-    seed: int = 0,
-) -> np.ndarray:
+def epsilon_nash_gap(game: GameSpec, x: np.ndarray) -> np.ndarray:
     """Per-agent suboptimality against unilateral feasible deviations.
 
     The deviation moves the average along with the deviating agent.  Each group
     of :func:`_deviation_groups` is solved in one lock-step accelerated
     projected-gradient call, each row stopping on its own residual of 1e-9; a cost with
-    no aggregate-gradient oracle raises :class:`NonSmoothCost` there.  With
-    ``samples`` set, each inner problem is estimated instead by the best of that
-    many random candidates (drawn from ``seed``) projected onto the same sets,
-    from cost values alone.  Every deviation set is widened to keep x_i, so at
-    any x in the local sets no set is empty and the gaps, clipped at zero against
-    roundoff, are sound; where x violates the coupling, they measure deviations
-    within the widened room.
+    no aggregate-gradient oracle raises :class:`NonSmoothCost` there.  Every
+    deviation set is widened to keep x_i, so at any x in the local sets no set is
+    empty and the gaps, clipped at zero against roundoff, are sound; where x
+    violates the coupling, they measure deviations within the widened room.
     """
-    if samples is not None and samples < 1:
-        raise ValueError("samples must be at least 1")
-    N = game.dims.N
-    X = np.asarray(x, dtype=np.float64).reshape(N, game.dims.n)
+    N, X = game.dims.N, _decisions(game, x)
     sigma_others = X.mean(axis=0) - X / N
-    if samples is None:
-        lipschitz, strong = _deviation_moduli(game)
+    lipschitz, strong = _deviation_moduli(game)
     eps = np.empty(N)
     for rows, project in _deviation_groups(game, X):
         value, grad = _deviation_objective(game.stacks.take(rows), sigma_others[rows], N)
-        if samples is None:
-            L, mu = lipschitz[rows], strong[rows]
-            best = value(fista_minimize(grad, project, X[rows], L, strong_convexity=mu, tol=1e-9))
-        else:
-            candidates = _deviation_candidates(game, rows, samples, seed)
-            best = np.min([value(project(C)) for C in candidates], axis=0)
+        L, mu = lipschitz[rows], strong[rows]
+        best = value(fista_minimize(grad, project, X[rows], L, strong_convexity=mu, tol=1e-9))
         base = value(X[rows])
         # x_i is in its own deviation set, so min <= base up to roundoff
         eps[rows] = base - np.minimum(best, base)

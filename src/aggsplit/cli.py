@@ -16,7 +16,7 @@ from pathlib import Path
 from .benchmark import BenchmarkParams, benchmark_steps, generate_benchmark, run_comparison
 from .engine import RunConfig, run_dr, run_pfb
 from .errors import AggsplitError, InvalidStepSizes, MaxItersExceeded
-from .game import GameSpec, validate_game
+from .game import GameSpec
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -96,8 +96,6 @@ def _load_game(path: str) -> GameSpec:
 def cmd_generate(args) -> int:
     params = _params_from_args(args)
     game = generate_benchmark(params)  # raises GenerationFailed unless the game validates
-    report = validate_game(game)
-    print(report.summary())
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     game.save(out)

@@ -12,14 +12,13 @@ Derived state correspondence used throughout (established analytically
 and enforced by the trajectory-equivalence verification suite): the
 round-based iterate x^k equals the raw iteration's first-resolvent
 output from round k-1, its central variables equal the raw full-step
-values, and the raw iteration starts from
-(x^0, y^0 - gamma_i * lam^0 per block, sigma^0, 0, lam^0).
+values, and both start from the rounds' initial point
+(x^0, y^0, sigma^0, 0, 0), since lam^0 = 0.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -96,7 +95,7 @@ class RunConfig:
     ends unconverged with ``stop_reason="floor"``, or ``"diverged"`` when its
     optimality residual there is no lower than at round 0.
     ``ref_stop``, when set together with a reference point, stops the run
-    once ||x - ref|| / ||x0 - ref|| drops below it (comparison runs).
+    once ||x - ref|| / ||x^0 - ref|| drops below it (comparison runs).
     """
 
     steps: StepSizes
@@ -106,7 +105,6 @@ class RunConfig:
     record_every: int = 1
     prox_tol: float = DEFAULT_PROX_TOL
     ref_stop: float | None = None
-    lam0: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 < self.relaxation < 2.0:
@@ -182,46 +180,23 @@ class RunTrace:
 # -- initialization and the two update operations --------------------------------------
 
 
-def dr_init(
-    game: GameSpec, config: RunConfig, x0: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, CoordinatorState]:
+def dr_init(game: GameSpec, config: RunConfig) -> tuple[np.ndarray, np.ndarray, CoordinatorState]:
     """The initial (N, n) decisions, their (N, m) links and the coordinator state.
 
-    Defaults: each agent starts at the projection of the origin onto its
-    local set, links are recomputed, the coordinator seeds its aggregate
-    estimate with the initial average and both multipliers at zero (a
-    nonnegative lam0 may be supplied through the config).  The decisions
-    are a fresh writable array.
+    Each agent starts at the projection of the origin onto its local set,
+    links are recomputed, the coordinator seeds its aggregate estimate with
+    the initial average and both multipliers at zero.  The decisions are a
+    fresh writable array.
     """
     dims = game.dims
     if config.steps.N != dims.N:
         raise InvalidStepSizes("per-agent step-size count differs from N")
-
-    if x0 is None:
-        X = game.stacks.default_points.copy()
-    else:
-        X = np.asarray(x0, dtype=np.float64)
-        if X.shape != (dims.N * dims.n,):
-            raise DimensionMismatch("x0 must be a stacked vector of length N * n")
-        if not np.isfinite(X).all():
-            raise ValueError("x0 must be finite")
-        X = X.reshape(dims.N, dims.n)
-        fixed = game.project_each(X)
-        if not np.allclose(fixed, X, atol=1e-12):
-            warnings.warn("x0 was outside the local sets and has been projected")
-        X = fixed
+    X = game.stacks.default_points.copy()
     Y = game.stacks.link_values(X)
-
-    lam0 = np.zeros(dims.m) if config.lam0 is None else np.asarray(config.lam0, dtype=np.float64)
-    if lam0.shape != (dims.m,):
-        raise DimensionMismatch("lam0 must have length m")
-    if not np.all((lam0 >= 0) & (lam0 < np.inf)):
-        raise ValueError("lam0 must be finite and componentwise nonnegative")
-
     coord = CoordinatorState(
         sigma=X.mean(axis=0),
         mu=np.zeros(dims.n),
-        lam=lam0,
+        lam=np.zeros(dims.m),
         prev_xhat=X.mean(axis=0),
         prev_yhat=Y.mean(axis=0),
         relaxation=config.relaxation,
@@ -304,10 +279,10 @@ class DrEngine:
     F_i = y_i - gamma_i lam - y~_i of the raw iterate w~ from the round's image.
     """
 
-    def __init__(self, game: GameSpec, config: RunConfig, x0: np.ndarray | None = None):
+    def __init__(self, game: GameSpec, config: RunConfig):
         self.game = game
         self.config = config
-        self.X, self.Y, self.coord = dr_init(game, config, x0)
+        self.X, self.Y, self.coord = dr_init(game, config)
         self.D, self.F = np.zeros_like(self.X), np.zeros_like(self.Y)
         self.bcast = BroadcastMessage(lam=self.coord.lam, mu=self.coord.mu, sigma=self.coord.sigma)
 
@@ -366,11 +341,9 @@ def raw_dr_step(
     return RawStep(half=half, full=full, tilde=tilde)
 
 
-def raw_initial_tilde(game: GameSpec, config: RunConfig, x0: np.ndarray | None = None) -> ExtendedPoint:
-    """Seed for the raw iteration matching the rounds' start: y_i - gamma_i * lam per link block."""
-    point = DrEngine(game, config, x0).point()
-    Y_tilde = point.y_blocks(point.lam.shape[0]) - config.steps.gamma[:, None] * point.lam[None, :]
-    return ExtendedPoint(point.x, Y_tilde.ravel(), point.sigma, point.mu, point.lam)
+def raw_initial_tilde(game: GameSpec, config: RunConfig) -> ExtendedPoint:
+    """Seed for the raw iteration matching the rounds' start: the rounds' initial point."""
+    return DrEngine(game, config).point()
 
 
 # -- shared run loop ---------------------------------------------------------------------
@@ -489,7 +462,6 @@ def run_dr(
     game: GameSpec,
     config: RunConfig,
     reference: np.ndarray | None = None,
-    x0: np.ndarray | None = None,
     validate: bool = True,
 ) -> RunTrace:
     """Run the splitting to convergence and return the full trace.
@@ -499,7 +471,7 @@ def run_dr(
     """
     if validate:
         _require_valid(game)
-    return _run_loop(DrEngine(game, config, x0), config, reference, "dr")
+    return _run_loop(DrEngine(game, config), config, reference, "dr")
 
 
 # -- projected pseudo-gradient baseline --------------------------------------------------
@@ -525,9 +497,9 @@ def pfb_step_sizes(game: GameSpec) -> tuple[np.ndarray, float]:
 class _PfbEngine:
     """The baseline's decisions and multiplier behind the run loop's ``step`` and ``point``."""
 
-    def __init__(self, game: GameSpec, config: RunConfig, x0: np.ndarray | None):
+    def __init__(self, game: GameSpec, config: RunConfig):
         self.game = game
-        self.X, _, coord = dr_init(game, config, x0)
+        self.X, _, coord = dr_init(game, config)
         self.lam = coord.lam.copy()
         self.tau, self.tau_lam = pfb_step_sizes(game)
 
@@ -552,7 +524,6 @@ def run_pfb(
     game: GameSpec,
     config: RunConfig,
     reference: np.ndarray | None = None,
-    x0: np.ndarray | None = None,
     validate: bool = True,
 ) -> RunTrace:
     """Projected pseudo-gradient baseline with an extrapolated dual update.
@@ -564,4 +535,4 @@ def run_pfb(
         raise InvalidStepSizes("the pfb baseline runs unrelaxed; relaxation must be 1")
     if validate:
         _require_valid(game)
-    return _run_loop(_PfbEngine(game, config, x0), config, reference, "pfb")
+    return _run_loop(_PfbEngine(game, config), config, reference, "pfb")

@@ -105,11 +105,6 @@ def extended_subdifferential(game: GameSpec, x: np.ndarray, sigma: np.ndarray) -
     return game.stacks.grad(X, sigma).ravel()
 
 
-def aggregative_subdifferential(game: GameSpec, x: np.ndarray) -> np.ndarray:
-    """Stacked gradients with the aggregate frozen, then set to the actual average."""
-    return extended_subdifferential(game, x, average(x, game.dims.n))
-
-
 # -- the linear skew coupling map ------------------------------------------------------
 
 

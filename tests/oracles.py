@@ -3,6 +3,7 @@
 Nothing here shares code paths with the implementations under test
 beyond basic numpy and the kernels of ``aggsplit.projections``, which are
 tested on their own; expected values in the tests come from these.
+``engine_at`` only sets the state of a ``DrEngine`` for the tests to step.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from aggsplit.engine import BroadcastMessage, CoordinatorState, DrEngine, RunConfig
 from aggsplit.game import (
     AgentSpec,
     BoxSimplex,
@@ -193,6 +195,27 @@ def reference_rounds(game: GameSpec, steps: StepSizes, iters: int, guess: bool =
         xhat_prev, yhat_prev = xhat, yhat
         out.append(np.concatenate(xs))
     return out
+
+
+def engine_at(game: GameSpec, config: RunConfig, point: ExtendedPoint) -> DrEngine:
+    """A round engine placed at ``point``: its decisions, sigma, mu and lam, the links
+    recomputed from the decisions and the lagged aggregates set to their averages, as
+    if the previous round had landed there."""
+    engine = DrEngine(game, config)
+    X = point.x.reshape(game.dims.N, game.dims.n).copy()
+    Y = game.stacks.link_values(X)
+    lam, mu, sigma = point.lam.copy(), point.mu.copy(), point.sigma.copy()
+    engine.X, engine.Y = X, Y
+    engine.coord = CoordinatorState(
+        sigma=sigma,
+        mu=mu,
+        lam=lam,
+        prev_xhat=X.mean(axis=0),
+        prev_yhat=Y.mean(axis=0),
+        relaxation=config.relaxation,
+    )
+    engine.bcast = BroadcastMessage(lam=lam, mu=mu, sigma=sigma)
+    return engine
 
 
 def deviation_gap(

@@ -1,9 +1,11 @@
 import base64
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import aggsplit.game
 from aggsplit.cli import main
 
 
@@ -29,6 +31,19 @@ class TestGenerate:
         run_cli(["generate", "--N", "8", "--n", "4", "--seed", "7", "-o", str(f1)])
         run_cli(["generate", "--N", "8", "--n", "4", "--seed", "7", "-o", str(f2)])
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_validates_the_game_once(self, tmp_path, monkeypatch):
+        real, calls = aggsplit.game.validate_game, []
+
+        def spy(game):
+            calls.append(game)
+            return real(game)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("aggsplit")]:
+            if getattr(module, "validate_game", None) is real:
+                monkeypatch.setattr(module, "validate_game", spy)
+        assert run_cli(["generate", "--N", "8", "--n", "4", "-o", str(tmp_path / "game.json")]) == 0
+        assert len(calls) == 1
 
     def test_zero_agents_is_a_usage_error(self, tmp_path):
         code = run_cli(["generate", "--N", "0", "-o", str(tmp_path / "x.json")])

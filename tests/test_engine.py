@@ -34,7 +34,7 @@ from aggsplit.benchmark import BenchmarkParams, generate_benchmark, ground_truth
 from aggsplit.engine import CSV_HEADER, GATE_FACTOR, pfb_step_sizes
 from aggsplit.game import AgentStacks
 from aggsplit.projections import fista_minimize
-from oracles import in_box_simplex, reference_rounds, wrap_costs_in_oracles, wrap_sets_in_oracles
+from oracles import engine_at, reference_rounds, wrap_costs_in_oracles, wrap_sets_in_oracles
 
 # unit, under- and over-relaxed rounds, each checked against the raw iteration
 RELAXATIONS = (1.0, 0.9, 1.5)
@@ -123,30 +123,6 @@ class TestDrInit:
         # gamma_hat = 1: bounds are 1 and 1/(1 + 1/N)
         for N in (2, 10, 50):
             benchmark_steps(N)
-
-    def test_x0_outside_sets_is_projected_with_warning(self, desk_game, desk_steps):
-        cfg = RunConfig(steps=desk_steps)
-        bad = np.full(desk_game.dims.N * desk_game.dims.n, 5.0)
-        with pytest.warns(UserWarning):
-            X, _, _ = dr_init(desk_game, cfg, x0=bad)
-        for i, agent in enumerate(desk_game.agents):
-            assert in_box_simplex(X[i], agent.omega, tol=1e-9)
-
-    def test_negative_lam0_rejected(self, desk_game, desk_steps):
-        cfg = RunConfig(steps=desk_steps, lam0=-np.ones(desk_game.dims.m))
-        with pytest.raises(ValueError):
-            dr_init(desk_game, cfg)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_start_rejected(self, desk_game, desk_steps, value):
-        x0 = desk_game.stacks.default_points.ravel().copy()
-        x0[0] = value
-        with pytest.raises(ValueError, match="x0"):
-            dr_init(desk_game, RunConfig(steps=desk_steps), x0=x0)
-        lam0 = np.zeros(desk_game.dims.m)
-        lam0[0] = value
-        with pytest.raises(ValueError, match="lam0"):
-            dr_init(desk_game, RunConfig(steps=desk_steps, lam0=lam0))
 
     def test_extreme_admissible_raw_steps_run(self, desk_game, desk_steps):
         # delta_c rounds to 1 / gamma_hat, yet the positive raw entries make the run admissible
@@ -276,8 +252,7 @@ class TestCoordinatorUpdate:
 class TestEngineRounds:
     def test_solution_is_a_fixed_point(self, desk_game, desk_steps):
         point, _ = ground_truth_point(desk_game, tol=1e-10, cross_check=False)
-        cfg = RunConfig(steps=desk_steps, lam0=point.lam)
-        engine = DrEngine(desk_game, cfg, x0=point.x)
+        engine = engine_at(desk_game, RunConfig(steps=desk_steps), point)
         before = engine.point()
         engine.step()
         after = engine.point()
@@ -508,17 +483,6 @@ class TestRawIteration:
                 half, full, tilde = raw_dr_step(tilde, desk_game, desk_steps, rho, prox_tol=1e-12)
                 assert np.max(np.abs(engine.X.ravel() - half.x)) <= 1e-9, rho
                 assert np.max(np.abs(engine.coord.lam - full.lam)) <= 1e-9, rho
-
-    def test_mapping_holds_with_nonzero_initial_multiplier(self, desk_game, desk_steps):
-        lam0 = np.array([0.3, 0.1, 0.2])
-        for rho in RELAXATIONS:
-            cfg = RunConfig(steps=desk_steps, relaxation=rho, prox_tol=1e-12, lam0=lam0)
-            engine = DrEngine(desk_game, cfg)
-            tilde = raw_initial_tilde(desk_game, cfg)
-            for _ in range(10):
-                engine.step()
-                half, full, tilde = raw_dr_step(tilde, desk_game, desk_steps, rho, prox_tol=1e-12)
-                assert np.max(np.abs(engine.X.ravel() - half.x)) <= 1e-9, rho
 
     def test_tilde_steps_are_nonincreasing_on_monotone_instance(
         self, monotone_game, monotone_steps

@@ -8,7 +8,6 @@ from aggsplit import (
     ExtendedPoint,
     GameSpec,
     QuadraticAgg,
-    aggregative_subdifferential,
     apply_S,
     average,
     extended_subdifferential,
@@ -42,8 +41,8 @@ class TestSubdifferentials:
     def test_frozen_aggregate_formula(self, desk_game):
         rng = np.random.default_rng(0)
         x = rng.random(desk_game.dims.N * desk_game.dims.n)
-        got = aggregative_subdifferential(desk_game, x).reshape(desk_game.dims.N, -1)
         sigma = average(x, desk_game.dims.n)
+        got = extended_subdifferential(desk_game, x, sigma).reshape(desk_game.dims.N, -1)
         for i, agent in enumerate(desk_game.agents):
             xi = x.reshape(desk_game.dims.N, -1)[i]
             want = agent.cost.a * (xi - agent.cost.xtilde) + agent.cost.Q @ sigma
@@ -55,7 +54,7 @@ class TestSubdifferentials:
         game = scalar_game(a=1.0, q=q)
         x = np.array([0.4])
         assert chain_rule_gradient(game, x) == pytest.approx((1 + 2 * q) * 0.4)
-        assert aggregative_subdifferential(game, x) == pytest.approx((1 + q) * 0.4)
+        assert extended_subdifferential(game, x, average(x, 1)) == pytest.approx((1 + q) * 0.4)
         # finite differences of the fully substituted cost confirm the full variant
         f = lambda z: game.agents[0].cost.value(z, z)
         assert chain_rule_gradient(game, x) == pytest.approx(fd_gradient(f, x)[0], rel=1e-6)
@@ -69,15 +68,16 @@ class TestSubdifferentials:
         game = scalar_game(a=2.0, q=0.0, xtilde=0.3)
         x = np.array([0.3])
         assert chain_rule_gradient(game, x) == pytest.approx(0.0)
-        assert aggregative_subdifferential(game, x) == pytest.approx(0.0)
+        assert extended_subdifferential(game, x, average(x, 1)) == pytest.approx(0.0)
 
     def test_extended_matches_frozen_at_the_average(self, desk_game):
         rng = np.random.default_rng(1)
         x = rng.random(desk_game.dims.N * desk_game.dims.n)
         sigma = average(x, desk_game.dims.n)
         lhs = extended_subdifferential(desk_game, x, sigma)
-        rhs = aggregative_subdifferential(desk_game, x)
-        assert np.array_equal(lhs, rhs)  # same code path
+        X = x.reshape(desk_game.dims.N, -1)
+        rhs = np.concatenate([agent.cost.grad(xi, sigma) for agent, xi in zip(desk_game.agents, X)])
+        assert np.array_equal(lhs, rhs)  # the stacked rows round like each agent's own
 
     def test_extended_matches_finite_differences(self, desk_game):
         rng = np.random.default_rng(2)
@@ -95,7 +95,7 @@ class TestSubdifferentials:
         dims = desk_game.dims
         x = rng.random(dims.N * dims.n)
         sigma = average(x, dims.n)
-        got = aggregative_subdifferential(desk_game, x).reshape(dims.N, dims.n)
+        got = extended_subdifferential(desk_game, x, sigma).reshape(dims.N, dims.n)
         for i, agent in enumerate(desk_game.agents):
             xi = x.reshape(dims.N, dims.n)[i]
             fd = fd_gradient(lambda z: agent.cost.value(z, sigma), xi)
