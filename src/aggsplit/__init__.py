@@ -53,9 +53,7 @@ from .game import (
     CostModel,
     Dimensions,
     GameSpec,
-    GenericConvex,
     GenericSmooth,
-    LocalSet,
     QuadraticAgg,
     ValidationReport,
     average,

@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AggsplitError, DimensionMismatch, GenerationFailed, MaxItersExceeded, NotCertified
-from .game import AgentStacks, Dimensions, GameSpec, validate_game
+from .errors import AggsplitError, GenerationFailed, MaxItersExceeded, NotCertified
+from .game import AgentStacks, Dimensions, GameSpec, _finite_vector, validate_game
 from .engine import GATE_FACTOR, RunConfig, RunTrace, run_dr, run_pfb
 from .operators import ExtendedPoint, monotonicity_probe, stationarity_residual
 from .projections import (
@@ -169,25 +169,18 @@ def ground_truth(game: GameSpec, tol: float = 1e-9, **kwargs) -> np.ndarray:
 # -- equilibrium quality -----------------------------------------------------------------
 
 
-def _decisions(game: GameSpec, x: np.ndarray) -> np.ndarray:
-    """The (N, n) blocks of a finite stacked decision vector x of length N * n."""
-    dims, x = game.dims, np.asarray(x, dtype=np.float64)
-    if x.shape != (dims.N * dims.n,):
-        raise DimensionMismatch(f"stacked decision must have length {dims.N * dims.n}")
-    if not np.isfinite(x).all():
-        raise ValueError("stacked decision must be finite")
-    return x.reshape(dims.N, dims.n)
-
-
 def gae_vi_residual(game: GameSpec, x: np.ndarray, lam: np.ndarray | None = None) -> float:
     """Natural-map residual of the aggregative variational inequality at x.
 
     ``lam`` is the certified coupling multiplier; omitted it defaults to
-    zero, appropriate only when no coupling row is active.
+    zero, appropriate only when no coupling row is active.  An ``x`` or
+    ``lam`` of the wrong length raises :class:`DimensionMismatch`, and one
+    with a non-finite entry ``ValueError``.
     """
-    if lam is None:
-        lam = np.zeros(game.dims.m)
-    return stationarity_residual(game, _decisions(game, x).ravel(), np.asarray(lam))
+    dims = game.dims
+    x = _finite_vector(x, dims.N * dims.n, "stacked decision")
+    lam = np.zeros(dims.m) if lam is None else _finite_vector(lam, dims.m, "coupling multiplier")
+    return stationarity_residual(game, x, lam)
 
 
 def _deviation_groups(game: GameSpec, X: np.ndarray) -> list[tuple[np.ndarray, Callable]]:
@@ -195,12 +188,11 @@ def _deviation_groups(game: GameSpec, X: np.ndarray) -> list[tuple[np.ndarray, C
     onto their deviation sets {z in Omega_i : A_i z <= slack_i}, where slack_i is
     the coupling room b - sum_{j != i} A_j x_j, widened just enough to keep x_i.
 
-    Row i is capped when its set is a box-simplex, m = n and A_i = w_i I with
-    w_i > 0: its set is then the box-simplex with caps min(upper, slack_i / w_i),
-    widened to x_i, a member up to roundoff.  The capped rows form one group with
-    one batched projection.  Every other row widens slack_i to max(slack_i, A_i x_i)
-    and is a group of its own, projected by Dykstra's method over Omega_i and its
-    halfspaces.
+    Row i is capped when m = n and A_i = w_i I with w_i > 0: its set is then the
+    box-simplex with caps min(upper, slack_i / w_i), widened to x_i, a member up
+    to roundoff.  The capped rows form one group with one batched projection.
+    Every other row widens slack_i to max(slack_i, A_i x_i) and is a group of its
+    own, projected by Dykstra's method over Omega_i and its halfspaces.
     """
     own = (game.stacks.A @ X[..., None])[..., 0]  # rounds like the per-agent A_i @ x_i, which einsum may not
     slack = game.stacks.b_total - (game.stacks.coupling_value(X) - own)
@@ -246,7 +238,8 @@ def epsilon_nash_gap(game: GameSpec, x: np.ndarray) -> np.ndarray:
     empty and the gaps, clipped at zero against roundoff, are sound; where x
     violates the coupling, they measure deviations within the widened room.
     """
-    N, X = game.dims.N, _decisions(game, x)
+    N, n = game.dims.N, game.dims.n
+    X = _finite_vector(x, N * n, "stacked decision").reshape(N, n)
     sigma_others = X.mean(axis=0) - X / N
     lipschitz, strong = _deviation_moduli(game)
     eps = np.empty(N)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, InvalidStepSizes, MaxItersExceeded
-from .game import AgentStacks, GameSpec, coupling_violation, validate_game
+from .game import AgentStacks, GameSpec, _finite_vector, coupling_violation, validate_game
 from .operators import ExtendedPoint, KktResidual, kkt_residual
 from .resolvents import (
     DEFAULT_PROX_TOL,
@@ -371,7 +371,9 @@ def _run_loop(
     previous failed look ends the run unconverged: ``"diverged"`` when that
     residual is no lower than at round 0, else ``"floor"``.  With
     ``stop_tol=0`` no gate can pass, so such runs (the comparison runs
-    that stop on ``ref_stop``) skip the stall check.
+    that stop on ``ref_stop``) skip the stall check.  A ``reference`` of the
+    wrong length raises :class:`DimensionMismatch`, and one with a non-finite
+    entry ``ValueError``.
     """
     game, steps = engine.game, config.steps
     t0 = time.perf_counter_ns()
@@ -380,7 +382,7 @@ def _run_loop(
 
     point = engine.point()
     if reference is not None:
-        reference = np.asarray(reference, dtype=np.float64)
+        reference = _finite_vector(reference, game.dims.N * game.dims.n, "reference")
         dists.append(float(np.linalg.norm(point.x - reference)))
 
     def record(k: int, step_norm: float, kkt: KktResidual) -> None:

@@ -27,7 +27,8 @@ class EmptySet(AggsplitError):
 
 
 class NonSmoothCost(AggsplitError):
-    """A gradient oracle is required but absent."""
+    """A gradient oracle is absent: a ``GenericSmooth`` built without ``grad_fn``,
+    or the exact gap's aggregate gradient where ``grad_sigma_fn`` is None."""
 
 
 class NoConvergence(AggsplitError):

@@ -79,33 +79,6 @@ class BoxSimplex:
     def project(self, v: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         return project_box_simplex(v, self.upper, self.total, weights)
 
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.zeros(self.n), self.upper.copy()
-
-
-@dataclass(frozen=True)
-class GenericConvex:
-    """Opaque convex set given through a projection oracle.
-
-    ``project_fn(v, weights)`` must return the projection of ``v`` in the
-    diagonal metric ``weights`` (Euclidean when ``weights`` is None).
-    """
-
-    n: int
-    project_fn: Callable[[np.ndarray, np.ndarray | None], np.ndarray]
-
-    def project(self, v: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        return np.asarray(self.project_fn(np.asarray(v, dtype=np.float64), weights), dtype=np.float64)
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        # probe with projected Gaussians; good enough for sampling domains
-        rng = np.random.default_rng(0)
-        pts = np.stack([self.project(3.0 * rng.standard_normal(self.n)) for _ in range(64)])
-        return pts.min(axis=0), pts.max(axis=0)
-
-
-LocalSet = Union[BoxSimplex, GenericConvex]
-
 
 @dataclass(frozen=True)
 class QuadraticAgg:
@@ -149,23 +122,26 @@ class QuadraticAgg:
 class GenericSmooth:
     """Cost given through value/gradient oracles.
 
+    ``grad_fn`` is required; a None one raises :class:`NonSmoothCost` here.
     ``curvature`` bounds the Hessian of ``x -> value(x, sigma)``; it is
     required by the fixed-step inner solver.  ``grad_sigma_fn`` is only
     needed for the exact epsilon-Nash gap.
     """
 
     value_fn: Callable[[np.ndarray, np.ndarray], float]
-    grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     curvature: float = 1.0
     strong_convexity: float = 0.0
     grad_sigma_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.grad_fn is None:
+            raise NonSmoothCost("cost has no gradient oracle")
 
     def value(self, x: np.ndarray, sigma: np.ndarray) -> float:
         return float(self.value_fn(x, sigma))
 
     def grad(self, x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        if self.grad_fn is None:
-            raise NonSmoothCost("cost has no gradient oracle")
         return np.asarray(self.grad_fn(x, sigma), dtype=np.float64)
 
     def grad_sigma(self, x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -181,7 +157,7 @@ CostModel = Union[QuadraticAgg, GenericSmooth]
 class AgentSpec:
     """One agent: local set, cost, and its slice of the coupling data."""
 
-    omega: LocalSet
+    omega: BoxSimplex
     cost: CostModel
     A: np.ndarray
     b: np.ndarray
@@ -201,7 +177,7 @@ class AgentSpec:
             raise DimensionMismatch(
                 f"agent coupling block is {self.A.shape}, expected {(dims.m, dims.n)}"
             )
-        if getattr(self.omega, "n", dims.n) != dims.n:
+        if self.omega.n != dims.n:
             raise DimensionMismatch("local set dimension differs from n")
         if isinstance(self.cost, QuadraticAgg) and self.cost.xtilde.shape != (dims.n,):
             raise DimensionMismatch("cost target dimension differs from n")
@@ -215,16 +191,16 @@ class AgentStacks:
     diagonal, unless i is in ``dense_rows`` (ascending): then it is the
     matching matrix of ``unit_dense`` and row i of ``unit_diag`` is zero.
     ``curvature`` and ``strong_convexity`` are the cost moduli.  The (N,) row
-    flags ``box``, ``quadratic``, ``closed`` and ``has_grad`` are the only record
-    of each agent's set and cost kinds; the ``all_*`` and ``closed_form`` flags
-    are their conjunctions.  ``upper``/``total`` are set only when every local
-    set is a box-simplex; ``a``/``xtilde``/``Q`` hold the quadratic rows, in row
-    order.  ``value``, ``grad`` and ``grad_sigma`` take a shared or a row-wise
-    aggregate: the quadratic rule when every cost is quadratic, else each
-    agent's oracles.  ``link_values``, ``coupling_value`` and ``adjoint`` are the
-    only products with the coupling blocks A_i; when ``all_capped``, they scale
-    by ``capped_weight`` instead of contracting A.  The constants derived from the
-    agents alone are cached properties, computed on first use.
+    flags ``quadratic`` and ``closed`` are the only record of each agent's cost
+    kind; ``all_quadratic`` and ``closed_form`` are their conjunctions.
+    ``upper``/``total`` are the box-simplex sets; ``a``/``xtilde``/``Q`` hold the
+    quadratic rows, in row order.  ``value``, ``grad`` and ``grad_sigma`` take a
+    shared or a row-wise aggregate: the quadratic rule when every cost is
+    quadratic, else each agent's oracles.  ``link_values``, ``coupling_value``
+    and ``adjoint`` are the only products with the coupling blocks A_i; when
+    ``all_capped``, they scale by ``capped_weight`` instead of contracting A.
+    The constants derived from the agents alone are cached properties,
+    computed on first use.
     """
 
     agents: tuple[AgentSpec, ...]
@@ -233,17 +209,14 @@ class AgentStacks:
     unit_diag: np.ndarray  # (N, n) 1 + diag(A_i' A_i), zero on dense rows
     dense_rows: np.ndarray  # (k,) rows whose A_i' A_i is not diagonal
     unit_dense: np.ndarray  # (k, n, n) I + A_i' A_i of those rows
-    box: np.ndarray  # (N,) bool: the set is a BoxSimplex
     quadratic: np.ndarray  # (N,) bool: the cost is QuadraticAgg
     closed: np.ndarray  # (N,) bool: quadratic with a diagonal metric, a closed-form prox row
-    has_grad: np.ndarray  # (N,) bool: the cost has a gradient oracle
     curvature: np.ndarray  # (N,) cost Hessian bounds
     strong_convexity: np.ndarray  # (N,) cost strong-convexity moduli
-    all_box_simplex: bool
     all_quadratic: bool
     closed_form: bool  # every unit-metric prox is one weighted projection
-    upper: np.ndarray | None  # (N, n) box caps
-    total: np.ndarray | None  # (N,) simplex totals
+    upper: np.ndarray  # (N, n) box caps
+    total: np.ndarray  # (N,) simplex totals
     a: np.ndarray  # (q,) quadratic weights
     xtilde: np.ndarray  # (q, n) quadratic targets
     Q: np.ndarray  # (q, n, n) aggregate coupling matrices
@@ -259,13 +232,10 @@ class AgentStacks:
         unit_diag = np.diagonal(units, axis1=1, axis2=2).copy()
         dense_rows = np.flatnonzero((units[:, ~np.eye(n, dtype=bool)] != 0).any(axis=1))
         unit_diag[dense_rows] = 0.0
-        box = np.array([isinstance(omega, BoxSimplex) for omega in sets])
-        all_box = bool(box.all())
         quadratic = np.array([isinstance(cost, QuadraticAgg) for cost in costs])
         closed = quadratic.copy()
         closed[dense_rows] = False
         quads = [cost for cost, quad in zip(costs, quadratic) if quad]
-        has_grad = [not isinstance(cost, GenericSmooth) or cost.grad_fn is not None for cost in costs]
         return cls(
             agents=agents,
             A=A,
@@ -273,17 +243,14 @@ class AgentStacks:
             unit_diag=unit_diag,
             dense_rows=dense_rows,
             unit_dense=units[dense_rows],
-            box=box,
             quadratic=quadratic,
             closed=closed,
-            has_grad=np.array(has_grad),
             curvature=np.array([cost.curvature for cost in costs], dtype=np.float64),
             strong_convexity=np.array([cost.strong_convexity for cost in costs], dtype=np.float64),
-            all_box_simplex=all_box,
             all_quadratic=bool(quadratic.all()),
             closed_form=bool(closed.all()),
-            upper=np.stack([omega.upper for omega in sets]) if all_box else None,
-            total=np.array([omega.total for omega in sets]) if all_box else None,
+            upper=np.stack([omega.upper for omega in sets]),
+            total=np.array([omega.total for omega in sets]),
             a=np.array([cost.a for cost in quads], dtype=np.float64),
             xtilde=np.array([cost.xtilde for cost in quads]).reshape(-1, n),
             Q=np.array([cost.Q for cost in quads]).reshape(-1, n, n),
@@ -320,9 +287,9 @@ class AgentStacks:
         return np.linalg.norm(0.5 * (self.Q + np.swapaxes(self.Q, 1, 2)), 2, axis=(1, 2))
 
     @cached_property
-    def capped_weight(self) -> np.ndarray:  # (N,) w_i on a box row where m = n, A_i = w_i I, w_i > 0; else 0
+    def capped_weight(self) -> np.ndarray:  # (N,) w_i on a row where m = n, A_i = w_i I, w_i > 0; else 0
         w, (m, n) = self.A[:, 0, 0], self.A.shape[1:]
-        capped = self.box & (w > 0) & (m == n) & (self.A == w[:, None, None] * np.eye(m, n)).all(axis=(1, 2))
+        capped = (w > 0) & (m == n) & (self.A == w[:, None, None] * np.eye(m, n)).all(axis=(1, 2))
         return np.where(capped, w, 0.0)
 
     @cached_property
@@ -385,12 +352,8 @@ class AgentStacks:
     ) -> np.ndarray:
         """Row r of (B, n) ``V`` projected onto agent r's set, in the diagonal
         metric of row r of ``weights`` (Euclidean when omitted): one batched
-        kernel call when every set is a box-simplex, warm-started from the
-        (B, n) ``guess`` when given, else one oracle call per row (no guess)."""
-        if self.all_box_simplex:
-            return project_box_simplex_batch(V, self.upper, self.total, weights, guess)
-        W = [None] * len(self.agents) if weights is None else weights
-        return np.stack([agent.omega.project(v, w) for agent, v, w in zip(self.agents, V, W)])
+        kernel call, warm-started from the (B, n) ``guess`` when given."""
+        return project_box_simplex_batch(V, self.upper, self.total, weights, guess)
 
 
 @dataclass(frozen=True)
@@ -437,8 +400,8 @@ class GameSpec:
 
     def to_json_dict(self) -> dict:
         """The game file payload: the dims and one little-endian float64 column per stack."""
-        if not (self.stacks.all_box_simplex and self.stacks.all_quadratic):
-            raise ValueError("only box-simplex / quadratic games serialize to JSON")
+        if not self.stacks.all_quadratic:
+            raise ValueError("only quadratic games serialize to JSON")
         return {
             "dims": {"N": self.dims.N, "n": self.dims.n, "m": self.dims.m},
             "stacks": {name: _encode_column(getattr(self.stacks, name)) for name in _COLUMNS},
@@ -519,6 +482,17 @@ def _decode_column(stacks: dict, name: str, shape: tuple) -> np.ndarray:
 # -- aggregation and feasibility primitives ------------------------------------------
 
 
+def _finite_vector(value, size: int, name: str) -> np.ndarray:
+    """``value`` as a float64 vector; ``DimensionMismatch`` unless its length is ``size``,
+    ``ValueError`` unless every entry is finite."""
+    v = np.asarray(value, dtype=np.float64)
+    if v.shape != (size,):
+        raise DimensionMismatch(f"{name} must have length {size}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 def average(x: np.ndarray, n: int) -> np.ndarray:
     """Arithmetic mean of the n-blocks of a stacked vector, ascending agent order."""
     x = np.asarray(x, dtype=np.float64)
@@ -562,7 +536,6 @@ def find_feasible_point(game: GameSpec) -> tuple[np.ndarray, bool]:
 class ValidationReport:
     """Outcome of the structural and feasibility checks on a game."""
 
-    nonempty: list[bool]
     gradient_rel_err: list[float]
     feasible: bool
     strictly_feasible: bool
@@ -571,14 +544,11 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return all(self.nonempty) and self.feasible and all(map(math.isfinite, self.gradient_rel_err))
+        return self.feasible and all(map(math.isfinite, self.gradient_rel_err))
 
     def summary(self) -> str:
         lines = [
-            f"local sets nonempty: {sum(self.nonempty)}/{len(self.nonempty)}",
-            f"max gradient check error: {np.max(self.gradient_rel_err):.3e}"
-            if self.gradient_rel_err
-            else "gradient check: skipped",
+            f"max gradient check error: {np.max(self.gradient_rel_err):.3e}",
             f"coupling feasible: {self.feasible} (strict: {self.strictly_feasible})",
         ]
         lines.extend(self.messages)
@@ -598,50 +568,33 @@ def _fd_gradient_errors(value: Callable, X: np.ndarray, G: np.ndarray) -> np.nda
 
 
 def validate_game(game: GameSpec) -> ValidationReport:
-    """Run nonemptiness, gradient and feasibility checks; the dimensions are
-    checked once, when the ``GameSpec`` is built.
+    """Run gradient and feasibility checks; the dimensions are checked once,
+    when the ``GameSpec`` is built, and every local set is nonempty by
+    construction (:class:`EmptyLocalSet`).
 
-    Box-simplex sets are nonempty by construction; the projection of every
-    oracle set must be idempotent on a probe point.  The gradient check
-    compares the gradients with central differences at the default points,
-    in one batched pass over the rows with a gradient oracle; its errors are
+    The gradient check compares the gradients with central differences at
+    the default points, in one batched pass over every row; its errors are
     listed in row order, and a non-finite one fails validation.
 
     Pure: repeated calls on the same game produce identical reports.
     """
-    dims, stacks = game.dims, game.stacks
-    messages: list[str] = []
-    nonempty = np.ones(dims.N, dtype=bool)
-    rows = np.flatnonzero(~stacks.box)
-    if rows.size:
-        part = stacks.take(rows)
-        P = part.project(np.full((rows.size, dims.n), 0.5))
-        nonempty[rows] = np.linalg.norm(P - part.project(P), axis=1) <= 1e-12
-        messages += [f"agent {i}: projection oracle is not idempotent" for i in rows[~nonempty[rows]]]
-
-    rows, sigma_probe = np.flatnonzero(stacks.has_grad), np.full(dims.n, 0.25)
-    grad_errs = []
-    if rows.size:
-        part, X_probe = stacks.take(rows), stacks.default_points[rows]
-        G = part.grad(X_probe, sigma_probe)
-        grad_errs = _fd_gradient_errors(lambda Z: part.value(Z, sigma_probe), X_probe, G).tolist()
-        messages += [
-            f"agent {i}: gradient check error {e:.3e}" for i, e in zip(rows, grad_errs) if not math.isfinite(e)
-        ]
+    stacks, X, sigma = game.stacks, game.stacks.default_points, np.full(game.dims.n, 0.25)
+    grad_errs = _fd_gradient_errors(lambda Z: stacks.value(Z, sigma), X, stacks.grad(X, sigma)).tolist()
+    messages = [
+        f"agent {i}: gradient check error {e:.3e}" for i, e in enumerate(grad_errs) if not math.isfinite(e)
+    ]
 
     feasible = strictly = False
     point = None
-    if nonempty.all():
-        try:
-            point, strictly = find_feasible_point(game)
-            feasible = True
-            if not strictly:
-                messages.append("no strictly feasible point found; constraint may be tight")
-        except Infeasible as exc:
-            messages.append(str(exc))
+    try:
+        point, strictly = find_feasible_point(game)
+        feasible = True
+        if not strictly:
+            messages.append("no strictly feasible point found; constraint may be tight")
+    except Infeasible as exc:
+        messages.append(str(exc))
 
     return ValidationReport(
-        nonempty=nonempty.tolist(),
         gradient_rel_err=grad_errs,
         feasible=feasible,
         strictly_feasible=strictly,

@@ -226,7 +226,8 @@ class ProbeReport:
 
 
 def monotonicity_probe(game: GameSpec, sample_count: int = 1000, seed: int = 0) -> ProbeReport:
-    """Sample pairs in the domain box and test the monotonicity inner product.
+    """Sample pairs in the box (0, upper) of the local sets and test the
+    monotonicity inner product.
 
     A negative minimum falsifies monotonicity of the extended gradient map
     on this instance; a nonnegative minimum is evidence only.  Convergence
@@ -241,13 +242,12 @@ def monotonicity_probe(game: GameSpec, sample_count: int = 1000, seed: int = 0) 
         return reports[sample_count, seed]
     dims = game.dims
     rng = np.random.default_rng(seed)
-    los, his = zip(*(agent.omega.bounding_box() for agent in game.agents))
-    lo_x, hi_x = np.stack(los), np.stack(his)
-    lo_s, hi_s = lo_x.mean(axis=0), hi_x.mean(axis=0)
+    upper = game.stacks.upper
+    upper_s = upper.mean(axis=0)
 
     def draw():
-        X = lo_x + (hi_x - lo_x) * rng.random((dims.N, dims.n))
-        s = lo_s + (hi_s - lo_s) * rng.random(dims.n)
+        X = upper * rng.random((dims.N, dims.n))
+        s = upper_s * rng.random(dims.n)
         return X.ravel(), s
 
     inners = np.empty(sample_count)

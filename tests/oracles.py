@@ -20,7 +20,6 @@ from aggsplit.game import (
     BoxSimplex,
     Dimensions,
     GameSpec,
-    GenericConvex,
     GenericSmooth,
     QuadraticAgg,
 )
@@ -224,13 +223,13 @@ def deviation_gap(
     """Per-agent reference for the epsilon-Nash gap: one deviation problem at a time.
 
     Agent i deviates over {z in Omega_i : A_i z <= slack_i} with the average
-    moving along.  When Omega_i is a box-simplex, m = n and A_i = w_i I with
-    w_i > 0, that set is the box-simplex with caps min(upper, slack_i / w_i),
-    widened to keep x_i; otherwise slack_i is widened to max(slack_i, A_i x_i)
-    and the set is projected by Dykstra's method.  The
-    exact gap solves the problem by projected gradient from x_i; with
-    ``samples`` the best of that many projected draws of stream (seed, 2, i)
-    counts, one draw at a time.
+    moving along.  When m = n and A_i = w_i I with w_i > 0, that set is the
+    box-simplex with caps min(upper, slack_i / w_i), widened to keep x_i;
+    otherwise slack_i is widened to max(slack_i, A_i x_i) and the set is
+    projected by Dykstra's method.  The exact gap solves the problem by
+    projected gradient from x_i; with ``samples`` the best of that many
+    projected draws in (0, upper) of stream (seed, 2, i) counts, one draw at
+    a time.
     """
     from aggsplit.projections import dykstra_projection, fista_minimize, halfspace_projector
 
@@ -243,7 +242,7 @@ def deviation_gap(
         slack = game.stacks.b_total - (coupled - A @ X[i])
         w = A[0, 0]
         scaled_identity = A.shape == (n, n) and w > 0 and np.array_equal(A, w * np.eye(n))
-        if isinstance(omega, BoxSimplex) and scaled_identity:
+        if scaled_identity:
             caps = np.minimum(omega.upper, np.maximum(slack, 0.0) / w)
             project = BoxSimplex(np.maximum(caps, np.minimum(X[i], omega.upper)), omega.total).project
         else:
@@ -270,8 +269,7 @@ def deviation_gap(
             best = value(z)
         else:
             rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i)))
-            lo, hi = omega.bounding_box()
-            best = min(value(project(lo + (hi - lo) * rng.random(n))) for _ in range(samples))
+            best = min(value(project(omega.upper * rng.random(n))) for _ in range(samples))
         eps[i] = base - min(best, base)
     return eps
 
@@ -310,21 +308,6 @@ def wrap_costs_in_oracles(game: GameSpec) -> GameSpec:
                     strong_convexity=cost.a,
                     grad_sigma_fn=cost.grad_sigma,
                 ),
-                A=agent.A,
-                b=agent.b,
-            )
-        )
-    return GameSpec(dims=game.dims, agents=agents)
-
-
-def wrap_sets_in_oracles(game: GameSpec) -> GameSpec:
-    """The same game with every local set behind a projection oracle."""
-    agents = []
-    for agent in game.agents:
-        agents.append(
-            AgentSpec(
-                omega=GenericConvex(n=game.dims.n, project_fn=agent.omega.project),
-                cost=agent.cost,
                 A=agent.A,
                 b=agent.b,
             )

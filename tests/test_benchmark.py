@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import aggsplit.benchmark as benchmark_mod
+import aggsplit.operators as operators_mod
 import aggsplit.projections as projections_mod
 from aggsplit import (
     AgentSpec,
@@ -30,6 +31,7 @@ from aggsplit import (
     ground_truth_point,
     run_comparison,
     run_dr,
+    run_pfb,
     validate_game,
 )
 from oracles import (
@@ -37,7 +39,6 @@ from oracles import (
     deviation_gap,
     per_agent_benchmark,
     wrap_costs_in_oracles,
-    wrap_sets_in_oracles,
 )
 
 
@@ -193,10 +194,10 @@ class TestGroundTruth:
         game = generate_benchmark(BenchmarkParams(N=5, n=3, seed=11))  # its probe fails
         with pytest.warns(UserWarning, match="monotonicity probe"):
             ground_truth_point(game, tol=1e-8, cross_check=False)
-        boxes = count_calls(monkeypatch, BoxSimplex, "bounding_box")  # the probe's first step
+        samples = count_calls(monkeypatch, operators_mod, "extended_subdifferential")  # the probe's sampling
         with pytest.warns(UserWarning, match="monotonicity probe"):
             ground_truth_point(game, tol=1e-8, cross_check=False)
-        assert not boxes
+        assert not samples
 
     def test_uncertifiable_budget_raises(self, desk_game):
         with pytest.raises(NotCertified):
@@ -221,6 +222,23 @@ class TestViResidual:
         )
         game = GameSpec(dims=Dimensions(1, 2, 2), agents=[agent])
         assert gae_vi_residual(game, xt) == pytest.approx(0.0, abs=1e-12)
+
+
+def vi_residual_multiplier(game, lam):
+    """The VI residual at the default points with the multiplier ``lam``."""
+    return gae_vi_residual(game, game.stacks.default_points.ravel(), lam)
+
+
+def dr_reference(game, reference):
+    """A short unvalidated splitting run measured against ``reference``."""
+    config = RunConfig(steps=benchmark_steps(game.dims.N), max_iters=5)
+    return run_dr(game, config, reference, validate=False)
+
+
+def pfb_reference(game, reference):
+    """A short unvalidated baseline run measured against ``reference``."""
+    config = RunConfig(steps=benchmark_steps(game.dims.N), max_iters=5)
+    return run_pfb(game, config, reference, validate=False)
 
 
 class TestEpsilonGap:
@@ -250,16 +268,21 @@ class TestEpsilonGap:
         assert np.all(sampled <= exact + 1e-8)
         assert np.all(sampled >= 0.0)
 
-    @pytest.mark.parametrize("measure", [epsilon_nash_gap, gae_vi_residual])
+    @pytest.mark.parametrize(
+        "measure", [epsilon_nash_gap, gae_vi_residual, vi_residual_multiplier, dr_reference, pfb_reference]
+    )
     @pytest.mark.parametrize("fault, error", [("short", DimensionMismatch), ("nan", ValueError)])
     def test_malformed_decisions_are_rejected(self, desk_game, measure, fault, error):
-        x = desk_game.stacks.default_points.ravel().copy()
-        if fault == "nan":
-            x[0] = np.nan
+        if measure is vi_residual_multiplier:
+            v = np.zeros(desk_game.dims.m)
         else:
-            x = x[:-1]
-        with pytest.raises(error, match="stacked decision"):
-            measure(desk_game, x)
+            v = desk_game.stacks.default_points.ravel().copy()
+        if fault == "nan":
+            v[0] = np.nan
+        else:
+            v = v[:-1]
+        with pytest.raises(error, match="stacked decision|coupling multiplier|reference"):
+            measure(desk_game, v)
 
 
 @pytest.fixture(scope="module")
@@ -333,16 +356,6 @@ class TestBatchedGap:
         # the four capped rows in one lock step, the Dykstra row on its own
         assert len(fista_calls) == 2
         assert np.all(np.isfinite(eps)) and np.all(eps >= 0.0)
-        assert np.max(np.abs(eps - deviation_gap(game, x))) <= 1e-10
-
-    def test_one_oracle_set_off_the_family_solves_per_dykstra_row(self, desk_game, monkeypatch):
-        agents = list(desk_game.agents)
-        agents[0] = wrap_sets_in_oracles(desk_game).agents[0]
-        game = GameSpec(dims=desk_game.dims, agents=agents)
-        x, _ = find_feasible_point(game)
-        fista_calls = count_calls(monkeypatch, benchmark_mod, "fista_minimize")
-        eps = epsilon_nash_gap(game, x)
-        assert len(fista_calls) == 2
         assert np.max(np.abs(eps - deviation_gap(game, x))) <= 1e-10
 
     def test_dense_coupling_draw_widens_every_set_to_keep_x(self):

@@ -34,7 +34,7 @@ from aggsplit.benchmark import BenchmarkParams, generate_benchmark, ground_truth
 from aggsplit.engine import CSV_HEADER, GATE_FACTOR, pfb_step_sizes
 from aggsplit.game import AgentStacks
 from aggsplit.projections import fista_minimize
-from oracles import engine_at, reference_rounds, wrap_costs_in_oracles, wrap_sets_in_oracles
+from oracles import engine_at, reference_rounds, wrap_costs_in_oracles
 
 # unit, under- and over-relaxed rounds, each checked against the raw iteration
 RELAXATIONS = (1.0, 0.9, 1.5)
@@ -554,9 +554,8 @@ class TestAgentStacks:
             desk_game,
             mixed_metric_game(),
             wrap_costs_in_oracles(desk_game),
-            wrap_sets_in_oracles(desk_game),
         )
-        for game in games:  # one cost type and one set type each, so the set flags carry over
+        for game in games:  # one cost type each, so all_quadratic carries over
             full = game.stacks
             for i, agent in enumerate(game.agents):
                 one = AgentStacks.of([agent])
@@ -569,20 +568,12 @@ class TestAgentStacks:
                         assert mine.tolist() == ([0] if dense else [])
                     elif f.name == "closed_form":
                         assert mine == (full.all_quadratic and not dense)
-                    elif theirs is None:
-                        assert mine is None, f.name
                     elif isinstance(theirs, bool):
                         assert mine == theirs, f.name
                     else:
                         row = theirs[full.dense_rows == i] if f.name == "unit_dense" else theirs[i : i + 1]
                         assert mine.dtype == row.dtype and mine.shape == row.shape, f.name
                         assert mine.tobytes() == row.tobytes(), f.name
-
-    def test_capped_weight_is_zero_on_oracle_set_rows(self, desk_game):
-        oracle_sets = wrap_sets_in_oracles(desk_game).stacks
-        assert desk_game.stacks.box.all() and not oracle_sets.box.any()
-        assert (desk_game.stacks.capped_weight > 0).all()
-        assert not oracle_sets.capped_weight.any()
 
     def test_value_rows_equal_the_cost_values(self, desk_game, rng):
         # values to round-off; x- and aggregate gradients bit for bit
@@ -681,17 +672,6 @@ class TestLockStepProx:
 
     def test_oracle_cost_rounds_equal_the_row_views(self, desk_game, desk_steps):
         assert_rounds_match_row_views(wrap_costs_in_oracles(desk_game), desk_steps)
-
-    def test_quadratic_costs_on_oracle_sets_equal_the_row_views(self, desk_game, desk_steps):
-        # the closed form with every projection row by row through the oracles
-        game = wrap_sets_in_oracles(desk_game)
-        assert game.stacks.closed_form and not game.stacks.all_box_simplex
-        assert_rounds_match_row_views(game, desk_steps)
-
-    def test_oracle_set_rounds_equal_the_row_views(self, desk_game, desk_steps):
-        # oracle sets: every lock-step projection goes row by row through the oracles
-        game = wrap_sets_in_oracles(wrap_costs_in_oracles(desk_game))
-        assert_rounds_match_row_views(game, desk_steps)
 
     def test_one_iterative_solve_per_round(self, desk_game, desk_steps, monkeypatch):
         import aggsplit.resolvents as resolvents_mod

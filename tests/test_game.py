@@ -13,7 +13,6 @@ from aggsplit import (
     EmptyLocalSet,
     DimensionMismatch,
     GameSpec,
-    GenericConvex,
     GenericSmooth,
     Infeasible,
     QuadraticAgg,
@@ -30,7 +29,6 @@ from oracles import (
     fd_gradient_error,
     in_box_simplex,
     wrap_costs_in_oracles,
-    wrap_sets_in_oracles,
 )
 
 
@@ -214,24 +212,6 @@ class TestValidateGame:
         assert "max gradient check error: nan" in report.summary()
         assert [m for m in report.messages if "gradient" in m] == ["agent 3: gradient check error nan"]
 
-    def test_non_idempotent_projection_oracle_is_reported_at_its_agent(self, desk_game):
-        agents = list(desk_game.agents)
-        agents[4] = wrap_sets_in_oracles(desk_game).agents[4]
-        shrink = GenericConvex(n=desk_game.dims.n, project_fn=lambda v, w: 0.5 * v)
-        agents[2] = dataclasses.replace(agents[2], omega=shrink)
-        report = validate_game(GameSpec(dims=desk_game.dims, agents=agents))
-        assert report.nonempty == [True, True, False, True, True]
-        assert not report.ok
-        assert "agent 2: projection oracle is not idempotent" in report.messages
-
-    def test_cost_without_gradient_oracle_is_skipped(self, desk_game):
-        agents = list(desk_game.agents)
-        agents[1] = dataclasses.replace(agents[1], cost=GenericSmooth(value_fn=agents[1].cost.value))
-        report = validate_game(GameSpec(dims=desk_game.dims, agents=agents))
-        assert report.ok
-        assert len(report.gradient_rel_err) == desk_game.dims.N - 1
-        assert max(report.gradient_rel_err) <= 1e-6
-
     def test_report_is_pure(self, desk_game):
         r1 = validate_game(desk_game)
         r2 = validate_game(desk_game)
@@ -327,10 +307,10 @@ class TestSerialization:
         assert s1 == s2
 
     def test_oracle_sets_do_not_serialize(self):
-        omega = GenericConvex(n=2, project_fn=lambda v, w=None: np.clip(v, 0, 1))
+        cost = QuadraticAgg(1.0, np.zeros(2), np.zeros((2, 2)))
         agent = AgentSpec(
-            omega=omega,
-            cost=QuadraticAgg(1.0, np.zeros(2), np.zeros((2, 2))),
+            omega=BoxSimplex(np.ones(2), 1.0),
+            cost=GenericSmooth(value_fn=cost.value, grad_fn=cost.grad),
             A=np.eye(2),
             b=np.zeros(2),
         )
@@ -344,6 +324,15 @@ class TestFeasibleSearch:
         x, strict = find_feasible_point(desk_game)
         assert strict
         assert not coupling_violation(desk_game, x).any()
+
+    def test_tight_coupling_is_feasible_but_not_strict(self):
+        # the only point x = 1 meets A x = b exactly: no margin is possible
+        game = make_single_agent_game([1.0], 1.0, [[1.0]], [1.0])
+        x, strict = find_feasible_point(game)
+        assert np.array_equal(x, [1.0]) and not strict
+        report = validate_game(game)
+        assert report.ok and report.feasible and not report.strictly_feasible
+        assert "no strictly feasible point found; constraint may be tight" in report.messages
 
     def test_coupling_norm_is_assembled_once_per_game(self, monkeypatch):
         drawn = generate_benchmark(BenchmarkParams(N=6, n=4, seed=2))

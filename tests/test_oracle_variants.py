@@ -1,4 +1,4 @@
-"""The engine must not be hard-wired to box-simplex sets or quadratic costs."""
+"""The engine must not be hard-wired to quadratic costs."""
 
 import numpy as np
 import pytest
@@ -6,22 +6,19 @@ import pytest
 from aggsplit import (
     AgentSpec,
     BenchmarkParams,
-    BoxSimplex,
     Dimensions,
     GameSpec,
     GenericSmooth,
     NoConvergence,
     NonSmoothCost,
-    QuadraticAgg,
     RunConfig,
     benchmark_steps,
-    extended_subdifferential,
     run_comparison,
     run_dr,
     validate_game,
 )
 from aggsplit.projections import fista_minimize
-from oracles import wrap_costs_in_oracles, wrap_sets_in_oracles
+from oracles import wrap_costs_in_oracles
 
 
 @pytest.fixture(scope="module")
@@ -35,14 +32,6 @@ def generate():
     return generate_benchmark(BenchmarkParams(N=4, n=3, seed=17))
 
 
-def test_oracle_sets_solve_to_the_same_point(small_game):
-    steps = benchmark_steps(4)
-    cfg = RunConfig(steps=steps, stop_tol=1e-9)
-    base = run_dr(small_game, cfg, validate=False)
-    wrapped = run_dr(wrap_sets_in_oracles(small_game), cfg, validate=False)
-    assert np.max(np.abs(base.final_point.x - wrapped.final_point.x)) <= 1e-7
-
-
 def test_oracle_costs_solve_to_the_same_point(small_game):
     steps = benchmark_steps(4)
     cfg = RunConfig(steps=steps, stop_tol=1e-8, prox_tol=1e-11)
@@ -52,22 +41,17 @@ def test_oracle_costs_solve_to_the_same_point(small_game):
 
 
 def test_oracle_game_passes_validation(small_game):
-    report = validate_game(wrap_sets_in_oracles(small_game))
+    report = validate_game(wrap_costs_in_oracles(small_game))
     assert report.ok
 
 
 def test_value_only_cost_raises_nonsmooth(small_game):
-    agent = small_game.agents[0]
-    bare = AgentSpec(
-        omega=agent.omega,
-        cost=GenericSmooth(value_fn=agent.cost.value, grad_fn=None),
-        A=agent.A,
-        b=agent.b,
-    )
-    game = GameSpec(dims=Dimensions(1, small_game.dims.n, small_game.dims.m), agents=[bare])
-    x = agent.omega.project(np.zeros(small_game.dims.n))
-    with pytest.raises(NonSmoothCost):
-        extended_subdifferential(game, x, np.zeros(small_game.dims.n))
+    # the gradient oracle is required when the cost is built, not on the first prox
+    value = small_game.agents[0].cost.value
+    with pytest.raises(NonSmoothCost, match="no gradient oracle"):
+        GenericSmooth(value_fn=value, grad_fn=None)
+    with pytest.raises(TypeError, match="grad_fn"):
+        GenericSmooth(value_fn=value)
 
 
 def test_full_variant_needs_aggregate_gradient_oracle(small_game):
