@@ -30,7 +30,6 @@ from .engine import (
     coordinator_update,
     dr_init,
     raw_dr_step,
-    raw_initial_tilde,
     run_dr,
     run_pfb,
 )
@@ -50,7 +49,6 @@ from .errors import (
 from .game import (
     AgentSpec,
     BoxSimplex,
-    CostModel,
     Dimensions,
     GameSpec,
     GenericSmooth,

@@ -18,6 +18,7 @@ values, and both start from the rounds' initial point
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -93,7 +94,8 @@ class RunConfig:
     stopping metric stalls above ``stop_tol`` while that gate passes ends
     with ``stop_reason="stalled"``; one stalled above the gate as well
     ends unconverged with ``stop_reason="floor"``, or ``"diverged"`` when its
-    optimality residual there is no lower than at round 0.
+    optimality residual there is no lower than at round 0 or when a round's
+    stopping metric or optimality residual is not finite.
     ``ref_stop``, when set together with a reference point, stops the run
     once ||x - ref|| / ||x^0 - ref|| drops below it (comparison runs).
     """
@@ -341,11 +343,6 @@ def raw_dr_step(
     return RawStep(half=half, full=full, tilde=tilde)
 
 
-def raw_initial_tilde(game: GameSpec, config: RunConfig) -> ExtendedPoint:
-    """Seed for the raw iteration matching the rounds' start: the rounds' initial point."""
-    return DrEngine(game, config).point()
-
-
 # -- shared run loop ---------------------------------------------------------------------
 
 
@@ -369,7 +366,9 @@ def _run_loop(
     optimality gate passes there, and otherwise looks again after another
     such window; a failed look whose KKT residual is no lower than at the
     previous failed look ends the run unconverged: ``"diverged"`` when that
-    residual is no lower than at round 0, else ``"floor"``.  With
+    residual is no lower than at round 0, else ``"floor"``.  A round whose
+    stopping-metric terms, or whose KKT residual where the round computed
+    one, are not finite ends the run ``"diverged"`` at once.  With
     ``stop_tol=0`` no gate can pass, so such runs (the comparison runs
     that stop on ``ref_stop``) skip the stall check.  A ``reference`` of the
     wrong length raises :class:`DimensionMismatch`, and one with a non-finite
@@ -421,6 +420,9 @@ def _run_loop(
 
         consensus = float(np.max(np.abs(point.sigma - point.x.reshape(-1, game.dims.n).mean(axis=0))))
         primal = float(np.max(coupling_violation(game, point.x), initial=0.0))
+        if not all(map(math.isfinite, (step_gamma, consensus, primal))):
+            reason = "diverged"
+            break
         cheap = max(step_gamma, consensus, primal)
 
         if cheap <= config.stop_tol and k >= gate_block_until:
@@ -445,6 +447,9 @@ def _run_loop(
             if kkt is None:
                 kkt = kkt_residual(game, point)
             record(k, step_plain, kkt)
+        if kkt is not None and not math.isfinite(kkt.max_value()):
+            reason = "diverged"
+            break
 
     if trace.rows[-1].iter != k:  # each stop breaks before its row; a budget stop may have recorded it
         record(k, step_plain, kkt_residual(game, point) if kkt is None else kkt)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -124,8 +124,10 @@ class GenericSmooth:
 
     ``grad_fn`` is required; a None one raises :class:`NonSmoothCost` here.
     ``curvature`` bounds the Hessian of ``x -> value(x, sigma)``; it is
-    required by the fixed-step inner solver.  ``grad_sigma_fn`` is only
-    needed for the exact epsilon-Nash gap.
+    required by the fixed-step inner solver.  It must be finite and
+    nonnegative, and ``strong_convexity`` must lie between 0 and it, or
+    ``ValueError`` is raised here.  ``grad_sigma_fn`` is only needed for
+    the exact epsilon-Nash gap.
     """
 
     value_fn: Callable[[np.ndarray, np.ndarray], float]
@@ -137,6 +139,10 @@ class GenericSmooth:
     def __post_init__(self):
         if self.grad_fn is None:
             raise NonSmoothCost("cost has no gradient oracle")
+        if not 0 <= self.curvature < np.inf:
+            raise ValueError("curvature must be nonnegative and finite")
+        if not 0 <= self.strong_convexity <= self.curvature:
+            raise ValueError("strong_convexity must lie between 0 and curvature")
 
     def value(self, x: np.ndarray, sigma: np.ndarray) -> float:
         return float(self.value_fn(x, sigma))
@@ -150,15 +156,12 @@ class GenericSmooth:
         return np.asarray(self.grad_sigma_fn(x, sigma), dtype=np.float64)
 
 
-CostModel = Union[QuadraticAgg, GenericSmooth]
-
-
 @dataclass(frozen=True)
 class AgentSpec:
     """One agent: local set, cost, and its slice of the coupling data."""
 
     omega: BoxSimplex
-    cost: CostModel
+    cost: QuadraticAgg | GenericSmooth
     A: np.ndarray
     b: np.ndarray
 

@@ -10,6 +10,7 @@ first-order optimality residuals used for certification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,16 +40,6 @@ class ExtendedPoint:
         for name, shape in expected.items():
             if getattr(self, name).shape != shape:
                 raise DimensionMismatch(f"block {name} has shape {getattr(self, name).shape}, expected {shape}")
-
-    @classmethod
-    def zeros(cls, dims: Dimensions) -> "ExtendedPoint":
-        return cls(
-            x=np.zeros(dims.N * dims.n),
-            y=np.zeros(dims.N * dims.m),
-            sigma=np.zeros(dims.n),
-            mu=np.zeros(dims.n),
-            lam=np.zeros(dims.m),
-        )
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.x, self.y, self.sigma, self.mu, self.lam])
@@ -126,32 +117,6 @@ def apply_S(dims: Dimensions, w: ExtendedPoint) -> ExtendedPoint:
     )
 
 
-def apply_A_selection(game: GameSpec, w: ExtendedPoint) -> ExtendedPoint:
-    """Single-valued part of the decoupled operator (zero normal-cone selection)."""
-    w.check_dims(game.dims)
-    out = ExtendedPoint.zeros(game.dims)
-    out.x = extended_subdifferential(game, w.x, w.sigma)
-    return out
-
-
-def apply_T_selection(game: GameSpec, w: ExtendedPoint) -> ExtendedPoint:
-    """Single-valued part of the full stacked optimality operator.
-
-    Valid as a selection wherever the decisions are interior to the local
-    sets and the coupling multiplier is strictly positive; by construction
-    it equals the decoupled part plus the skew map everywhere.
-    """
-    dims = game.dims
-    w.check_dims(dims)
-    return ExtendedPoint(
-        x=extended_subdifferential(game, w.x, w.sigma) - np.tile(w.mu / dims.N, dims.N),
-        y=np.tile(w.lam / dims.N, dims.N),
-        sigma=w.mu.copy(),
-        mu=-(w.sigma - average(w.x, dims.n)),
-        lam=-average(w.y, dims.m),
-    )
-
-
 # -- first-order optimality residuals --------------------------------------------------
 
 
@@ -175,7 +140,9 @@ class KktResidual:
     link: float
 
     def max_value(self) -> float:
-        return max(self.to_dict().values())
+        """The largest residual; NaN when any residual is NaN."""
+        values = vars(self).values()
+        return math.nan if any(map(math.isnan, values)) else max(values)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,10 +1,13 @@
 """Runtime verification suites: operator identities checked on live instances.
 
-These checks re-derive what each component must satisfy from first
-principles (defining inclusions, skew symmetry, nonexpansiveness in the
-preconditioned metric, round-for-round agreement of the two solver
-formulations) and evaluate them on random points of a given instance.
-They back the ``verify`` command and are reused by the test suite.
+Each suite runs the solver's own code on the given game and checks it
+against what the paper derives: the defining inclusions of both
+resolvents (``resolvents``), their firm nonexpansiveness in the
+preconditioned metric (``firmness``), round-for-round agreement of the
+semi-decentralized rounds with the raw reflected-resolvent iteration
+(``trajectory``) and the optimality residuals of a converged run
+(``kkt``).  They back the ``verify`` command and are reused by the test
+suite.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DrEngine, RunConfig, raw_dr_step, raw_initial_tilde, run_dr
+from .engine import DrEngine, RunConfig, raw_dr_step, run_dr
 from .errors import MaxItersExceeded
 from .game import GameSpec
-from .operators import ExtendedPoint, apply_S, apply_A_selection, apply_T_selection, extended_subdifferential
+from .operators import ExtendedPoint, extended_subdifferential
 from .resolvents import StepSizes, resolvent_A, resolvent_B
 
 @dataclass
@@ -98,66 +101,6 @@ def inclusion_residual_B(
 # -- suites ------------------------------------------------------------------------------
 
 
-def suite_step_sizes(game: GameSpec, steps: StepSizes) -> SuiteResult:
-    """Round-trip the raw/central step-size bijections across 1000 random draws.
-
-    Central draws cover the full admissible intervals; raw draws are
-    log-uniform over moderate decades.  (Raw values far into the
-    compression zone near the central-interval endpoint intrinsically
-    lose precision through the reparameterization, so such draws would
-    test conditioning, not correctness.)
-    """
-    rng = np.random.default_rng(0)
-    gamma = steps.gamma
-    gamma_hat = steps.gamma_hat
-    N = steps.N
-    worst = 0.0
-    for _ in range(1000):
-        delta = float(10.0 ** rng.uniform(-1.5, 1.5))
-        beta = float(10.0 ** rng.uniform(-1.5, 1.5))
-        alpha = float(10.0 ** rng.uniform(-1, 1))
-        s = StepSizes(gamma=gamma, alpha=alpha, beta=beta, delta=delta)
-        back = StepSizes.from_central(gamma, alpha, s.delta_c, s.beta_c)
-        worst = max(
-            worst,
-            abs(back.delta - delta) / delta,
-            abs(back.beta - beta) / beta,
-        )
-        delta_c = float(rng.uniform(0.0, 1.0)) / gamma_hat
-        beta_c = float(rng.uniform(0.0, 1.0)) / (alpha + gamma_hat / N)
-        if delta_c <= 0.0 or beta_c <= 0.0:
-            continue
-        s2 = StepSizes.from_central(gamma, alpha, delta_c, beta_c)
-        worst = max(
-            worst, abs(s2.delta_c - delta_c) / delta_c, abs(s2.beta_c - beta_c) / beta_c
-        )
-    return SuiteResult("step-sizes", worst <= 1e-12, f"max round-trip relative error {worst:.3e}")
-
-
-def suite_skew(game: GameSpec, steps: StepSizes) -> SuiteResult:
-    """<w, S w> must vanish for the linear coupling map, at 100 random points."""
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(100):
-        w = random_extended_point(game, rng)
-        val = abs(float(w.as_vector() @ apply_S(game.dims, w).as_vector()))
-        worst = max(worst, val / max(w.norm() ** 2, 1e-300))
-    return SuiteResult("skew", worst <= 1e-10, f"max relative skew defect {worst:.3e}")
-
-
-def suite_splitting(game: GameSpec, steps: StepSizes) -> SuiteResult:
-    """Single-valued selections of the two halves must sum to the full operator, at 50 random points."""
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(50):
-        w = random_extended_point(game, rng)
-        w.lam = np.abs(w.lam) + 0.1  # strictly positive multiplier
-        total = apply_A_selection(game, w) + apply_S(game.dims, w)
-        defect = (total - apply_T_selection(game, w)).norm()
-        worst = max(worst, defect)
-    return SuiteResult("splitting", worst <= 1e-10, f"max splitting defect {worst:.3e}")
-
-
 def suite_resolvents(game: GameSpec, steps: StepSizes) -> SuiteResult:
     """Both resolvent outputs must satisfy their defining inclusions to 1e-8, at 50 random points."""
     rng = np.random.default_rng(0)
@@ -217,7 +160,7 @@ def suite_trajectory(game: GameSpec, steps: StepSizes) -> SuiteResult:
     """
     config = RunConfig(steps=steps, prox_tol=1e-12)
     engine = DrEngine(game, config)
-    tilde = raw_initial_tilde(game, config)
+    tilde = engine.point()
     worst = 0.0
     for _ in range(50):
         engine.step()
@@ -251,9 +194,6 @@ def suite_kkt(game: GameSpec, steps: StepSizes) -> SuiteResult:
 
 # suite name -> runner(game, steps); the keys, in order, are SUITES
 _SUITE_RUNNERS = {
-    "step-sizes": suite_step_sizes,
-    "skew": suite_skew,
-    "splitting": suite_splitting,
     "resolvents": suite_resolvents,
     "firmness": suite_firmness,
     "trajectory": suite_trajectory,

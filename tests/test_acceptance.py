@@ -24,7 +24,6 @@ from aggsplit import (
     ground_truth_point,
     monotonicity_probe,
     raw_dr_step,
-    raw_initial_tilde,
     run_comparison,
     run_dr,
     run_pfb,
@@ -97,7 +96,7 @@ def test_criterion_2_trajectory_equivalence(desk):
     game, steps = desk
     config = RunConfig(steps=steps, prox_tol=1e-12)
     engine = DrEngine(game, config)
-    tilde = raw_initial_tilde(game, config)
+    tilde = DrEngine(game, config).point()
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(50):

@@ -217,11 +217,16 @@ class TestVerify:
         from aggsplit.verify import run_suites
 
         with pytest.raises(ValueError):
-            run_suites(desk_game, desk_steps, suites=("skew", "no-such-suite"))
+            run_suites(desk_game, desk_steps, suites=("kkt", "no-such-suite"))
+
+    @pytest.mark.parametrize("suite", ["splitting", "skew", "step-sizes"])
+    def test_removed_suite_names_are_usage_errors(self, suite, capsys):
+        assert run_cli(["verify", "--suite", suite]) == 64
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_out_of_range_central_step_fails_verification(self, capsys):
-        assert run_cli(["verify", "--delta-c", "1.0"]) == 1
-        assert "step-sizes" in capsys.readouterr().out
+        assert run_cli(["verify", "--delta-c", "1.0"]) == 2
+        assert "invalid step sizes" in capsys.readouterr().err
 
     def test_aggregate_coupled_instance_skips_firmness_but_passes(self, tmp_path, capsys):
         # firm nonexpansiveness is inapplicable when costs track the aggregate

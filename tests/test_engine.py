@@ -26,7 +26,6 @@ from aggsplit import (
     dr_init,
     kkt_residual,
     raw_dr_step,
-    raw_initial_tilde,
     run_dr,
     run_pfb,
 )
@@ -389,6 +388,38 @@ class TestRunDr:
         assert trace.final_kkt is trace.rows[-1].kkt
         assert trace.final_kkt == kkt_residual(game, trace.final_point)
 
+    @pytest.mark.parametrize("method, record_every", [("dr", 1), ("pfb", 1000)])
+    def test_a_gradient_turning_nan_ends_the_run_that_round(
+        self, desk_game, desk_steps, monkeypatch, method, record_every
+    ):
+        # agent 0's gradient is NaN from round k on: the rounds' prox leaves that agent where
+        # it was, so only the round's KKT residual turns NaN; the baseline's step makes its
+        # decisions NaN, and with no KKT row due only the stopping metric shows it
+        import aggsplit.engine as engine_mod
+
+        k, rounds = 7, []
+        engine_cls = DrEngine if method == "dr" else engine_mod._PfbEngine
+        real_step = engine_cls.step
+
+        def counted_step(self):
+            rounds.append(1)
+            real_step(self)
+
+        monkeypatch.setattr(engine_cls, "step", counted_step)
+        game = wrap_costs_in_oracles(desk_game)
+        first = game.agents[0]
+        grad = first.cost.grad
+        nan_from_k = lambda x, sigma: grad(x, sigma) + (np.nan if len(rounds) >= k else 0.0)
+        cost = dataclasses.replace(first.cost, grad_fn=nan_from_k)
+        agents = [AgentSpec(omega=first.omega, cost=cost, A=first.A, b=first.b), *game.agents[1:]]
+        runner = run_dr if method == "dr" else run_pfb
+        config = RunConfig(steps=desk_steps, record_every=record_every)
+        with pytest.raises(MaxItersExceeded) as err:
+            runner(GameSpec(dims=game.dims, agents=agents), config, validate=False)
+        trace = err.value.trace
+        assert (trace.stop_reason, trace.iterations, trace.rows[-1].iter) == ("diverged", k, k)
+        assert np.isnan(trace.final_kkt.max_value())
+
     def test_repeated_runs_are_bit_identical(self, desk_game, desk_steps):
         cfg = RunConfig(steps=desk_steps, stop_tol=1e-8)
         t1 = run_dr(desk_game, cfg, validate=False)
@@ -467,7 +498,7 @@ class TestRawIteration:
 
     def test_converged_tilde_is_fixed(self, desk_game, desk_steps):
         cfg = RunConfig(steps=desk_steps)
-        tilde = raw_initial_tilde(desk_game, cfg)
+        tilde = DrEngine(desk_game, cfg).point()
         for _ in range(400):
             tilde = raw_dr_step(tilde, desk_game, desk_steps).tilde
         after = raw_dr_step(tilde, desk_game, desk_steps).tilde
@@ -477,7 +508,7 @@ class TestRawIteration:
         for rho in RELAXATIONS:
             cfg = RunConfig(steps=desk_steps, relaxation=rho, prox_tol=1e-12)
             engine = DrEngine(desk_game, cfg)
-            tilde = raw_initial_tilde(desk_game, cfg)
+            tilde = DrEngine(desk_game, cfg).point()
             for _ in range(30):
                 engine.step()
                 half, full, tilde = raw_dr_step(tilde, desk_game, desk_steps, rho, prox_tol=1e-12)
@@ -488,7 +519,7 @@ class TestRawIteration:
         self, monotone_game, monotone_steps
     ):
         cfg = RunConfig(steps=monotone_steps)
-        tilde = raw_initial_tilde(monotone_game, cfg)
+        tilde = DrEngine(monotone_game, cfg).point()
         norms = []
         for _ in range(80):
             new = raw_dr_step(tilde, monotone_game, monotone_steps).tilde
@@ -636,7 +667,7 @@ class TestMixedMetricDiagonality:
         for rho in RELAXATIONS:
             cfg = RunConfig(steps=steps, relaxation=rho, prox_tol=1e-12)
             engine = DrEngine(game, cfg)
-            tilde = raw_initial_tilde(game, cfg)
+            tilde = DrEngine(game, cfg).point()
             for _ in range(10):
                 engine.step()
                 half, full, tilde = raw_dr_step(tilde, game, steps, rho, prox_tol=1e-12)

@@ -10,7 +10,6 @@ from aggsplit import (
     StepSizes,
     generate_benchmark,
     raw_dr_step,
-    raw_initial_tilde,
     resolvent_B,
     run_dr,
 )
@@ -56,7 +55,7 @@ def test_round_engine_still_matches_raw_iteration(desk_game, het_steps):
     for rho in (1.0, 0.9, 1.5):  # unit, under- and over-relaxed
         config = RunConfig(steps=het_steps, relaxation=rho, prox_tol=1e-12)
         engine = DrEngine(desk_game, config)
-        tilde = raw_initial_tilde(desk_game, config)
+        tilde = DrEngine(desk_game, config).point()
         worst = 0.0
         for _ in range(40):
             engine.step()

@@ -7,6 +7,7 @@ from aggsplit import (
     Dimensions,
     ExtendedPoint,
     GameSpec,
+    KktResidual,
     QuadraticAgg,
     apply_S,
     average,
@@ -15,7 +16,6 @@ from aggsplit import (
     monotonicity_probe,
 )
 from aggsplit.benchmark import BenchmarkParams, generate_benchmark, ground_truth_point
-from aggsplit.operators import apply_A_selection, apply_T_selection
 from oracles import fd_gradient, wrap_costs_in_oracles
 
 
@@ -104,7 +104,14 @@ class TestSubdifferentials:
 
 class TestSkewMap:
     def test_zero_maps_to_zero(self, desk_game):
-        w = ExtendedPoint.zeros(desk_game.dims)
+        dims = desk_game.dims
+        w = ExtendedPoint(
+            x=np.zeros(dims.N * dims.n),
+            y=np.zeros(dims.N * dims.m),
+            sigma=np.zeros(dims.n),
+            mu=np.zeros(dims.n),
+            lam=np.zeros(dims.m),
+        )
         out = apply_S(desk_game.dims, w)
         assert out.norm() == 0.0
 
@@ -140,22 +147,15 @@ class TestSkewMap:
         assert np.array_equal(got, np.array([-1.0, 1.0, 1.0, 0.0, -1.0]))
 
 
-class TestSplittingConsistency:
-    def test_selections_sum_to_full_operator(self, desk_game, rng):
-        for _ in range(50):
-            dims = desk_game.dims
-            w = ExtendedPoint(
-                x=rng.random(dims.N * dims.n),
-                y=rng.standard_normal(dims.N * dims.m),
-                sigma=rng.random(dims.n),
-                mu=rng.standard_normal(dims.n),
-                lam=rng.random(dims.m) + 0.1,
-            )
-            total = apply_A_selection(desk_game, w) + apply_S(dims, w)
-            assert (total - apply_T_selection(desk_game, w)).norm() <= 1e-10
-
-
 class TestKktResidual:
+    @pytest.mark.parametrize("field", range(6))
+    def test_max_value_keeps_a_nan_in_any_field(self, field):
+        values = [1e-3] * 6
+        values[field] = np.nan
+        assert np.isnan(KktResidual(*values).max_value())
+        values[field] = np.inf
+        assert KktResidual(*values).max_value() == np.inf
+
     def test_small_at_certified_solution(self, desk_game):
         point, _ = ground_truth_point(desk_game, tol=1e-8, cross_check=False)
         kkt = kkt_residual(desk_game, point)

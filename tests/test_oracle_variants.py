@@ -54,6 +54,27 @@ def test_value_only_cost_raises_nonsmooth(small_game):
         GenericSmooth(value_fn=value)
 
 
+@pytest.mark.parametrize(
+    "curvature, strong_convexity, field",
+    [
+        (np.nan, 0.0, "curvature"),
+        (np.inf, 0.0, "curvature"),
+        (-1.0, 0.0, "curvature"),
+        (1.0, -0.5, "strong_convexity"),
+        (1.0, 2.0, "strong_convexity"),
+    ],
+)
+def test_impossible_moduli_raise_naming_the_field(small_game, curvature, strong_convexity, field):
+    cost = small_game.agents[0].cost
+    with pytest.raises(ValueError, match=f"^{field}"):
+        GenericSmooth(
+            value_fn=cost.value,
+            grad_fn=cost.grad,
+            curvature=curvature,
+            strong_convexity=strong_convexity,
+        )
+
+
 def test_full_variant_needs_aggregate_gradient_oracle(small_game):
     agent = small_game.agents[0]
     partial = AgentSpec(

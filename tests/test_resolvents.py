@@ -67,14 +67,25 @@ class TestStepSizes:
         assert abs(s.beta_c - beta_c) <= 1e-12 * beta_c
 
     def test_raw_round_trip(self):
+        # raw draws log-uniform over moderate decades (far into the compression zone near
+        # the central endpoint the reparameterization loses precision by construction),
+        # central draws over the full open intervals
         rng = np.random.default_rng(9)
         gamma = rng.uniform(0.5, 2.0, 5)
-        for _ in range(200):
-            alpha, beta, delta = 10.0 ** rng.uniform(-1, 1, 3)
+        gamma_hat = float(gamma.mean())
+        for _ in range(1000):
+            beta, delta = 10.0 ** rng.uniform(-1.5, 1.5, 2)
+            alpha = 10.0 ** rng.uniform(-1, 1)
             s = StepSizes(gamma=gamma, alpha=alpha, beta=beta, delta=delta)
             back = StepSizes.from_central(gamma, alpha, s.delta_c, s.beta_c)
             assert abs(back.delta - delta) <= 1e-12 * delta
             assert abs(back.beta - beta) <= 1e-12 * beta
+            delta_c = rng.uniform(0.0, 1.0) / gamma_hat
+            beta_c = rng.uniform(0.0, 1.0) / (alpha + gamma_hat / gamma.size)
+            if delta_c > 0.0 and beta_c > 0.0:
+                s = StepSizes.from_central(gamma, alpha, delta_c, beta_c)
+                assert abs(s.delta_c - delta_c) <= 1e-12 * delta_c
+                assert abs(s.beta_c - beta_c) <= 1e-12 * beta_c
 
 
 class TestLocalProx:
@@ -207,7 +218,14 @@ class TestResolventA:
 
 class TestResolventB:
     def test_zero_is_fixed(self, desk_game, desk_steps):
-        w = ExtendedPoint.zeros(desk_game.dims)
+        dims = desk_game.dims
+        w = ExtendedPoint(
+            x=np.zeros(dims.N * dims.n),
+            y=np.zeros(dims.N * dims.m),
+            sigma=np.zeros(dims.n),
+            mu=np.zeros(dims.n),
+            lam=np.zeros(dims.m),
+        )
         out = resolvent_B(desk_game.dims, desk_steps, w)
         assert out.norm() == 0.0
 
