@@ -2,8 +2,9 @@
 
 An instance couples N agents through the average of their decisions and
 through m affine constraints ``A x <= b`` with ``A = [A_1 ... A_N]`` and
-``b = sum_i b_i``.  Everything here is an immutable value object; the
-solver modules treat a ``GameSpec`` as shared read-only data.
+``b = sum_i b_i``.  ``AgentStacks`` stores and checks every agent's data by
+row; ``BoxSimplex``, ``QuadraticAgg`` and ``AgentSpec`` are row records.
+The solver modules treat a ``GameSpec`` as shared read-only data.
 """
 
 from __future__ import annotations
@@ -53,28 +54,17 @@ def _as_float_array(value, shape=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoxSimplex:
-    """Capped simplex {x : 0 <= x <= upper, 1'x = total}.
+    """Capped simplex {x : 0 <= x <= upper, 1'x = total}, one agent's row record.
 
-    Nonempty iff ``sum(upper) >= total >= 0``; checked at construction.
+    Nonempty iff ``sum(upper) >= total >= 0``; the game checks that when it is built.
     """
 
     upper: np.ndarray
     total: float = 1.0
 
     def __post_init__(self):
-        upper = np.atleast_1d(_as_float_array(self.upper))
-        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "upper", np.atleast_1d(_as_float_array(self.upper)))
         object.__setattr__(self, "total", float(self.total))
-        if not (np.isfinite(upper).all() and math.isfinite(self.total)):
-            raise ValueError("upper caps and total must be finite")
-        if np.any(upper < 0):
-            raise ValueError("upper caps must be nonnegative")
-        if self.total < 0 or float(upper.sum()) < self.total:
-            raise EmptyLocalSet()
-
-    @property
-    def n(self) -> int:
-        return self.upper.shape[0]
 
     def project(self, v: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         return project_box_simplex(v, self.upper, self.total, weights)
@@ -92,12 +82,7 @@ class QuadraticAgg:
         object.__setattr__(self, "a", float(self.a))
         xt = np.atleast_1d(_as_float_array(self.xtilde))
         object.__setattr__(self, "xtilde", xt)
-        q = _as_float_array(self.Q, (xt.shape[0], xt.shape[0]))
-        object.__setattr__(self, "Q", q)
-        if not 0 < self.a < np.inf:
-            raise ValueError("quadratic weight a must be positive and finite")
-        if not (np.isfinite(q).all() and np.isfinite(xt).all()):
-            raise ValueError("cost target xtilde and aggregate coupling matrix Q must be finite")
+        object.__setattr__(self, "Q", _as_float_array(self.Q, (xt.shape[0], xt.shape[0])))
 
     def value(self, x: np.ndarray, sigma: np.ndarray) -> float:
         dx = x - self.xtilde
@@ -158,7 +143,7 @@ class GenericSmooth:
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """One agent: local set, cost, and its slice of the coupling data."""
+    """One agent's row record: local set, cost, and its slice of the coupling data."""
 
     omega: BoxSimplex
     cost: QuadraticAgg | GenericSmooth
@@ -166,24 +151,10 @@ class AgentSpec:
     b: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(_as_float_array(self.A))
-        b = np.atleast_1d(_as_float_array(self.b))
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        if A.shape[0] != b.shape[0]:
+        object.__setattr__(self, "A", np.atleast_2d(_as_float_array(self.A)))
+        object.__setattr__(self, "b", np.atleast_1d(_as_float_array(self.b)))
+        if self.A.shape[0] != self.b.shape[0]:
             raise DimensionMismatch("coupling matrix rows must match b length")
-        if not (np.isfinite(A).all() and np.isfinite(b).all()):
-            raise ValueError("coupling data A and b must be finite")
-
-    def check_dims(self, dims: Dimensions) -> None:
-        if self.A.shape != (dims.m, dims.n):
-            raise DimensionMismatch(
-                f"agent coupling block is {self.A.shape}, expected {(dims.m, dims.n)}"
-            )
-        if self.omega.n != dims.n:
-            raise DimensionMismatch("local set dimension differs from n")
-        if isinstance(self.cost, QuadraticAgg) and self.cost.xtilde.shape != (dims.n,):
-            raise DimensionMismatch("cost target dimension differs from n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,10 +174,10 @@ class AgentStacks:
     and ``adjoint`` are the only products with the coupling blocks A_i; when
     ``all_capped``, they scale by ``capped_weight`` instead of contracting A.
     The constants derived from the agents alone are cached properties,
-    computed on first use.
+    computed on first use.  These are the game's only store and the only home
+    of its data rules: the first row that breaks one raises naming its agent.
     """
 
-    agents: tuple[AgentSpec, ...]
     A: np.ndarray  # (N, m, n) coupling blocks
     b: np.ndarray  # (N, m) link offsets
     unit_diag: np.ndarray  # (N, n) 1 + diag(A_i' A_i), zero on dense rows
@@ -225,39 +196,67 @@ class AgentStacks:
     Q: np.ndarray  # (q, n, n) aggregate coupling matrices
 
     @classmethod
+    def from_columns(cls, upper, total, a, xtilde, Q, A, b) -> "AgentStacks":
+        """The stacks of the box-simplex/quadratic agents in the rows of the :data:`_COLUMNS`."""
+        return cls._build(upper, total, a, xtilde, Q, A, b, np.ones(np.shape(total), dtype=bool), a, a)
+
+    @classmethod
     def of(cls, agents) -> "AgentStacks":
-        """The stacks of ``agents``, in order."""
+        """The stacks of the row records ``agents``, in order; ``agents`` keeps them."""
         agents = tuple(agents)
-        costs, sets = [agent.cost for agent in agents], [agent.omega for agent in agents]
-        A = np.stack([agent.A for agent in agents])
-        n = A.shape[2]
+        costs = [agent.cost for agent in agents]
+        quadratic = [isinstance(cost, QuadraticAgg) for cost in costs]
+        quads, n = [cost for cost, quad in zip(costs, quadratic) if quad], agents[0].A.shape[1]
+        stacks = cls._build(
+            [agent.omega.upper for agent in agents], [agent.omega.total for agent in agents],
+            [cost.a for cost in quads], np.reshape([cost.xtilde for cost in quads], (-1, n)),
+            np.reshape([cost.Q for cost in quads], (-1, n, n)), [agent.A for agent in agents],
+            [agent.b for agent in agents], quadratic,
+            [cost.curvature for cost in costs], [cost.strong_convexity for cost in costs],
+        )
+        stacks.__dict__["agents"] = agents  # the records themselves, oracle costs and all
+        return stacks
+
+    @classmethod
+    def _build(cls, upper, total, a, xtilde, Q, A, b, quadratic, curvature, strong_convexity) -> "AgentStacks":
+        """The stacks of checked columns (``a``, ``xtilde``, ``Q`` hold the ``quadratic`` rows)."""
+        columns = (upper, total, a, xtilde, Q, A, b, curvature, strong_convexity)
+        upper, total, a, xtilde, Q, A, b, curvature, strong = (np.asarray(c, np.float64) for c in columns)
+        quadratic, (N, n) = np.asarray(quadratic, dtype=bool), upper.shape
+        bad_target = np.zeros(N, dtype=bool)
+        bad_target[quadratic] = ~(np.isfinite(xtilde).all(axis=1) & np.isfinite(Q).all(axis=(1, 2)))
+        weight = (0 < curvature) & (curvature < np.inf)  # a quadratic row's curvature is its a
+        coupling = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+        rules = {  # message -> the rows that break the rule, in the order a row is checked
+            "upper caps and total must be finite": ~(np.isfinite(upper).all(axis=1) & np.isfinite(total)),
+            "upper caps must be nonnegative": (upper < 0).any(axis=1),
+            "": (total < 0) | (upper.sum(axis=1) < total),  # an empty set
+            "quadratic weight a must be positive and finite": quadratic & ~weight,
+            "cost target xtilde and aggregate coupling matrix Q must be finite": bad_target,
+            "coupling data A and b must be finite": ~coupling,
+        }
+        bad = np.array(list(rules.values()))
+        if bad.any():
+            i = int(bad.any(axis=0).argmax())
+            message = list(rules)[int(bad[:, i].argmax())]
+            raise ValueError(f"agent {i}: {message}") if message else EmptyLocalSet(agent=i)
         units = np.eye(n) + np.swapaxes(A, 1, 2) @ A
         unit_diag = np.diagonal(units, axis1=1, axis2=2).copy()
         dense_rows = np.flatnonzero((units[:, ~np.eye(n, dtype=bool)] != 0).any(axis=1))
         unit_diag[dense_rows] = 0.0
-        quadratic = np.array([isinstance(cost, QuadraticAgg) for cost in costs])
         closed = quadratic.copy()
         closed[dense_rows] = False
-        quads = [cost for cost, quad in zip(costs, quadratic) if quad]
         return cls(
-            agents=agents,
-            A=A,
-            b=np.stack([agent.b for agent in agents]),
-            unit_diag=unit_diag,
-            dense_rows=dense_rows,
-            unit_dense=units[dense_rows],
-            quadratic=quadratic,
-            closed=closed,
-            curvature=np.array([cost.curvature for cost in costs], dtype=np.float64),
-            strong_convexity=np.array([cost.strong_convexity for cost in costs], dtype=np.float64),
-            all_quadratic=bool(quadratic.all()),
-            closed_form=bool(closed.all()),
-            upper=np.stack([omega.upper for omega in sets]),
-            total=np.array([omega.total for omega in sets]),
-            a=np.array([cost.a for cost in quads], dtype=np.float64),
-            xtilde=np.array([cost.xtilde for cost in quads]).reshape(-1, n),
-            Q=np.array([cost.Q for cost in quads]).reshape(-1, n, n),
+            A=A, b=b, unit_diag=unit_diag, dense_rows=dense_rows, unit_dense=units[dense_rows],
+            quadratic=quadratic, closed=closed, curvature=curvature, strong_convexity=strong,
+            all_quadratic=bool(quadratic.all()), closed_form=bool(closed.all()),
+            upper=upper, total=total, a=a, xtilde=xtilde, Q=Q,
         )
+
+    @cached_property
+    def agents(self) -> tuple[AgentSpec, ...]:  # the row records: ``of`` keeps its own, columns build them
+        rows = zip(*(getattr(self, name) for name in _COLUMNS))
+        return tuple(AgentSpec(BoxSimplex(u, t), QuadraticAgg(a, x, Q), A, b) for u, t, a, x, Q, A, b in rows)
 
     @cached_property
     def _parts(self) -> dict:  # row-set bytes -> take(rows), filled on demand
@@ -302,7 +301,7 @@ class AgentStacks:
     def take(self, rows: np.ndarray) -> "AgentStacks":
         """The stacks of ``rows`` alone, built once per row set; ``self`` when that is every row."""
         key = rows.tobytes()
-        if rows.size < len(self.agents) and key not in self._parts:
+        if rows.size < self.total.shape[0] and key not in self._parts:
             self._parts[key] = AgentStacks.of(self.agents[r] for r in rows)
         return self._parts.get(key, self)
 
@@ -359,23 +358,24 @@ class AgentStacks:
         return project_box_simplex_batch(V, self.upper, self.total, weights, guess)
 
 
-@dataclass(frozen=True)
 class GameSpec:
-    """Immutable description of the full game."""
+    """The full game: its dims and the :class:`AgentStacks` of its agents."""
 
-    dims: Dimensions
-    agents: list[AgentSpec]
-
-    def __post_init__(self):
-        if len(self.agents) != self.dims.N:
+    def __init__(self, dims: Dimensions, agents):
+        agents = tuple(agents)
+        if len(agents) != dims.N:
             raise DimensionMismatch("agent list length differs from N")
-        for agent in self.agents:
-            agent.check_dims(self.dims)
+        for i, agent in enumerate(agents):
+            target = agent.cost.xtilde if isinstance(agent.cost, QuadraticAgg) else agent.omega.upper
+            shapes = (agent.A.shape, agent.b.shape, agent.omega.upper.shape, target.shape)
+            if shapes != ((dims.m, dims.n), (dims.m,), (dims.n,), (dims.n,)):
+                raise DimensionMismatch(f"agent {i}: A, b, upper, xtilde are {shapes}, with {dims}")
+        self.dims, self.stacks = dims, AgentStacks.of(agents)
 
-    @cached_property
-    def stacks(self) -> AgentStacks:
-        """The agents' :class:`AgentStacks`, built once per game (``replace`` builds anew)."""
-        return AgentStacks.of(self.agents)
+    @property
+    def agents(self) -> tuple[AgentSpec, ...]:
+        """The agents' row records; a game built from columns builds them on first read."""
+        return self.stacks.agents
 
     @cached_property
     def _probes(self) -> dict:  # (sample_count, seed) -> monotonicity ProbeReport, filled on demand
@@ -433,18 +433,13 @@ class GameSpec:
 
     @classmethod
     def from_columns(cls, dims: Dimensions, upper, total, a, xtilde, Q, A, b) -> "GameSpec":
-        """The box-simplex/quadratic game whose agent i is row i of the seven
-        :data:`_COLUMNS` arrays, every agent built through its constructor checks;
-        a row that fails them raises its error again, naming agent i."""
-        agents = []
-        for i, (u, t, a_i, x, Q_i, A_i, b_i) in enumerate(zip(upper, total, a, xtilde, Q, A, b, strict=True)):
-            try:
-                agents.append(AgentSpec(BoxSimplex(u, t), QuadraticAgg(a_i, x, Q_i), A_i, b_i))
-            except EmptyLocalSet:
-                raise EmptyLocalSet(agent=i) from None
-            except ValueError as exc:
-                raise ValueError(f"agent {i}: {exc}") from None
-        return cls(dims=dims, agents=agents)
+        """The box-simplex/quadratic game whose agent i is row i of the seven :data:`_COLUMNS`
+        arrays, each shaped as its axes name in ``dims`` (else :class:`DimensionMismatch`)."""
+        shapes = [tuple(getattr(dims, k) for k in axes) for axes in _COLUMNS.values()]
+        columns = list(map(_as_float_array, (upper, total, a, xtilde, Q, A, b), shapes))
+        game = cls.__new__(cls)
+        game.dims, game.stacks = dims, AgentStacks.from_columns(*columns)
+        return game
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()), encoding="utf-8")

@@ -194,7 +194,8 @@ def fista_minimize(
     and ``project`` act row-wise on (B, n) arrays, ``lipschitz`` and
     ``strong_convexity`` may be (B,) arrays, and a row freezes once its
     own residual is below ``tol``, so each row follows the one-row solve
-    of its problem.  ``max_iters`` bounds the lock-step iterations.
+    of its problem; a row whose residual is not finite is returned as NaN
+    at once.  ``max_iters`` bounds the lock-step iterations.
     """
     L = np.asarray(lipschitz, dtype=np.float64)
     if np.any(L <= 0):
@@ -213,7 +214,10 @@ def fista_minimize(
         return np.linalg.norm(z - project(z - grad(z)), axis=-1)
 
     for _ in range(max_iters):
-        active = active & (residual(z) > tol)
+        r = residual(z)
+        if not np.isfinite(r).all():
+            z = np.where(np.isfinite(r)[..., None], z, np.nan)
+        active = active & (r > tol)
         if not active.any():
             return z
         z_new = project(y - grad(y) / L[..., None])

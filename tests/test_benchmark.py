@@ -133,8 +133,35 @@ class TestGenerate:
         for name, value, error in cases:
             columns = {key: getattr(game.stacks, key).copy() for key in names}
             columns[name][2] = value  # all of agent 2's entries in that column
-            with pytest.raises(error, match="agent 2"):
+            with pytest.raises(error, match="agent 2") as by_columns:
                 GameSpec.from_columns(game.dims, **columns)
+            # the same rows as hand-built records: the game, not the records, applies the rules
+            rows = zip(*(columns[key] for key in names))
+            records = [AgentSpec(BoxSimplex(u, t), QuadraticAgg(a, x, Q), A, b) for u, t, a, x, Q, A, b in rows]
+            with pytest.raises(error) as by_records:
+                GameSpec(game.dims, records)
+            assert str(by_records.value) == str(by_columns.value)
+
+    def test_the_family_path_builds_no_row_records(self, monkeypatch, tmp_path):
+        built = []
+        for cls in (AgentSpec, BoxSimplex, QuadraticAgg):
+            counted = lambda self, real=cls.__post_init__: built.append(self) or real(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        game = generate_benchmark(BenchmarkParams(N=50, n=5, seed=4))
+        game.save(tmp_path / "game.json")
+        loaded = GameSpec.load(tmp_path / "game.json")
+        trace = run_dr(loaded, RunConfig(steps=benchmark_steps(50)))
+        point, _ = ground_truth_point(loaded, tol=1e-9)
+        for x in (trace.final_point.x, point.x):
+            epsilon_nash_gap(loaded, x)
+        assert built == []
+        st = loaded.stacks
+        for i, agent in enumerate(loaded.agents):  # built on this first read, one record per row
+            assert np.array_equal(agent.omega.upper, st.upper[i]) and agent.omega.total == st.total[i]
+            assert agent.cost.a == st.a[i] and np.array_equal(agent.cost.xtilde, st.xtilde[i])
+            assert np.array_equal(agent.cost.Q, st.Q[i])
+            assert np.array_equal(agent.A, st.A[i]) and np.array_equal(agent.b, st.b[i])
+        assert len(built) == 3 * 50 and loaded.agents is loaded.agents
 
     def test_single_agent_instance_degenerates_cleanly(self):
         game = generate_benchmark(BenchmarkParams(N=1, n=10, seed=0))

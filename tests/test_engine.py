@@ -392,9 +392,9 @@ class TestRunDr:
     def test_a_gradient_turning_nan_ends_the_run_that_round(
         self, desk_game, desk_steps, monkeypatch, method, record_every
     ):
-        # agent 0's gradient is NaN from round k on: the rounds' prox leaves that agent where
-        # it was, so only the round's KKT residual turns NaN; the baseline's step makes its
-        # decisions NaN, and with no KKT row due only the stopping metric shows it
+        # agent 0's gradient is NaN from round k on: the rounds' prox returns that agent's
+        # decision as NaN, as does the baseline's step, and the run ends that round; with no
+        # KKT row due (pfb) only the stopping metric shows it
         import aggsplit.engine as engine_mod
 
         k, rounds = 7, []
@@ -591,11 +591,10 @@ class TestAgentStacks:
             for i, agent in enumerate(game.agents):
                 one = AgentStacks.of([agent])
                 dense = i in full.dense_rows
+                assert one.agents == (agent,) and full.agents[i] is agent
                 for f in dataclasses.fields(AgentStacks):
                     mine, theirs = getattr(one, f.name), getattr(full, f.name)
-                    if f.name == "agents":
-                        assert mine == (agent,) and theirs[i] is agent
-                    elif f.name == "dense_rows":
+                    if f.name == "dense_rows":
                         assert mine.tolist() == ([0] if dense else [])
                     elif f.name == "closed_form":
                         assert mine == (full.all_quadratic and not dense)

@@ -63,8 +63,9 @@ def test_non_finite_game_data_is_rejected_at_construction(field, value):
         "Q": np.zeros((2, 2)), "A": np.eye(2), "b": np.ones(2),
     }
 
-    def build(f):
-        return AgentSpec(BoxSimplex(f["upper"], f["total"]), QuadraticAgg(f["a"], f["xtilde"], f["Q"]), f["A"], f["b"])
+    def build(f):  # the rules are the game's: the records alone check only shapes
+        omega, cost = BoxSimplex(f["upper"], f["total"]), QuadraticAgg(f["a"], f["xtilde"], f["Q"])
+        return GameSpec(Dimensions(1, 2, 2), [AgentSpec(omega, cost, f["A"], f["b"])])
 
     build(fields)  # the finite data builds
     bad = np.array(fields[field], dtype=float)
@@ -73,10 +74,30 @@ def test_non_finite_game_data_is_rejected_at_construction(field, value):
         build({**fields, field: bad})
 
 
+@pytest.mark.parametrize(
+    "N, change",
+    [
+        (2, {}),
+        (1, {"A": np.ones((2, 3))}),
+        (1, {"A": np.ones((3, 2)), "b": np.ones(3)}),
+        (1, {"b": np.ones((2, 1))}),
+        (1, {"upper": np.ones(3)}),
+        (1, {"xtilde": np.zeros(3), "Q": np.zeros((3, 3))}),
+    ],
+    ids=["agent-count", "A-columns", "A-and-b-rows", "b-not-a-vector", "set-n", "cost-target-n"],
+)
+def test_a_hand_built_game_of_the_wrong_shape_is_rejected(N, change):
+    f = {"upper": np.ones(2), "xtilde": np.zeros(2), "Q": np.zeros((2, 2)), "A": np.eye(2), "b": np.ones(2)}
+    f.update(change)
+    agent = AgentSpec(BoxSimplex(f["upper"], 1.0), QuadraticAgg(1.0, f["xtilde"], f["Q"]), f["A"], f["b"])
+    with pytest.raises(DimensionMismatch):
+        GameSpec(Dimensions(N, 2, 2), [agent])
+
+
 class TestBoxSimplex:
     def test_empty_set_detected_at_construction(self):
-        with pytest.raises(EmptyLocalSet):
-            BoxSimplex(np.array([0.3, 0.3]), 1.0)
+        with pytest.raises(EmptyLocalSet, match="agent 0"):
+            make_single_agent_game([0.3, 0.3], 1.0, np.eye(2), np.ones(2))
 
     def test_singleton_when_caps_sum_to_total(self):
         s = BoxSimplex(np.array([0.4, 0.6]), 1.0)
@@ -270,9 +291,7 @@ class TestDerivedData:
         old_probe = monotonicity_probe(desk_game, sample_count=5)
         old_b, old_points = desk_game.stacks.b_total, desk_game.stacks.default_points
         agent = desk_game.agents[0]
-        new = dataclasses.replace(
-            desk_game, agents=[dataclasses.replace(agent, b=agent.b + 1.0), *desk_game.agents[1:]]
-        )
+        new = GameSpec(desk_game.dims, [dataclasses.replace(agent, b=agent.b + 1.0), *desk_game.agents[1:]])
         fresh = GameSpec(dims=new.dims, agents=list(new.agents))
         assert new.stacks is not desk_game.stacks
         assert np.array_equal(new.stacks.b_total, fresh.stacks.b_total)

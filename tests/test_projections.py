@@ -225,6 +225,23 @@ def test_fista_batch_raises_when_one_row_stalls():
         fista_minimize(grad, project, np.full((2, 3), 9.0), np.array([1000.0, 1.0]), tol=1e-14, max_iters=2)
 
 
+def test_fista_returns_a_row_whose_gradient_is_nan_as_nan():
+    # row 0's gradient oracle returns NaN: that row comes back NaN at once, and row 1
+    # keeps the bits of its own one-row solve
+    c, L, upper = np.array([[0.3, 0.9], [0.8, -0.4]]), np.array([2.0, 3.0]), np.ones((2, 2))
+
+    def grad(Z):
+        G = L[:, None] * Z - c
+        G[0] = np.nan
+        return G
+
+    Z = fista_minimize(grad, lambda Z: project_box_simplex_batch(Z, upper, np.ones(2)), np.zeros((2, 2)), L)
+    one_row = lambda v: project_box_simplex(v, upper[1], 1.0)
+    z = fista_minimize(lambda v: 3.0 * v - c[1], one_row, np.zeros(2), 3.0)
+    assert np.isnan(Z[0]).all()
+    assert np.array_equal(Z[1], z)
+
+
 def test_dykstra_hits_intersection():
     box = lambda z: np.clip(z, 0.0, 1.0)
     half = halfspace_projector(np.array([1.0, 1.0]), 1.0)
