@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AggsplitError, GenerationFailed, MaxItersExceeded, NotCertified
-from .game import AgentStacks, Dimensions, GameSpec, _finite_vector, validate_game
+from .game import Dimensions, GameSpec, _finite_vector, validate_game
 from .engine import GATE_FACTOR, RunConfig, RunTrace, run_dr, run_pfb
 from .operators import ExtendedPoint, monotonicity_probe, stationarity_residual
 from .projections import (
@@ -194,17 +194,17 @@ def _deviation_groups(game: GameSpec, X: np.ndarray) -> list[tuple[np.ndarray, C
     Every other row widens slack_i to max(slack_i, A_i x_i) and is a group of its
     own, projected by Dykstra's method over Omega_i and its halfspaces.
     """
-    own = (game.stacks.A @ X[..., None])[..., 0]  # rounds like the per-agent A_i @ x_i, which einsum may not
-    slack = game.stacks.b_total - (game.stacks.coupling_value(X) - own)
-    w = game.stacks.capped_weight
+    own = (game.A @ X[..., None])[..., 0]  # rounds like the per-agent A_i @ x_i, which einsum may not
+    slack = game.b_total - (game.coupling_value(X) - own)
+    w = game.capped_weight
     capped = w > 0
     groups = []
     rows = np.flatnonzero(capped)
     if rows.size:
-        st = game.stacks.take(rows)
-        caps = np.minimum(st.upper, np.maximum(slack[rows], 0.0) / w[rows, None])
-        caps = np.maximum(caps, np.minimum(X[rows], st.upper))
-        groups.append((rows, lambda Z: project_box_simplex_batch(Z, caps, st.total)))
+        part = game.take(rows)
+        caps = np.minimum(part.upper, np.maximum(slack[rows], 0.0) / w[rows, None])
+        caps = np.maximum(caps, np.minimum(X[rows], part.upper))
+        groups.append((rows, lambda Z: project_box_simplex_batch(Z, caps, part.total)))
     for i in np.flatnonzero(~capped):
         agent, room = game.agents[i], np.maximum(slack[i], own[i])
         halfspaces = [halfspace_projector(a, float(s)) for a, s in zip(agent.A, room)]
@@ -213,16 +213,16 @@ def _deviation_groups(game: GameSpec, X: np.ndarray) -> list[tuple[np.ndarray, C
     return groups
 
 
-def _deviation_objective(st: AgentStacks, sigma_others: np.ndarray, N: int):
+def _deviation_objective(part: GameSpec, sigma_others: np.ndarray, N: int):
     """(value, grad) of the deviation objectives z -> f_i(z, sigma_others_i + z / N)
-    of the rows of ``st``, row-wise over (B, n) arrays: the deviation moves the average."""
+    of the rows of ``part``, row-wise over (B, n) arrays: the deviation moves the average."""
 
     def value(Z: np.ndarray) -> np.ndarray:
-        return st.value(Z, sigma_others + Z / N)
+        return part.value(Z, sigma_others + Z / N)
 
     def grad(Z: np.ndarray) -> np.ndarray:
         S = sigma_others + Z / N
-        return st.grad(Z, S) + st.grad_sigma(Z, S) / N
+        return part.grad(Z, S) + part.grad_sigma(Z, S) / N
 
     return value, grad
 
@@ -244,7 +244,7 @@ def epsilon_nash_gap(game: GameSpec, x: np.ndarray) -> np.ndarray:
     lipschitz, strong = _deviation_moduli(game)
     eps = np.empty(N)
     for rows, project in _deviation_groups(game, X):
-        value, grad = _deviation_objective(game.stacks.take(rows), sigma_others[rows], N)
+        value, grad = _deviation_objective(game.take(rows), sigma_others[rows], N)
         L, mu = lipschitz[rows], strong[rows]
         best = value(fista_minimize(grad, project, X[rows], L, strong_convexity=mu, tol=1e-9))
         base = value(X[rows])
@@ -255,11 +255,12 @@ def epsilon_nash_gap(game: GameSpec, x: np.ndarray) -> np.ndarray:
 
 def _deviation_moduli(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
     """(N,) Lipschitz and strong-convexity bounds of every agent's deviation objective."""
-    N, st, quad = game.dims.N, game.stacks, game.stacks.quadratic
-    lipschitz, strong = st.curvature * (1.0 + 2.0 / N), np.zeros(N)
-    spread = 2.0 * st.Q_sym_norms / N
-    lipschitz[quad] = st.curvature[quad] + spread
-    strong[quad] = np.maximum(st.curvature[quad] - spread, 1e-12)
+    N, quad = game.dims.N, game.quadratic
+    # floored as the quadratic rows' strong convexity is: an oracle cost may have curvature 0
+    lipschitz, strong = np.maximum(game.curvature * (1.0 + 2.0 / N), 1e-12), np.zeros(N)
+    spread = 2.0 * game.Q_sym_norms / N
+    lipschitz[quad] = game.curvature[quad] + spread
+    strong[quad] = np.maximum(game.curvature[quad] - spread, 1e-12)
     return lipschitz, strong
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, InvalidStepSizes, MaxItersExceeded
-from .game import AgentStacks, GameSpec, _finite_vector, coupling_violation, validate_game
+from .game import Dimensions, GameSpec, _finite_vector, coupling_violation, validate_game
 from .operators import ExtendedPoint, KktResidual, kkt_residual
 from .resolvents import (
     DEFAULT_PROX_TOL,
@@ -193,8 +193,8 @@ def dr_init(game: GameSpec, config: RunConfig) -> tuple[np.ndarray, np.ndarray, 
     dims = game.dims
     if config.steps.N != dims.N:
         raise InvalidStepSizes("per-agent step-size count differs from N")
-    X = game.stacks.default_points.copy()
-    Y = game.stacks.link_values(X)
+    X = game.default_points.copy()
+    Y = game.link_values(X)
     coord = CoordinatorState(
         sigma=X.mean(axis=0),
         mu=np.zeros(dims.n),
@@ -228,9 +228,9 @@ def agent_update(
     if not gamma_i > 0:
         raise InvalidStepSizes("gamma_i must be positive")
     linear = agent.A.T @ bcast.lam - bcast.mu / n_agents
-    stacks, gamma = AgentStacks.of([agent]), np.array([gamma_i], dtype=np.float64)
-    X_new = decoupled_prox(stacks, bcast.sigma, linear[None], state.x[None], gamma, tol)
-    return AgentState(x=X_new[0], y=stacks.link_values(X_new)[0])
+    one, gamma = GameSpec(Dimensions(1, *agent.A.shape[::-1]), [agent]), np.array([gamma_i], dtype=np.float64)
+    X_new = decoupled_prox(one, bcast.sigma, linear[None], state.x[None], gamma, tol)
+    return AgentState(x=X_new[0], y=one.link_values(X_new)[0])
 
 
 def coordinator_update(
@@ -299,14 +299,14 @@ class DrEngine:
 
     def step(self) -> None:
         game, steps, bcast, coord = self.game, self.config.steps, self.bcast, self.coord
-        st, N, k = game.stacks, game.dims.N, 1.0 - self.config.relaxation
+        N, k = game.dims.N, 1.0 - self.config.relaxation
         gamma = steps.gamma[:, None]
-        linear = st.adjoint(bcast.lam) - bcast.mu / N
+        linear = game.adjoint(bcast.lam) - bcast.mu / N
         # the offsets are exact zeros at unit relaxation; skip their (N, .) arithmetic there
         if k != 0.0:
-            linear += (st.adjoint(self.F) - self.D) / gamma
-        X_new = decoupled_prox(st, bcast.sigma, linear, self.X, steps.gamma, self.config.prox_tol)
-        Y_new = st.link_values(X_new)
+            linear += (game.adjoint(self.F) - self.D) / gamma
+        X_new = decoupled_prox(game, bcast.sigma, linear, self.X, steps.gamma, self.config.prox_tol)
+        Y_new = game.link_values(X_new)
         agg = AggregateMessage(xhat=X_new.mean(axis=0), yhat=Y_new.mean(axis=0))
         self.coord, self.bcast = coordinator_update(coord, agg, steps)
         if k != 0.0:
@@ -491,13 +491,13 @@ def pfb_step_sizes(game: GameSpec) -> tuple[np.ndarray, float]:
     L_i = curvature_i + ||Q_i|| / N + ||A_i||^2, the last term a margin
     for the coupling through the multiplier.
     """
-    N, st = game.dims.N, game.stacks
-    tau_lam = 0.4 / max(st.coupling_norm**2, 1e-12)
+    N = game.dims.N
+    tau_lam = 0.4 / max(game.coupling_norm**2, 1e-12)
     coupling = np.zeros(N)
-    coupling[st.quadratic] = st.Q_norms / N
+    coupling[game.quadratic] = game.Q_norms / N
     # float_power calls C pow, as a Python float's ** does; ** on an array squares,
     # which can round differently in the last bit
-    L = st.curvature + coupling + np.float_power(st.A_norms, 2)
+    L = game.curvature + coupling + np.float_power(game.A_norms, 2)
     return 0.4 / L, tau_lam
 
 
@@ -513,17 +513,17 @@ class _PfbEngine:
     def point(self) -> ExtendedPoint:
         return ExtendedPoint(
             x=self.X.ravel().copy(),
-            y=self.game.stacks.link_values(self.X).ravel(),
+            y=self.game.link_values(self.X).ravel(),
             sigma=self.X.mean(axis=0),
             mu=np.zeros(self.game.dims.n),
             lam=self.lam.copy(),
         )
 
     def step(self) -> None:
-        game, st, X, lam = self.game, self.game.stacks, self.X, self.lam
-        grad = st.grad(X, X.mean(axis=0)) + st.adjoint(lam)
+        game, X, lam = self.game, self.X, self.lam
+        grad = game.grad(X, X.mean(axis=0)) + game.adjoint(lam)
         self.X = game.project_each(X - self.tau[:, None] * grad, guess=X)
-        resid = st.coupling_value(2.0 * self.X - X) - st.b_total
+        resid = game.coupling_value(2.0 * self.X - X) - game.b_total
         self.lam = np.maximum(lam + self.tau_lam * resid, 0.0)
 
 

@@ -2,9 +2,10 @@
 
 An instance couples N agents through the average of their decisions and
 through m affine constraints ``A x <= b`` with ``A = [A_1 ... A_N]`` and
-``b = sum_i b_i``.  ``AgentStacks`` stores and checks every agent's data by
-row; ``BoxSimplex``, ``QuadraticAgg`` and ``AgentSpec`` are row records.
-The solver modules treat a ``GameSpec`` as shared read-only data.
+``b = sum_i b_i``.  A ``GameSpec`` is every agent's data stacked by row,
+checked once when it is built; ``BoxSimplex``, ``QuadraticAgg`` and
+``AgentSpec`` are row records.  The solver modules treat a ``GameSpec`` as
+shared read-only data.
 """
 
 from __future__ import annotations
@@ -157,25 +158,26 @@ class AgentSpec:
             raise DimensionMismatch("coupling matrix rows must match b length")
 
 
-@dataclass(frozen=True, eq=False)
-class AgentStacks:
-    """Per-row description of a sequence of agents, every field computed once.
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class GameSpec:
+    """The full game: every agent's data stacked by row, every field computed once.
 
-    The unit prox metric I + A_i' A_i of row i is ``unit_diag[i]`` as a
-    diagonal, unless i is in ``dense_rows`` (ascending): then it is the
-    matching matrix of ``unit_dense`` and row i of ``unit_diag`` is zero.
-    ``curvature`` and ``strong_convexity`` are the cost moduli.  The (N,) row
-    flags ``quadratic`` and ``closed`` are the only record of each agent's cost
-    kind; ``all_quadratic`` and ``closed_form`` are their conjunctions.
-    ``upper``/``total`` are the box-simplex sets; ``a``/``xtilde``/``Q`` hold the
-    quadratic rows, in row order.  ``value``, ``grad`` and ``grad_sigma`` take a
-    shared or a row-wise aggregate: the quadratic rule when every cost is
+    Row i is agent i.  The unit prox metric I + A_i' A_i of row i is
+    ``unit_diag[i]`` as a diagonal, unless i is in ``dense_rows`` (ascending):
+    then it is the matching matrix of ``unit_dense`` and row i of ``unit_diag``
+    is zero.  ``curvature`` and ``strong_convexity`` are the cost moduli.  The
+    (N,) row flags ``quadratic`` and ``closed`` are the only record of each
+    agent's cost kind; ``all_quadratic`` and ``closed_form`` are their
+    conjunctions.  ``upper``/``total`` are the box-simplex sets; ``a``/``xtilde``/``Q``
+    hold the quadratic rows, in row order.  ``value``, ``grad`` and ``grad_sigma``
+    take a shared or a row-wise aggregate: the quadratic rule when every cost is
     quadratic, else each agent's oracles.  ``link_values``, ``coupling_value``
     and ``adjoint`` are the only products with the coupling blocks A_i; when
     ``all_capped``, they scale by ``capped_weight`` instead of contracting A.
-    The constants derived from the agents alone are cached properties,
-    computed on first use.  These are the game's only store and the only home
-    of its data rules: the first row that breaks one raises naming its agent.
+    ``dims`` and the constants derived from the agents alone are cached
+    properties, computed on first use.  The columns are the game's only store,
+    and :meth:`_build` the only home of its data rules: the first row that
+    breaks one raises naming its agent.
     """
 
     A: np.ndarray  # (N, m, n) coupling blocks
@@ -195,31 +197,40 @@ class AgentStacks:
     xtilde: np.ndarray  # (q, n) quadratic targets
     Q: np.ndarray  # (q, n, n) aggregate coupling matrices
 
-    @classmethod
-    def from_columns(cls, upper, total, a, xtilde, Q, A, b) -> "AgentStacks":
-        """The stacks of the box-simplex/quadratic agents in the rows of the :data:`_COLUMNS`."""
-        return cls._build(upper, total, a, xtilde, Q, A, b, np.ones(np.shape(total), dtype=bool), a, a)
-
-    @classmethod
-    def of(cls, agents) -> "AgentStacks":
-        """The stacks of the row records ``agents``, in order; ``agents`` keeps them."""
+    def __init__(self, dims: Dimensions, agents):
+        """The game of the row records ``agents``, in order; ``agents`` keeps them."""
         agents = tuple(agents)
+        if len(agents) != dims.N:
+            raise DimensionMismatch("agent list length differs from N")
+        for i, agent in enumerate(agents):
+            target = agent.cost.xtilde if isinstance(agent.cost, QuadraticAgg) else agent.omega.upper
+            shapes = (agent.A.shape, agent.b.shape, agent.omega.upper.shape, target.shape)
+            if shapes != ((dims.m, dims.n), (dims.m,), (dims.n,), (dims.n,)):
+                raise DimensionMismatch(f"agent {i}: A, b, upper, xtilde are {shapes}, with {dims}")
         costs = [agent.cost for agent in agents]
         quadratic = [isinstance(cost, QuadraticAgg) for cost in costs]
-        quads, n = [cost for cost, quad in zip(costs, quadratic) if quad], agents[0].A.shape[1]
-        stacks = cls._build(
+        quads, n = [cost for cost, quad in zip(costs, quadratic) if quad], dims.n
+        self._build(
             [agent.omega.upper for agent in agents], [agent.omega.total for agent in agents],
             [cost.a for cost in quads], np.reshape([cost.xtilde for cost in quads], (-1, n)),
             np.reshape([cost.Q for cost in quads], (-1, n, n)), [agent.A for agent in agents],
             [agent.b for agent in agents], quadratic,
             [cost.curvature for cost in costs], [cost.strong_convexity for cost in costs],
         )
-        stacks.__dict__["agents"] = agents  # the records themselves, oracle costs and all
-        return stacks
+        self.__dict__["agents"] = agents  # the records themselves, oracle costs and all
 
     @classmethod
-    def _build(cls, upper, total, a, xtilde, Q, A, b, quadratic, curvature, strong_convexity) -> "AgentStacks":
-        """The stacks of checked columns (``a``, ``xtilde``, ``Q`` hold the ``quadratic`` rows)."""
+    def from_columns(cls, dims: Dimensions, upper, total, a, xtilde, Q, A, b) -> "GameSpec":
+        """The box-simplex/quadratic game whose agent i is row i of the seven :data:`_COLUMNS`
+        arrays, each shaped as its axes name in ``dims`` (else :class:`DimensionMismatch`)."""
+        shapes = [tuple(getattr(dims, k) for k in axes) for axes in _COLUMNS.values()]
+        upper, total, a, xtilde, Q, A, b = map(_as_float_array, (upper, total, a, xtilde, Q, A, b), shapes)
+        game = cls.__new__(cls)
+        game._build(upper, total, a, xtilde, Q, A, b, np.ones(dims.N, dtype=bool), a, a)
+        return game
+
+    def _build(self, upper, total, a, xtilde, Q, A, b, quadratic, curvature, strong_convexity) -> None:
+        """Check the columns (``a``, ``xtilde``, ``Q`` hold the ``quadratic`` rows) and store them."""
         columns = (upper, total, a, xtilde, Q, A, b, curvature, strong_convexity)
         upper, total, a, xtilde, Q, A, b, curvature, strong = (np.asarray(c, np.float64) for c in columns)
         quadratic, (N, n) = np.asarray(quadratic, dtype=bool), upper.shape
@@ -246,7 +257,7 @@ class AgentStacks:
         unit_diag[dense_rows] = 0.0
         closed = quadratic.copy()
         closed[dense_rows] = False
-        return cls(
+        self.__dict__.update(
             A=A, b=b, unit_diag=unit_diag, dense_rows=dense_rows, unit_dense=units[dense_rows],
             quadratic=quadratic, closed=closed, curvature=curvature, strong_convexity=strong,
             all_quadratic=bool(quadratic.all()), closed_form=bool(closed.all()),
@@ -254,12 +265,21 @@ class AgentStacks:
         )
 
     @cached_property
-    def agents(self) -> tuple[AgentSpec, ...]:  # the row records: ``of`` keeps its own, columns build them
+    def dims(self) -> Dimensions:  # read off the coupling blocks' (N, m, n) shape
+        N, m, n = self.A.shape
+        return Dimensions(N, n, m)
+
+    @cached_property
+    def agents(self) -> tuple[AgentSpec, ...]:  # the row records: the record constructor keeps its own
         rows = zip(*(getattr(self, name) for name in _COLUMNS))
         return tuple(AgentSpec(BoxSimplex(u, t), QuadraticAgg(a, x, Q), A, b) for u, t, a, x, Q, A, b in rows)
 
     @cached_property
-    def _parts(self) -> dict:  # row-set bytes -> take(rows), filled on demand
+    def _parts(self) -> dict:  # row-array bytes -> take(rows), filled on demand
+        return {}
+
+    @cached_property
+    def _probes(self) -> dict:  # (sample_count, seed) -> monotonicity ProbeReport, filled on demand
         return {}
 
     @cached_property
@@ -272,7 +292,7 @@ class AgentStacks:
 
     @cached_property
     def default_points(self) -> np.ndarray:  # (N, n) read-only: each row's projection of 0
-        X = self.project(np.zeros(self.unit_diag.shape))
+        X = self.project_each(np.zeros(self.upper.shape))
         X.flags.writeable = False
         return X
 
@@ -298,27 +318,31 @@ class AgentStacks:
     def all_capped(self) -> bool:  # every A_r = w_r I: the products with the blocks are broadcasts
         return bool(self.capped_weight.all())
 
-    def take(self, rows: np.ndarray) -> "AgentStacks":
-        """The stacks of ``rows`` alone, built once per row set; ``self`` when that is every row."""
+    def take(self, rows: np.ndarray) -> "GameSpec":
+        """The game of agents ``rows`` alone, in that order, built once per row array;
+        ``self`` when ``rows`` is every row in ascending order."""
+        dims = self.dims
+        if np.array_equal(rows, np.arange(dims.N)):
+            return self
         key = rows.tobytes()
-        if rows.size < self.total.shape[0] and key not in self._parts:
-            self._parts[key] = AgentStacks.of(self.agents[r] for r in rows)
-        return self._parts.get(key, self)
+        if key not in self._parts:
+            self._parts[key] = GameSpec(Dimensions(rows.size, dims.n, dims.m), [self.agents[r] for r in rows])
+        return self._parts[key]
 
     def link_values(self, X: np.ndarray) -> np.ndarray:
-        """(B, m) link rows A_r x_r - b_r of a (B, n) decision array."""
+        """(N, m) link rows A_r x_r - b_r of an (N, n) decision array."""
         if self.all_capped:
             return self.capped_weight[:, None] * X - self.b
         return np.einsum("imn,in->im", self.A, X) - self.b
 
     def coupling_value(self, X: np.ndarray) -> np.ndarray:
-        """(m,) coupling sum A x = sum_r A_r x_r of a (B, n) decision array, ascending row order."""
+        """(m,) coupling sum A x = sum_r A_r x_r of an (N, n) decision array, ascending row order."""
         if self.all_capped:
             return np.einsum("i,im->m", self.capped_weight, X)
         return np.einsum("imn,in->m", self.A, X)
 
     def adjoint(self, V: np.ndarray) -> np.ndarray:
-        """(B, n) rows A_r' v of a shared (m,) ``v``, or A_r' V[r] of a (B, m) ``V``."""
+        """(N, n) rows A_r' v of a shared (m,) ``v``, or A_r' V[r] of an (N, m) ``V``."""
         if self.all_capped:
             return self.capped_weight[:, None] * V
         if V.ndim == 1:
@@ -326,8 +350,8 @@ class AgentStacks:
         return np.einsum("imn,im->in", self.A, V)
 
     def value(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        """(B,) cost values, row r at ``X[r]`` with the aggregate ``sigma``, or
-        ``sigma[r]`` when ``sigma`` is (B, n)."""
+        """(N,) cost values, row r at ``X[r]`` with the aggregate ``sigma``, or
+        ``sigma[r]`` when ``sigma`` is (N, n)."""
         if self.all_quadratic:  # row r of QS rounds like the per-agent Q_r @ sigma_r
             D, QS = X - self.xtilde, (self.Q @ sigma[..., None])[..., 0]
             return 0.5 * self.a * np.einsum("ij,ij->i", D, D) + np.einsum("ij,ij->i", QS, X)
@@ -335,79 +359,40 @@ class AgentStacks:
         return np.array([agent.cost.value(x, s) for agent, x, s in zip(self.agents, X, S)])
 
     def grad(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        """(B, n) gradients in x, row r at ``X[r]`` with the aggregate ``sigma`` or ``sigma[r]``."""
+        """(N, n) gradients in x, row r at ``X[r]`` with the aggregate ``sigma`` or ``sigma[r]``."""
         if self.all_quadratic:
             return self.a[:, None] * (X - self.xtilde) + (self.Q @ sigma[..., None])[..., 0]
         S = np.broadcast_to(sigma, X.shape)
         return np.array([agent.cost.grad(x, s) for agent, x, s in zip(self.agents, X, S)])
 
     def grad_sigma(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        """(B, n) gradients in the aggregate, as ``grad``; a cost with no such
+        """(N, n) gradients in the aggregate, as ``grad``; a cost with no such
         oracle raises :class:`NonSmoothCost`."""
         if self.all_quadratic:  # row r rounds like the per-agent Q_r.T @ X[r]
             return (np.swapaxes(self.Q, 1, 2) @ X[..., None])[..., 0]
         S = np.broadcast_to(sigma, X.shape)
         return np.array([agent.cost.grad_sigma(x, s) for agent, x, s in zip(self.agents, X, S)])
 
-    def project(
-        self, V: np.ndarray, weights: np.ndarray | None = None, guess: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Row r of (B, n) ``V`` projected onto agent r's set, in the diagonal
-        metric of row r of ``weights`` (Euclidean when omitted): one batched
-        kernel call, warm-started from the (B, n) ``guess`` when given."""
-        return project_box_simplex_batch(V, self.upper, self.total, weights, guess)
-
-
-class GameSpec:
-    """The full game: its dims and the :class:`AgentStacks` of its agents."""
-
-    def __init__(self, dims: Dimensions, agents):
-        agents = tuple(agents)
-        if len(agents) != dims.N:
-            raise DimensionMismatch("agent list length differs from N")
-        for i, agent in enumerate(agents):
-            target = agent.cost.xtilde if isinstance(agent.cost, QuadraticAgg) else agent.omega.upper
-            shapes = (agent.A.shape, agent.b.shape, agent.omega.upper.shape, target.shape)
-            if shapes != ((dims.m, dims.n), (dims.m,), (dims.n,), (dims.n,)):
-                raise DimensionMismatch(f"agent {i}: A, b, upper, xtilde are {shapes}, with {dims}")
-        self.dims, self.stacks = dims, AgentStacks.of(agents)
-
-    @property
-    def agents(self) -> tuple[AgentSpec, ...]:
-        """The agents' row records; a game built from columns builds them on first read."""
-        return self.stacks.agents
-
-    @cached_property
-    def _probes(self) -> dict:  # (sample_count, seed) -> monotonicity ProbeReport, filled on demand
-        return {}
-
-    # -- checked entry points over the per-row stacks ------------------------------
-
-    def coupling_value(self, x: np.ndarray) -> np.ndarray:
-        """A x = sum_i A_i x_i of a stacked decision vector, fixed ascending agent order."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dims.N * self.dims.n,):
-            raise DimensionMismatch(f"stacked decision must have length {self.dims.N * self.dims.n}")
-        return self.stacks.coupling_value(x.reshape(self.dims.N, self.dims.n))
-
     def project_each(
         self, X: np.ndarray, weights: np.ndarray | None = None, guess: np.ndarray | None = None
     ) -> np.ndarray:
-        """Per-agent projection of the rows of an (N, n) array onto the local sets,
-        warm-started from an (N, n) ``guess`` when given (see :meth:`AgentStacks.project`)."""
-        if X.shape != (self.dims.N, self.dims.n):
+        """Row r of the (N, n) ``X`` projected onto agent r's set, in the diagonal metric
+        of row r of ``weights`` (Euclidean when omitted): one batched kernel call,
+        warm-started from the (N, n) ``guess`` when given.  Any other shape of ``X``
+        raises :class:`DimensionMismatch`."""
+        if X.shape != self.upper.shape:
             raise DimensionMismatch("expected an (N, n) block matrix")
-        return self.stacks.project(X, weights, guess)
+        return project_box_simplex_batch(X, self.upper, self.total, weights, guess)
 
     # -- serialization -------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """The game file payload: the dims and one little-endian float64 column per stack."""
-        if not self.stacks.all_quadratic:
+        """The game file payload: the dims and each stored column as little-endian float64."""
+        if not self.all_quadratic:
             raise ValueError("only quadratic games serialize to JSON")
         return {
             "dims": {"N": self.dims.N, "n": self.dims.n, "m": self.dims.m},
-            "stacks": {name: _encode_column(getattr(self.stacks, name)) for name in _COLUMNS},
+            "stacks": {name: _encode_column(getattr(self, name)) for name in _COLUMNS},
         }
 
     @classmethod
@@ -431,16 +416,6 @@ class GameSpec:
         ]
         return cls.from_columns(dims, *columns)
 
-    @classmethod
-    def from_columns(cls, dims: Dimensions, upper, total, a, xtilde, Q, A, b) -> "GameSpec":
-        """The box-simplex/quadratic game whose agent i is row i of the seven :data:`_COLUMNS`
-        arrays, each shaped as its axes name in ``dims`` (else :class:`DimensionMismatch`)."""
-        shapes = [tuple(getattr(dims, k) for k in axes) for axes in _COLUMNS.values()]
-        columns = list(map(_as_float_array, (upper, total, a, xtilde, Q, A, b), shapes))
-        game = cls.__new__(cls)
-        game.dims, game.stacks = dims, AgentStacks.from_columns(*columns)
-        return game
-
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()), encoding="utf-8")
 
@@ -449,7 +424,7 @@ class GameSpec:
         return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-# the AgentStacks columns of a game file, in file order, each with its axes named by the dims
+# the stored columns of a game file, in file order, each with its axes named by the dims
 _COLUMNS = {"upper": "Nn", "total": "N", "a": "N", "xtilde": "Nn", "Q": "Nnn", "A": "Nmn", "b": "Nm"}
 
 
@@ -500,8 +475,12 @@ def average(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def coupling_violation(game: GameSpec, x: np.ndarray) -> np.ndarray:
-    """Componentwise positive part of A x - b; zero iff the coupling holds."""
-    return np.maximum(game.coupling_value(x) - game.stacks.b_total, 0.0)
+    """Componentwise positive part of A x - b at a stacked decision vector; zero iff
+    the coupling holds.  A vector of the wrong length raises :class:`DimensionMismatch`."""
+    x, (N, n) = np.asarray(x, dtype=np.float64), game.upper.shape
+    if x.shape != (N * n,):
+        raise DimensionMismatch(f"stacked decision must have length {N * n}")
+    return np.maximum(game.coupling_value(x.reshape(N, n)) - game.b_total, 0.0)
 
 
 def find_feasible_point(game: GameSpec) -> tuple[np.ndarray, bool]:
@@ -512,14 +491,14 @@ def find_feasible_point(game: GameSpec) -> tuple[np.ndarray, bool]:
     even that fails, at a fixed point of the projected-gradient step or
     when the iteration budget runs out.
     """
-    X = game.stacks.default_points.copy()  # the caller owns the returned point
-    step = 1.0 / max(game.stacks.coupling_norm**2, 1e-12)
-    target = game.stacks.b_total - SLATER_MARGIN
+    X = game.default_points.copy()  # the caller owns the returned point
+    step = 1.0 / max(game.coupling_norm**2, 1e-12)
+    target = game.b_total - SLATER_MARGIN
     for _ in range(FEASIBILITY_MAX_ITERS):
-        resid = np.maximum(game.stacks.coupling_value(X) - target, 0.0)
+        resid = np.maximum(game.coupling_value(X) - target, 0.0)
         if not resid.any():
             return X.ravel(), True
-        grad = game.stacks.adjoint(resid)
+        grad = game.adjoint(resid)
         X_next = game.project_each(X - step * grad)
         if np.array_equal(X_next, X):
             break  # a fixed point minimizes the convex phase-1 objective: no step can help
@@ -576,8 +555,8 @@ def validate_game(game: GameSpec) -> ValidationReport:
 
     Pure: repeated calls on the same game produce identical reports.
     """
-    stacks, X, sigma = game.stacks, game.stacks.default_points, np.full(game.dims.n, 0.25)
-    grad_errs = _fd_gradient_errors(lambda Z: stacks.value(Z, sigma), X, stacks.grad(X, sigma)).tolist()
+    X, sigma = game.default_points, np.full(game.dims.n, 0.25)
+    grad_errs = _fd_gradient_errors(lambda Z: game.value(Z, sigma), X, game.grad(X, sigma)).tolist()
     messages = [
         f"agent {i}: gradient check error {e:.3e}" for i, e in enumerate(grad_errs) if not math.isfinite(e)
     ]

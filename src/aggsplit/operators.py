@@ -93,7 +93,7 @@ def extended_subdifferential(game: GameSpec, x: np.ndarray, sigma: np.ndarray) -
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.shape != (dims.n,):
         raise DimensionMismatch("aggregate has the wrong length")
-    return game.stacks.grad(X, sigma).ravel()
+    return game.grad(X, sigma).ravel()
 
 
 # -- the linear skew coupling map ------------------------------------------------------
@@ -152,19 +152,19 @@ def stationarity_residual(game: GameSpec, x: np.ndarray, lam: np.ndarray) -> flo
     """Worst-agent natural residual of 0 in grad_i + A_i' lam + normal cone,
     the gradients taken with the aggregate frozen at the actual average; the
     projection is warm-started from x."""
-    st, X = game.stacks, x.reshape(game.dims.N, game.dims.n)
-    G = st.grad(X, X.mean(axis=0)) + st.adjoint(lam)
+    X = x.reshape(game.dims.N, game.dims.n)
+    G = game.grad(X, X.mean(axis=0)) + game.adjoint(lam)
     P = game.project_each(X - G, guess=X)
     return float(np.max(np.linalg.norm(X - P, axis=1)))
 
 
 def kkt_residual(game: GameSpec, w: ExtendedPoint) -> KktResidual:
     """All first-order residuals of an extended point."""
-    dims, st = game.dims, game.stacks
+    dims = game.dims
     w.check_dims(dims)
     X, Y = w.x.reshape(dims.N, dims.n), w.y.reshape(dims.N, dims.m)
-    resid = st.coupling_value(X) - st.b_total
-    links = st.link_values(X)
+    resid = game.coupling_value(X) - game.b_total
+    links = game.link_values(X)
     return KktResidual(
         stationarity=stationarity_residual(game, w.x, w.lam),
         primal=float(np.max(np.maximum(resid, 0.0), initial=0.0)),
@@ -209,7 +209,7 @@ def monotonicity_probe(game: GameSpec, sample_count: int = 1000, seed: int = 0) 
         return reports[sample_count, seed]
     dims = game.dims
     rng = np.random.default_rng(seed)
-    upper = game.stacks.upper
+    upper = game.upper
     upper_s = upper.mean(axis=0)
 
     def draw():

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidStepSizes
-from .game import AgentStacks, GameSpec
+from .game import GameSpec
 from .operators import ExtendedPoint
 from .projections import fista_minimize
 
@@ -104,7 +104,7 @@ class StepSizes:
 
 
 def local_prox(
-    stacks: AgentStacks,
+    game: GameSpec,
     sigma: np.ndarray,
     linear: np.ndarray,
     center: np.ndarray,
@@ -112,7 +112,7 @@ def local_prox(
     tol: float = DEFAULT_PROX_TOL,
 ) -> np.ndarray:
     """The subproblems of :func:`decoupled_prox`, in the metric read from
-    ``stacks``, as (B, n) rows; every gamma_i must be positive.
+    ``game``, as (N, n) rows; every gamma_i must be positive.
 
     The ``closed`` rows (a quadratic cost and a diagonal metric) take the
     closed form of :func:`batched_quadratic_prox`.  All other rows are solved
@@ -122,20 +122,18 @@ def local_prox(
     """
     if not np.all(gamma > 0):
         raise InvalidStepSizes("prox step sizes gamma_i must be positive")
-    diag = stacks.unit_diag / gamma[:, None]
+    diag = game.unit_diag / gamma[:, None]
     X = np.empty(center.shape)
-    rows = np.flatnonzero(stacks.closed)
+    rows = np.flatnonzero(game.closed)
     if rows.size:
-        X[rows] = batched_quadratic_prox(
-            stacks.take(rows), sigma, linear[rows], center[rows], diag[rows]
-        )
-    rows = np.flatnonzero(~stacks.closed)
+        X[rows] = batched_quadratic_prox(game.take(rows), sigma, linear[rows], center[rows], diag[rows])
+    rows = np.flatnonzero(~game.closed)
     if not rows.size:
         return X
-    part, linear, center, diag = stacks.take(rows), linear[rows], center[rows], diag[rows]
+    part, linear, center, diag = game.take(rows), linear[rows], center[rows], diag[rows]
     lo, hi = diag.min(axis=1), diag.max(axis=1)
-    dense = np.searchsorted(rows, stacks.dense_rows)  # every dense row is iterative
-    metric = stacks.unit_dense / gamma[stacks.dense_rows, None, None]
+    dense = np.searchsorted(rows, game.dense_rows)  # every dense row is iterative
+    metric = game.unit_dense / gamma[game.dense_rows, None, None]
     if dense.size:
         ends = np.linalg.eigvalsh(0.5 * (metric + np.swapaxes(metric, 1, 2)))
         lo[dense], hi[dense] = ends[:, 0], ends[:, -1]
@@ -149,7 +147,7 @@ def local_prox(
 
     X[rows] = fista_minimize(
         grad,
-        part.project,
+        part.project_each,
         center,
         lipschitz=part.curvature + hi,
         strong_convexity=part.strong_convexity + lo,
@@ -159,30 +157,30 @@ def local_prox(
 
 
 def batched_quadratic_prox(
-    stacks: AgentStacks,
+    game: GameSpec,
     sigma: np.ndarray,
     linear: np.ndarray,
     center: np.ndarray,
     metric_diag: np.ndarray,
 ) -> np.ndarray:
-    """The closed-form prox of every row of quadratic ``stacks`` in a diagonal
+    """The closed-form prox of every row of a quadratic ``game`` in a diagonal
     metric: one weighted projection of the unconstrained minimizer, warm-started
     from ``center``."""
-    a = stacks.a[:, None]
+    a = game.a[:, None]
     weights = a + metric_diag
-    V = (a * stacks.xtilde + metric_diag * center - stacks.Q @ sigma - linear) / weights
-    return stacks.project(V, weights, guess=center)
+    V = (a * game.xtilde + metric_diag * center - game.Q @ sigma - linear) / weights
+    return game.project_each(V, weights, guess=center)
 
 
 def decoupled_prox(
-    stacks: AgentStacks,
+    game: GameSpec,
     sigma: np.ndarray,
     linear: np.ndarray,
     center: np.ndarray,
     gamma: np.ndarray,
     tol: float = DEFAULT_PROX_TOL,
 ) -> np.ndarray:
-    """The proximal subproblems of the decoupled half, row i for agent i of ``stacks``.
+    """The proximal subproblems of the decoupled half, row i for agent i of ``game``.
 
     Row i minimizes over agent i's local set
         f_i(z, sigma) + linear_i' z
@@ -190,9 +188,9 @@ def decoupled_prox(
     A closed-form set of agents takes :func:`batched_quadratic_prox` on
     every row; any other takes one :func:`local_prox` call.
     """
-    if stacks.closed_form:
-        return batched_quadratic_prox(stacks, sigma, linear, center, stacks.unit_diag / gamma[:, None])
-    return local_prox(stacks, sigma, linear, center, gamma, tol)
+    if game.closed_form:
+        return batched_quadratic_prox(game, sigma, linear, center, game.unit_diag / gamma[:, None])
+    return local_prox(game, sigma, linear, center, gamma, tol)
 
 
 def resolvent_A(
@@ -207,16 +205,16 @@ def resolvent_A(
         y_i+ = A_i x_i+ - b_i
     The aggregate and multiplier blocks pass through unchanged.
     """
-    dims, st = game.dims, game.stacks
+    dims = game.dims
     w.check_dims(dims)
     X = w.x_blocks(dims.n)
     Y = w.y_blocks(dims.m)
     gamma = steps.gamma[:, None]
-    linear = st.adjoint(st.link_values(X) - Y) / gamma
-    X_new = decoupled_prox(st, w.sigma, linear, X, steps.gamma, tol)
+    linear = game.adjoint(game.link_values(X) - Y) / gamma
+    X_new = decoupled_prox(game, w.sigma, linear, X, steps.gamma, tol)
     return ExtendedPoint(
         x=X_new.ravel(),
-        y=st.link_values(X_new).ravel(),
+        y=game.link_values(X_new).ravel(),
         sigma=w.sigma.copy(),
         mu=w.mu.copy(),
         lam=w.lam.copy(),

@@ -65,10 +65,10 @@ def inclusion_residual_A(
     Y, Yp = w.y_blocks(dims.m), w_plus.y_blocks(dims.m)
     gamma = steps.gamma[:, None]
     G = extended_subdifferential(game, w_plus.x, w.sigma).reshape(dims.N, dims.n)
-    H = (Xp - X) / gamma + G + game.stacks.adjoint((Yp - Y) / gamma)
+    H = (Xp - X) / gamma + G + game.adjoint((Yp - Y) / gamma)
     proj = game.project_each(Xp - H)
     r_x = float(np.max(np.linalg.norm(Xp - proj, axis=1)))
-    r_y = float(np.max(np.abs(Yp - game.stacks.link_values(Xp)), initial=0.0))
+    r_y = float(np.max(np.abs(Yp - game.link_values(Xp)), initial=0.0))
     r_pass = max(
         float(np.max(np.abs(w_plus.sigma - w.sigma), initial=0.0)),
         float(np.max(np.abs(w_plus.mu - w.mu), initial=0.0)),
@@ -127,7 +127,7 @@ def suite_firmness(game: GameSpec, steps: StepSizes) -> SuiteResult:
     The suite therefore skips, rather than fails, on instances with a
     nonzero aggregate-coupling matrix.
     """
-    if np.any(game.stacks.Q != 0.0):
+    if np.any(game.Q != 0.0):
         return SuiteResult(
             "firmness",
             False,

@@ -202,7 +202,7 @@ def engine_at(game: GameSpec, config: RunConfig, point: ExtendedPoint) -> DrEngi
     if the previous round had landed there."""
     engine = DrEngine(game, config)
     X = point.x.reshape(game.dims.N, game.dims.n).copy()
-    Y = game.stacks.link_values(X)
+    Y = game.link_values(X)
     lam, mu, sigma = point.lam.copy(), point.mu.copy(), point.sigma.copy()
     engine.X, engine.Y = X, Y
     engine.coord = CoordinatorState(
@@ -235,11 +235,11 @@ def deviation_gap(
 
     N, n = game.dims.N, game.dims.n
     X = np.asarray(x, dtype=np.float64).reshape(N, n)
-    sigma, coupled = X.mean(axis=0), game.coupling_value(X.ravel())
+    sigma, coupled = X.mean(axis=0), game.coupling_value(X)
     eps = np.empty(N)
     for i, agent in enumerate(game.agents):
         cost, omega, A = agent.cost, agent.omega, agent.A
-        slack = game.stacks.b_total - (coupled - A @ X[i])
+        slack = game.b_total - (coupled - A @ X[i])
         w = A[0, 0]
         scaled_identity = A.shape == (n, n) and w > 0 and np.array_equal(A, w * np.eye(n))
         if scaled_identity:
@@ -274,6 +274,12 @@ def deviation_gap(
     return eps
 
 
+def game_of(agents) -> GameSpec:
+    """The game of the row records ``agents``, in order, its sizes read off the first."""
+    agents = list(agents)
+    return GameSpec(Dimensions(len(agents), *agents[0].A.shape[::-1]), agents)
+
+
 def dense_coupling_draw(seed: int = 0) -> GameSpec:
     """N=6, n=m=4 box-simplex game with every A_i a dense uniform(0.2, 1) matrix,
     whose coupling bound sits 3% below A x at the default points."""
@@ -289,7 +295,7 @@ def dense_coupling_draw(seed: int = 0) -> GameSpec:
         for _ in range(N)
     ]
     loose = GameSpec(dims=Dimensions(N, n, m), agents=agents)
-    b = 0.97 * loose.coupling_value(loose.stacks.default_points.ravel()) / N
+    b = 0.97 * loose.coupling_value(loose.default_points) / N
     return GameSpec(dims=loose.dims, agents=[replace(agent, b=b) for agent in agents])
 
 

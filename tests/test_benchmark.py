@@ -17,6 +17,7 @@ from aggsplit import (
     EmptyLocalSet,
     GameSpec,
     GenerationFailed,
+    GenericSmooth,
     NonSmoothCost,
     NotCertified,
     QuadraticAgg,
@@ -74,7 +75,7 @@ class TestGenerate:
         w = np.array([agent.A[0, 0] for agent in game.agents])
         uppers = np.stack([agent.omega.upper for agent in game.agents])
         cap_totals = np.einsum("i,ij->j", w, uppers)
-        b = game.stacks.b_total
+        b = game.b_total
         assert np.all(b >= 0.5 * cap_totals - 1e-9)
         assert np.all(b <= (2.0 / 3.0) * cap_totals + 1e-9)
 
@@ -131,7 +132,7 @@ class TestGenerate:
         cases = [(name, np.nan, ValueError) for name in names]  # every column is checked finite
         cases += [("upper", -0.5, ValueError), ("total", 10.0, EmptyLocalSet), ("a", 0.0, ValueError)]
         for name, value, error in cases:
-            columns = {key: getattr(game.stacks, key).copy() for key in names}
+            columns = {key: getattr(game, key).copy() for key in names}
             columns[name][2] = value  # all of agent 2's entries in that column
             with pytest.raises(error, match="agent 2") as by_columns:
                 GameSpec.from_columns(game.dims, **columns)
@@ -155,7 +156,7 @@ class TestGenerate:
         for x in (trace.final_point.x, point.x):
             epsilon_nash_gap(loaded, x)
         assert built == []
-        st = loaded.stacks
+        st = loaded
         for i, agent in enumerate(loaded.agents):  # built on this first read, one record per row
             assert np.array_equal(agent.omega.upper, st.upper[i]) and agent.omega.total == st.total[i]
             assert agent.cost.a == st.a[i] and np.array_equal(agent.cost.xtilde, st.xtilde[i])
@@ -167,8 +168,8 @@ class TestGenerate:
         game = generate_benchmark(BenchmarkParams(N=1, n=10, seed=0))
         x = game.agents[0].omega.project(np.zeros(10))
         w1 = game.agents[0].A[0, 0]
-        assert np.allclose(game.coupling_value(x), w1 * x)
-        assert np.allclose(game.stacks.b_total, game.agents[0].b)
+        assert np.allclose(game.coupling_value(x[None]), w1 * x)
+        assert np.allclose(game.b_total, game.agents[0].b)
 
     def test_impossible_cap_law_raises(self):
         # entries <= 1 summing to 2 cannot exist at n = 1
@@ -237,7 +238,7 @@ class TestViResidual:
         assert gae_vi_residual(desk_game, point.x, point.lam) <= 1e-6
 
     def test_large_far_from_solution(self, desk_game):
-        x0 = desk_game.stacks.default_points.ravel()
+        x0 = desk_game.default_points.ravel()
         value = gae_vi_residual(desk_game, x0)
         assert value >= 1e-2
 
@@ -253,7 +254,7 @@ class TestViResidual:
 
 def vi_residual_multiplier(game, lam):
     """The VI residual at the default points with the multiplier ``lam``."""
-    return gae_vi_residual(game, game.stacks.default_points.ravel(), lam)
+    return gae_vi_residual(game, game.default_points.ravel(), lam)
 
 
 def dr_reference(game, reference):
@@ -283,8 +284,31 @@ class TestEpsilonGap:
         want = agent.cost.value(other, other) - agent.cost.value(xt, xt)
         assert gap == pytest.approx(want, rel=1e-6)
 
+    def test_linear_costs_of_zero_curvature_have_the_vertex_gap(self, rng):
+        # f_i = c_i'x: the best deviation puts the unit total on the cheapest slot
+        N, n = 4, 3
+        C = rng.random((N, n))
+        agents = [
+            AgentSpec(
+                omega=BoxSimplex(np.ones(n), 1.0),
+                cost=GenericSmooth(
+                    value_fn=lambda x, s, c=c: c @ x,
+                    grad_fn=lambda x, s, c=c: c,
+                    curvature=0.0,
+                    grad_sigma_fn=lambda x, s: np.zeros(n),
+                ),
+                A=np.eye(n),
+                b=np.full(n, 10.0),
+            )
+            for c in C
+        ]
+        game = GameSpec(dims=Dimensions(N, n, n), agents=agents)
+        X = game.default_points
+        eps = epsilon_nash_gap(game, X.ravel())
+        assert np.allclose(eps, np.einsum("ij,ij->i", C, X) - C.min(axis=1), rtol=0.0, atol=1e-12)
+
     def test_nonnegative_at_arbitrary_feasible_points(self, desk_game):
-        x = desk_game.stacks.default_points.ravel()
+        x = desk_game.default_points.ravel()
         eps = epsilon_nash_gap(desk_game, x)
         assert np.all(eps >= 0.0)
 
@@ -303,7 +327,7 @@ class TestEpsilonGap:
         if measure is vi_residual_multiplier:
             v = np.zeros(desk_game.dims.m)
         else:
-            v = desk_game.stacks.default_points.ravel().copy()
+            v = desk_game.default_points.ravel().copy()
         if fault == "nan":
             v[0] = np.nan
         else:
@@ -324,7 +348,7 @@ def gap_games(desk_game):
 
 def gap_points(game, x_eq):
     """The certified equilibrium, and the default points, where many iterations run."""
-    return {"equilibrium": x_eq, "default": game.stacks.default_points.ravel()}
+    return {"equilibrium": x_eq, "default": game.default_points.ravel()}
 
 
 def count_calls(monkeypatch, module, name):
@@ -368,7 +392,7 @@ class TestBatchedGap:
         game = GameSpec(dims=desk_game.dims, agents=agents)
         fista_calls = count_calls(monkeypatch, benchmark_mod, "fista_minimize")
         with pytest.raises(NonSmoothCost):
-            epsilon_nash_gap(game, game.stacks.default_points.ravel())
+            epsilon_nash_gap(game, game.default_points.ravel())
         assert len(fista_calls) == 1
 
     def test_one_coupling_block_off_the_family_solves_per_dykstra_row(self, desk_game, monkeypatch):

@@ -31,9 +31,8 @@ from aggsplit import (
 )
 from aggsplit.benchmark import BenchmarkParams, generate_benchmark, ground_truth_point
 from aggsplit.engine import CSV_HEADER, GATE_FACTOR, pfb_step_sizes
-from aggsplit.game import AgentStacks
 from aggsplit.projections import fista_minimize
-from oracles import engine_at, reference_rounds, wrap_costs_in_oracles
+from oracles import engine_at, game_of, reference_rounds, wrap_costs_in_oracles
 
 # unit, under- and over-relaxed rounds, each checked against the raw iteration
 RELAXATIONS = (1.0, 0.9, 1.5)
@@ -271,7 +270,7 @@ class TestEngineRounds:
             assert np.max(np.abs(engine.X.ravel() - cold[k])) <= 1e-15
 
     def test_batched_and_per_agent_paths_agree(self, desk_game, desk_steps):
-        assert desk_game.stacks.closed_form
+        assert desk_game.closed_form
         assert_rounds_match_row_views(desk_game, desk_steps)
 
     def test_link_invariant_after_each_round(self, desk_game, desk_steps):
@@ -434,7 +433,7 @@ class TestRunDr:
         xhat = point.x.reshape(dims.N, dims.n).mean(axis=0)
         assert np.max(np.abs(point.sigma - xhat)) <= 10 * tol
         assert np.max(np.abs(point.mu)) <= 10 * tol
-        resid = desk_game.coupling_value(point.x) - desk_game.stacks.b_total
+        resid = desk_game.coupling_value(point.x.reshape(desk_game.dims.N, -1)) - desk_game.b_total
         assert abs(point.lam @ resid) <= 10 * tol * (1.0 + np.linalg.norm(point.lam))
 
     def test_relaxed_runs_reach_the_same_solution(self, desk_game, desk_steps):
@@ -577,22 +576,22 @@ def mixed_metric_game():
     return GameSpec(dims=Dimensions(N, n, n), agents=agents)
 
 
-class TestAgentStacks:
-    """The one-agent stacks that ``agent_update`` builds are the rows of ``game.stacks``."""
+class TestOneAgentGames:
+    """The one-agent games that ``agent_update`` builds are the rows of the game."""
 
-    def test_one_agent_stacks_equal_the_game_rows_bitwise(self, desk_game):
+    def test_one_agent_games_equal_the_game_rows_bitwise(self, desk_game):
         games = (
             desk_game,
             mixed_metric_game(),
             wrap_costs_in_oracles(desk_game),
         )
         for game in games:  # one cost type each, so all_quadratic carries over
-            full = game.stacks
+            full = game
             for i, agent in enumerate(game.agents):
-                one = AgentStacks.of([agent])
+                one = game_of([agent])
                 dense = i in full.dense_rows
                 assert one.agents == (agent,) and full.agents[i] is agent
-                for f in dataclasses.fields(AgentStacks):
+                for f in dataclasses.fields(GameSpec):
                     mine, theirs = getattr(one, f.name), getattr(full, f.name)
                     if f.name == "dense_rows":
                         assert mine.tolist() == ([0] if dense else [])
@@ -614,10 +613,10 @@ class TestAgentStacks:
                 S = np.broadcast_to(sigma, X.shape)
                 costs = [agent.cost for agent in game.agents]
                 expected = [cost.value(x, s) for cost, x, s in zip(costs, X, S)]
-                assert np.allclose(game.stacks.value(X, sigma), expected, rtol=1e-14, atol=0.0)
+                assert np.allclose(game.value(X, sigma), expected, rtol=1e-14, atol=0.0)
                 for name in ("grad", "grad_sigma"):
                     rows = np.stack([getattr(cost, name)(x, s) for cost, x, s in zip(costs, X, S)])
-                    assert np.array_equal(getattr(game.stacks, name)(X, sigma), rows), name
+                    assert np.array_equal(getattr(game, name)(X, sigma), rows), name
 
 
 class TestMixedMetricDiagonality:
@@ -625,8 +624,8 @@ class TestMixedMetricDiagonality:
 
     def test_metric_choice_is_per_agent(self):
         game = mixed_metric_game()
-        assert game.stacks.dense_rows.tolist() == [0]
-        assert not game.stacks.closed_form
+        assert game.dense_rows.tolist() == [0]
+        assert not game.closed_form
 
     def test_rounds_equal_the_row_views(self):
         # closed rows and the dense row in one local_prox call; per-agent step sizes
@@ -638,13 +637,13 @@ class TestMixedMetricDiagonality:
         engine = DrEngine(game, RunConfig(steps=benchmark_steps(game.dims.N), prox_tol=1e-12))
         engine.step()  # builds the closed and the iterative part once
         built = []
-        of = AgentStacks.of.__func__
+        build = GameSpec._build
 
-        def counting(cls, agents):
+        def counting(self, *columns):
             built.append(1)
-            return of(cls, agents)
+            return build(self, *columns)
 
-        monkeypatch.setattr(AgentStacks, "of", classmethod(counting))
+        monkeypatch.setattr(GameSpec, "_build", counting)
         for _ in range(3):
             engine.step()
         assert not built
@@ -773,7 +772,7 @@ class TestRunPfb:
         generic = wrap_costs_in_oracles(desk_game).agents[0]
         mixed = GameSpec(dims=desk_game.dims, agents=[generic, *desk_game.agents[1:]])
         quads = [agent.cost for agent in desk_game.agents[1:]]
-        st = mixed.stacks
+        st = mixed
         assert st.quadratic.tolist() == [False] + [True] * (desk_game.dims.N - 1)
         assert st.a.tobytes() == np.array([cost.a for cost in quads]).tobytes()
         assert st.xtilde.tobytes() == np.stack([cost.xtilde for cost in quads]).tobytes()
@@ -781,7 +780,7 @@ class TestRunPfb:
         for game in (desk_game, wrap_costs_in_oracles(desk_game), paper, mixed):
             tau, tau_lam = pfb_step_sizes(game)
             assert np.array_equal(tau, per_agent_taus(game))
-            norm_A = float(np.linalg.norm(np.concatenate(game.stacks.A, axis=1), 2))
+            norm_A = float(np.linalg.norm(np.concatenate(game.A, axis=1), 2))
             assert tau_lam == 0.4 / max(norm_A**2, 1e-12)
 
 

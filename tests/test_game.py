@@ -191,7 +191,7 @@ class TestValidateGame:
         game = desk_game if scale == "desk" else generate_benchmark(BenchmarkParams(seed=0))
         sigma = np.full(game.dims.n, 0.25)
         per_agent = [
-            fd_gradient_error(agent.cost, x, sigma) for agent, x in zip(game.agents, game.stacks.default_points)
+            fd_gradient_error(agent.cost, x, sigma) for agent, x in zip(game.agents, game.default_points)
         ]
         errs = validate_game(game).gradient_rel_err
         assert len(errs) == game.dims.N
@@ -242,28 +242,29 @@ class TestValidateGame:
 
 class TestLinkInvariant:
     def test_link_map_lands_in_local_graph(self, desk_game):
-        X = desk_game.stacks.default_points
-        Y = desk_game.stacks.link_values(X)
+        X = desk_game.default_points
+        Y = desk_game.link_values(X)
         for agent, x, y in zip(desk_game.agents, X, Y):
             assert in_box_simplex(x, agent.omega)
             assert np.allclose(y, agent.A @ x - agent.b)
 
 
     def test_batched_default_points_and_links_match_the_agents(self, desk_game):
-        X = desk_game.stacks.default_points
-        assert desk_game.stacks.default_points is X
+        X = desk_game.default_points
+        assert desk_game.default_points is X
         assert not X.flags.writeable
-        Y = desk_game.stacks.link_values(X)
+        Y = desk_game.link_values(X)
         for i, agent in enumerate(desk_game.agents):
             assert np.array_equal(X[i], agent.omega.project(np.zeros(desk_game.dims.n)))
             assert np.allclose(Y[i], agent.A @ X[i] - agent.b, atol=1e-15)
 
     def test_coupling_sum_and_adjoint_match_the_agents(self, desk_game, rng):
-        st, X = desk_game.stacks, desk_game.stacks.default_points
+        st, X = desk_game, desk_game.default_points
         v, V = rng.random(desk_game.dims.m), rng.random((desk_game.dims.N, desk_game.dims.m))
         total = sum(agent.A @ x for agent, x in zip(desk_game.agents, X))
         assert np.allclose(st.coupling_value(X), total, atol=1e-14)
-        assert np.array_equal(desk_game.coupling_value(X.ravel()), st.coupling_value(X))
+        excess = np.maximum(st.coupling_value(X) - st.b_total, 0.0)
+        assert np.array_equal(coupling_violation(desk_game, X.ravel()), excess)
         for i, agent in enumerate(desk_game.agents):
             assert np.allclose(st.adjoint(v)[i], agent.A.T @ v, atol=1e-14)
             assert np.allclose(st.adjoint(V)[i], agent.A.T @ V[i], atol=1e-14)
@@ -275,7 +276,7 @@ class TestLinkInvariant:
         assert np.array_equal(st.adjoint(V), np.einsum("imn,im->in", st.A, V))
         # a dense row keeps the contractions
         game = dense_coupling_draw(0)
-        st, X = game.stacks, game.stacks.default_points
+        st, X = game, game.default_points
         v, V = rng.random(game.dims.m), rng.random((game.dims.N, game.dims.m))
         assert not st.all_capped
         total = sum(agent.A @ x for agent, x in zip(game.agents, X))
@@ -289,19 +290,56 @@ class TestLinkInvariant:
 class TestDerivedData:
     def test_replace_builds_the_new_games_own_data(self, desk_game):
         old_probe = monotonicity_probe(desk_game, sample_count=5)
-        old_b, old_points = desk_game.stacks.b_total, desk_game.stacks.default_points
+        old_b, old_points = desk_game.b_total, desk_game.default_points
         agent = desk_game.agents[0]
         new = GameSpec(desk_game.dims, [dataclasses.replace(agent, b=agent.b + 1.0), *desk_game.agents[1:]])
         fresh = GameSpec(dims=new.dims, agents=list(new.agents))
-        assert new.stacks is not desk_game.stacks
-        assert np.array_equal(new.stacks.b_total, fresh.stacks.b_total)
-        assert np.allclose(new.stacks.b_total, old_b + 1.0)
-        assert new.stacks.coupling_norm == fresh.stacks.coupling_norm
-        assert new.stacks.default_points is not old_points
-        assert np.array_equal(new.stacks.default_points, fresh.stacks.default_points)
+        assert new is not desk_game
+        assert np.array_equal(new.b_total, fresh.b_total)
+        assert np.allclose(new.b_total, old_b + 1.0)
+        assert new.coupling_norm == fresh.coupling_norm
+        assert new.default_points is not old_points
+        assert np.array_equal(new.default_points, fresh.default_points)
         probe = monotonicity_probe(new, sample_count=5)
         assert probe is not old_probe
         assert probe == monotonicity_probe(fresh, sample_count=5)
+
+
+class TestOneClass:
+    """The game is one class: its stacked columns, with one projection and one coupling sum."""
+
+    def test_the_stacks_are_the_game(self, desk_game):
+        import aggsplit.game
+
+        assert not hasattr(aggsplit.game, "AgentStacks")
+        assert not hasattr(desk_game, "stacks") and not hasattr(desk_game, "project")
+
+    def test_dims_are_read_off_the_columns(self, desk_game):
+        dims = desk_game.dims
+        by_records = GameSpec(dims, desk_game.agents)
+        columns = (getattr(desk_game, k) for k in ("upper", "total", "a", "xtilde", "Q", "A", "b"))
+        by_columns = GameSpec.from_columns(dims, *columns)
+        assert by_records.dims == dims and by_columns.dims == dims
+        rows = np.array([3, 1, 4])
+        assert desk_game.take(rows).dims == Dimensions(rows.size, dims.n, dims.m)
+
+    def test_take_keeps_the_order_of_its_rows(self):
+        game = generate_benchmark(BenchmarkParams(N=3, n=4, seed=2))
+        assert game.take(np.arange(3)) is game
+        for rows in (np.array([2, 0, 1]), np.array([0, 0, 1])):  # every size, none of them every row in order
+            part = game.take(rows)
+            assert part is not game and game.take(rows.copy()) is part
+            assert np.array_equal(part.upper, game.upper[rows]) and np.array_equal(part.A, game.A[rows])
+            assert part.agents == tuple(game.agents[r] for r in rows)
+
+    def test_project_each_checks_the_shape_of_its_rows(self, desk_game):
+        N, n = desk_game.dims.N, desk_game.dims.n
+        part = desk_game.take(np.array([0, 2]))
+        for game, rows in ((desk_game, N), (part, 2)):
+            assert game.project_each(np.zeros((rows, n))).shape == (rows, n)
+            for shape in ((rows * n,), (rows + 1, n), (rows, n + 1)):
+                with pytest.raises(DimensionMismatch):
+                    game.project_each(np.zeros(shape))
 
 
 class TestSerialization:
@@ -310,7 +348,7 @@ class TestSerialization:
         back = GameSpec.load(tmp_path / "game.json")
         assert back.dims == desk_game.dims
         for name in ("upper", "total", "a", "xtilde", "Q", "A", "b"):
-            col, col_back = getattr(desk_game.stacks, name), getattr(back.stacks, name)
+            col, col_back = getattr(desk_game, name), getattr(back, name)
             assert col_back.dtype == np.float64 and col_back.shape == col.shape, name
             assert col_back.tobytes() == col.tobytes(), name
         agent = back.agents[0]  # writable like a generated game's
@@ -367,7 +405,7 @@ class TestFeasibleSearch:
         monkeypatch.setattr(np.linalg, "norm", spy)
         find_feasible_point(game)
         validate_game(game)
-        x = game.stacks.default_points.ravel()
+        x = game.default_points.ravel()
         pfb_step_sizes(game)
         epsilon_nash_gap(game, x)
         # ||A||, and the per-row ||A_i||, ||Q_i|| and ||(Q_i + Q_i')/2||: one call each
@@ -375,4 +413,4 @@ class TestFeasibleSearch:
         pfb_step_sizes(game)
         epsilon_nash_gap(game, x)
         assert len(svds) == 4
-        assert game.stacks.coupling_norm == float(real(np.concatenate(game.stacks.A, axis=1), 2))
+        assert game.coupling_norm == float(real(np.concatenate(game.A, axis=1), 2))

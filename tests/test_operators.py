@@ -24,7 +24,7 @@ def chain_rule_gradient(game, x):
     of each agent's own weight in the average: the exact gap's deviation gradient."""
     X = x.reshape(game.dims.N, game.dims.n)
     sigma = average(x, game.dims.n)
-    return game.stacks.grad(X, sigma).ravel() + game.stacks.grad_sigma(X, sigma).ravel() / game.dims.N
+    return game.grad(X, sigma).ravel() + game.grad_sigma(X, sigma).ravel() / game.dims.N
 
 
 def scalar_game(a=1.0, q=0.0, xtilde=0.0, upper=2.0, total=1.0, A=1.0, b=5.0):

@@ -86,7 +86,7 @@ def test_full_variant_needs_aggregate_gradient_oracle(small_game):
     game = GameSpec(dims=Dimensions(1, small_game.dims.n, small_game.dims.m), agents=[partial])
     x = agent.omega.project(np.zeros(small_game.dims.n))
     with pytest.raises(NonSmoothCost):
-        game.stacks.grad_sigma(x[None], x)
+        game.grad_sigma(x[None], x)
 
 
 def test_inner_solver_budget_raises_no_convergence():

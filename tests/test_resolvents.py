@@ -16,10 +16,9 @@ from aggsplit import (
     resolvent_A,
     resolvent_B,
 )
-from aggsplit.game import AgentStacks
 from aggsplit.projections import fista_minimize
 from aggsplit.verify import inclusion_residual_A, inclusion_residual_B, random_extended_point
-from oracles import dense_resolvent_B, in_box_simplex, wrap_costs_in_oracles
+from oracles import dense_resolvent_B, game_of, in_box_simplex, wrap_costs_in_oracles
 
 
 class TestStepSizes:
@@ -97,7 +96,7 @@ class TestLocalProx:
             b=np.array([0.0]),
         )
         z = local_prox(
-            AgentStacks.of([agent]),
+            game_of([agent]),
             sigma=np.array([9.0]),
             linear=np.array([[4.0]]),
             center=np.array([[-1.0]]),
@@ -108,13 +107,13 @@ class TestLocalProx:
     def test_fast_path_matches_generic_path(self, desk_game, rng):
         # same subproblem through the exact projection and through FISTA; gamma varies the metric
         agent = desk_game.agents[0]
-        stacks = AgentStacks.of([agent])
+        one = game_of([agent])
         n = desk_game.dims.n
         for _ in range(10):
             sigma, linear, center = rng.standard_normal((3, n))
             gamma = rng.uniform(0.5, 2.0, 1)
-            fast = local_prox(stacks, sigma, linear[None], center[None], gamma, 1e-12)[0]
-            metric = stacks.unit_diag[0] / gamma[0]
+            fast = local_prox(one, sigma, linear[None], center[None], gamma, 1e-12)[0]
+            metric = one.unit_diag[0] / gamma[0]
 
             def grad(z):
                 return agent.cost.grad(z, sigma) + linear + metric * (z - center)
@@ -134,10 +133,10 @@ class TestLocalProx:
         n = desk_game.dims.n
         rows = np.zeros((2, n))
         for game in (desk_game, wrap_costs_in_oracles(desk_game)):
-            stacks = AgentStacks.of(game.agents[:2])
+            part = game_of(game.agents[:2])
             for gamma in ([1.0, -1.0], [0.0, 1.0], [np.nan, 1.0]):
                 with pytest.raises(InvalidStepSizes):
-                    local_prox(stacks, np.zeros(n), rows, rows, np.array(gamma))
+                    local_prox(part, np.zeros(n), rows, rows, np.array(gamma))
 
     def test_dense_metric_output_meets_tolerance(self, rng):
         n = 3
@@ -150,7 +149,7 @@ class TestLocalProx:
         gamma = np.array([0.7])
         M = (agent.A.T @ agent.A + np.eye(n)) / gamma[0]
         sigma, linear, center = rng.standard_normal((3, n))
-        z = local_prox(AgentStacks.of([agent]), sigma, linear[None], center[None], gamma, 1e-10)[0]
+        z = local_prox(game_of([agent]), sigma, linear[None], center[None], gamma, 1e-10)[0]
 
         def grad(v):
             return agent.cost.grad(v, sigma) + linear + M @ (v - center)
