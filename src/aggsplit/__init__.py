@@ -54,7 +54,6 @@ from .game import (
     GenericSmooth,
     QuadraticAgg,
     ValidationReport,
-    average,
     coupling_violation,
     find_feasible_point,
     validate_game,
@@ -64,7 +63,6 @@ from .operators import (
     KktResidual,
     ProbeReport,
     apply_S,
-    extended_subdifferential,
     kkt_residual,
     monotonicity_probe,
     stationarity_residual,

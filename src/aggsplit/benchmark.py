@@ -13,14 +13,14 @@ import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .errors import AggsplitError, GenerationFailed, MaxItersExceeded, NotCertified
-from .game import Dimensions, GameSpec, _finite_vector, validate_game
+from .game import Dimensions, GameSpec, _finite_array, validate_game
 from .engine import GATE_FACTOR, RunConfig, RunTrace, run_dr, run_pfb
 from .operators import ExtendedPoint, monotonicity_probe, stationarity_residual
 from .projections import (
@@ -161,7 +161,7 @@ def ground_truth_point(
 
 
 def ground_truth(game: GameSpec, tol: float = 1e-9, **kwargs) -> np.ndarray:
-    """Certified reference decision vector (see :func:`ground_truth_point`)."""
+    """Certified reference decisions, (N, n) (see :func:`ground_truth_point`)."""
     point, _ = ground_truth_point(game, tol=tol, **kwargs)
     return point.x
 
@@ -170,17 +170,18 @@ def ground_truth(game: GameSpec, tol: float = 1e-9, **kwargs) -> np.ndarray:
 
 
 def gae_vi_residual(game: GameSpec, x: np.ndarray, lam: np.ndarray | None = None) -> float:
-    """Natural-map residual of the aggregative variational inequality at x.
+    """Natural-map residual of the aggregative variational inequality at the
+    (N, n) decisions x.
 
     ``lam`` is the certified coupling multiplier; omitted it defaults to
-    zero, appropriate only when no coupling row is active.  An ``x`` or
-    ``lam`` of the wrong length raises :class:`DimensionMismatch`, and one
-    with a non-finite entry ``ValueError``.
+    zero, appropriate only when no coupling row is active.  An ``x`` that is
+    not (N, n) or a ``lam`` that is not (m,) raises :class:`DimensionMismatch`,
+    and one with a non-finite entry ``ValueError``.
     """
-    dims = game.dims
-    x = _finite_vector(x, dims.N * dims.n, "stacked decision")
-    lam = np.zeros(dims.m) if lam is None else _finite_vector(lam, dims.m, "coupling multiplier")
-    return stationarity_residual(game, x, lam)
+    m = game.dims.m
+    X = _finite_array(x, game.upper.shape, "decision")
+    lam = np.zeros(m) if lam is None else _finite_array(lam, (m,), "coupling multiplier")
+    return stationarity_residual(game, X, lam)
 
 
 def _deviation_groups(game: GameSpec, X: np.ndarray) -> list[tuple[np.ndarray, Callable]]:
@@ -228,7 +229,8 @@ def _deviation_objective(part: GameSpec, sigma_others: np.ndarray, N: int):
 
 
 def epsilon_nash_gap(game: GameSpec, x: np.ndarray) -> np.ndarray:
-    """Per-agent suboptimality against unilateral feasible deviations.
+    """Per-agent suboptimality of the (N, n) decisions x against unilateral
+    feasible deviations.
 
     The deviation moves the average along with the deviating agent.  Each group
     of :func:`_deviation_groups` is solved in one lock-step accelerated
@@ -238,8 +240,8 @@ def epsilon_nash_gap(game: GameSpec, x: np.ndarray) -> np.ndarray:
     empty and the gaps, clipped at zero against roundoff, are sound; where x
     violates the coupling, they measure deviations within the widened room.
     """
-    N, n = game.dims.N, game.dims.n
-    X = _finite_vector(x, N * n, "stacked decision").reshape(N, n)
+    N = game.dims.N
+    X = _finite_array(x, game.upper.shape, "decision")
     sigma_others = X.mean(axis=0) - X / N
     lipschitz, strong = _deviation_moduli(game)
     eps = np.empty(N)
@@ -295,11 +297,7 @@ class ExperimentReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "params": {
-                "N": self.params.N,
-                "n": self.params.n,
-                "seed": self.params.seed,
-            },
+            "params": asdict(self.params),
             "tol": self.tol,
             "methods": list(self.methods),
             "speed_ratio": self.speed_ratio,

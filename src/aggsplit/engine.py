@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, InvalidStepSizes, MaxItersExceeded
-from .game import Dimensions, GameSpec, _finite_vector, coupling_violation, validate_game
+from .game import Dimensions, GameSpec, _finite_array, coupling_violation, validate_game
 from .operators import ExtendedPoint, KktResidual, kkt_residual
 from .resolvents import (
     DEFAULT_PROX_TOL,
@@ -96,8 +96,9 @@ class RunConfig:
     ends unconverged with ``stop_reason="floor"``, or ``"diverged"`` when its
     optimality residual there is no lower than at round 0 or when a round's
     stopping metric or optimality residual is not finite.
-    ``ref_stop``, when set together with a reference point, stops the run
-    once ||x - ref|| / ||x^0 - ref|| drops below it (comparison runs).
+    ``ref_stop`` stops the run once ||x - ref|| / ||x^0 - ref|| drops below
+    it (comparison runs); a run given it without a reference point raises
+    ``ValueError`` before its first round.
     """
 
     steps: StepSizes
@@ -290,8 +291,8 @@ class DrEngine:
 
     def point(self) -> ExtendedPoint:
         return ExtendedPoint(
-            x=self.X.ravel().copy(),
-            y=self.Y.ravel().copy(),
+            x=self.X.copy(),
+            y=self.Y.copy(),
             sigma=self.coord.sigma.copy(),
             mu=self.coord.mu.copy(),
             lam=self.coord.lam.copy(),
@@ -370,18 +371,20 @@ def _run_loop(
     stopping-metric terms, or whose KKT residual where the round computed
     one, are not finite ends the run ``"diverged"`` at once.  With
     ``stop_tol=0`` no gate can pass, so such runs (the comparison runs
-    that stop on ``ref_stop``) skip the stall check.  A ``reference`` of the
-    wrong length raises :class:`DimensionMismatch`, and one with a non-finite
-    entry ``ValueError``.
+    that stop on ``ref_stop``) skip the stall check.  A ``reference`` that is
+    not an (N, n) array raises :class:`DimensionMismatch`, and one with a
+    non-finite entry ``ValueError``.
     """
     game, steps = engine.game, config.steps
+    if config.ref_stop is not None and reference is None:
+        raise ValueError("ref_stop needs a reference point")
     t0 = time.perf_counter_ns()
     trace = RunTrace(method=method)
     dists: list[float] = []
 
     point = engine.point()
     if reference is not None:
-        reference = _finite_vector(reference, game.dims.N * game.dims.n, "reference")
+        reference = _finite_array(reference, game.upper.shape, "reference")
         dists.append(float(np.linalg.norm(point.x - reference)))
 
     def record(k: int, step_norm: float, kkt: KktResidual) -> None:
@@ -418,7 +421,7 @@ def _run_loop(
                 reason = "ref_stop"
                 break
 
-        consensus = float(np.max(np.abs(point.sigma - point.x.reshape(-1, game.dims.n).mean(axis=0))))
+        consensus = float(np.max(np.abs(point.sigma - point.x.mean(axis=0))))
         primal = float(np.max(coupling_violation(game, point.x), initial=0.0))
         if not all(map(math.isfinite, (step_gamma, consensus, primal))):
             reason = "diverged"
@@ -512,8 +515,8 @@ class _PfbEngine:
 
     def point(self) -> ExtendedPoint:
         return ExtendedPoint(
-            x=self.X.ravel().copy(),
-            y=self.game.link_values(self.X).ravel(),
+            x=self.X.copy(),
+            y=self.game.link_values(self.X),
             sigma=self.X.mean(axis=0),
             mu=np.zeros(self.game.dims.n),
             lam=self.lam.copy(),

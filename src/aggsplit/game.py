@@ -455,41 +455,30 @@ def _decode_column(stacks: dict, name: str, shape: tuple) -> np.ndarray:
 # -- aggregation and feasibility primitives ------------------------------------------
 
 
-def _finite_vector(value, size: int, name: str) -> np.ndarray:
-    """``value`` as a float64 vector; ``DimensionMismatch`` unless its length is ``size``,
+def _finite_array(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` as a float64 array; ``DimensionMismatch`` unless it has ``shape``,
     ``ValueError`` unless every entry is finite."""
     v = np.asarray(value, dtype=np.float64)
-    if v.shape != (size,):
-        raise DimensionMismatch(f"{name} must have length {size}")
+    if v.shape != shape:
+        raise DimensionMismatch(f"{name} must have shape {shape}, got {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
     return v
 
 
-def average(x: np.ndarray, n: int) -> np.ndarray:
-    """Arithmetic mean of the n-blocks of a stacked vector, ascending agent order."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] % n != 0:
-        raise DimensionMismatch("stacked vector length must be a multiple of n")
-    return x.reshape(-1, n).mean(axis=0)
-
-
-def coupling_violation(game: GameSpec, x: np.ndarray) -> np.ndarray:
-    """Componentwise positive part of A x - b at a stacked decision vector; zero iff
-    the coupling holds.  A vector of the wrong length raises :class:`DimensionMismatch`."""
-    x, (N, n) = np.asarray(x, dtype=np.float64), game.upper.shape
-    if x.shape != (N * n,):
-        raise DimensionMismatch(f"stacked decision must have length {N * n}")
-    return np.maximum(game.coupling_value(x.reshape(N, n)) - game.b_total, 0.0)
+def coupling_violation(game: GameSpec, X: np.ndarray) -> np.ndarray:
+    """Componentwise positive part of A x - b at the (N, n) decisions ``X``; zero iff
+    the coupling holds.  Any other shape raises :class:`DimensionMismatch`."""
+    return np.maximum(game.coupling_value(_as_float_array(X, game.upper.shape)) - game.b_total, 0.0)
 
 
 def find_feasible_point(game: GameSpec) -> tuple[np.ndarray, bool]:
     """Phase-1 projected-gradient search for a point with A x <= b - SLATER_MARGIN.
 
-    Returns ``(x, strict)``.  ``strict`` is False when only a point with
-    ``A x <= b`` (no margin) was reached; raises :class:`Infeasible` when
-    even that fails, at a fixed point of the projected-gradient step or
-    when the iteration budget runs out.
+    Returns ``(X, strict)`` with (N, n) decisions ``X``.  ``strict`` is False
+    when only a point with ``A x <= b`` (no margin) was reached; raises
+    :class:`Infeasible` when even that fails, at a fixed point of the
+    projected-gradient step or when the iteration budget runs out.
     """
     X = game.default_points.copy()  # the caller owns the returned point
     step = 1.0 / max(game.coupling_norm**2, 1e-12)
@@ -497,15 +486,14 @@ def find_feasible_point(game: GameSpec) -> tuple[np.ndarray, bool]:
     for _ in range(FEASIBILITY_MAX_ITERS):
         resid = np.maximum(game.coupling_value(X) - target, 0.0)
         if not resid.any():
-            return X.ravel(), True
+            return X, True
         grad = game.adjoint(resid)
         X_next = game.project_each(X - step * grad)
         if np.array_equal(X_next, X):
             break  # a fixed point minimizes the convex phase-1 objective: no step can help
         X = X_next
-    x = X.ravel()
-    if not coupling_violation(game, x).any():
-        return x, False
+    if not coupling_violation(game, X).any():
+        return X, False
     raise Infeasible("phase-1 search found no point satisfying the coupling")
 
 
@@ -516,7 +504,7 @@ class ValidationReport:
     gradient_rel_err: list[float]
     feasible: bool
     strictly_feasible: bool
-    feasible_point: np.ndarray | None
+    feasible_point: np.ndarray | None  # (N, n) decisions
     messages: list[str]
 
     @property

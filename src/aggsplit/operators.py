@@ -1,11 +1,11 @@
 """Extended-space operators and equilibrium diagnostics.
 
 The solver state lives in the extended space (x, y, sigma, mu, lam):
-stacked decisions, stacked link variables y_i = A_i x_i - b_i, the
-coordinator's aggregate estimate sigma, the consensus multiplier mu and
-the coupling multiplier lam.  This module provides the stacked cost
-gradients in their three flavors, the linear skew coupling map, and the
-first-order optimality residuals used for certification.
+the (N, n) decisions, one row x_i per agent, the (N, m) link variables
+y_i = A_i x_i - b_i, the coordinator's aggregate estimate sigma, the
+consensus multiplier mu and the coupling multiplier lam.  This module
+provides the linear skew coupling map, the first-order optimality
+residuals used for certification and the monotonicity probe.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .game import Dimensions, GameSpec, average
+from .game import Dimensions, GameSpec, _as_float_array
 
 
 @dataclass
 class ExtendedPoint:
-    """A point of the extended space; blocks are kept separate for clarity."""
+    """A point of the extended space: the (N, n) decisions ``x``, the (N, m) links ``y``
+    and the central blocks ``sigma``, ``mu`` and ``lam``."""
 
     x: np.ndarray
     y: np.ndarray
@@ -31,8 +32,8 @@ class ExtendedPoint:
 
     def check_dims(self, dims: Dimensions) -> None:
         expected = {
-            "x": (dims.N * dims.n,),
-            "y": (dims.N * dims.m,),
+            "x": (dims.N, dims.n),
+            "y": (dims.N, dims.m),
             "sigma": (dims.n,),
             "mu": (dims.n,),
             "lam": (dims.m,),
@@ -42,18 +43,13 @@ class ExtendedPoint:
                 raise DimensionMismatch(f"block {name} has shape {getattr(self, name).shape}, expected {shape}")
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.x, self.y, self.sigma, self.mu, self.lam])
+        """The blocks flattened in order, decisions and links row by row."""
+        return np.concatenate([self.x.ravel(), self.y.ravel(), self.sigma, self.mu, self.lam])
 
     def copy(self) -> "ExtendedPoint":
         return ExtendedPoint(
             self.x.copy(), self.y.copy(), self.sigma.copy(), self.mu.copy(), self.lam.copy()
         )
-
-    def x_blocks(self, n: int) -> np.ndarray:
-        return self.x.reshape(-1, n)
-
-    def y_blocks(self, m: int) -> np.ndarray:
-        return self.y.reshape(-1, m)
 
     def __add__(self, other: "ExtendedPoint") -> "ExtendedPoint":
         return ExtendedPoint(
@@ -78,22 +74,7 @@ class ExtendedPoint:
         return ExtendedPoint(s * self.x, s * self.y, s * self.sigma, s * self.mu, s * self.lam)
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(float(b @ b) for b in (self.x, self.y, self.sigma, self.mu, self.lam))))
-
-
-# -- stacked cost gradients ------------------------------------------------------------
-
-
-def extended_subdifferential(game: GameSpec, x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Stacked gradients with the aggregate treated as the free variable sigma."""
-    dims = game.dims
-    X = x.reshape(dims.N, dims.n) if x.shape == (dims.N * dims.n,) else None
-    if X is None:
-        raise DimensionMismatch("decision vector has the wrong length")
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.shape != (dims.n,):
-        raise DimensionMismatch("aggregate has the wrong length")
-    return game.grad(X, sigma).ravel()
+        return float(np.sqrt(sum(float(np.vdot(b, b)) for b in (self.x, self.y, self.sigma, self.mu, self.lam))))
 
 
 # -- the linear skew coupling map ------------------------------------------------------
@@ -106,14 +87,12 @@ def apply_S(dims: Dimensions, w: ExtendedPoint) -> ExtendedPoint:
     """
     w.check_dims(dims)
     N = dims.N
-    x_out = np.tile(-w.mu / N, N)
-    y_out = np.tile(w.lam / N, N)
     return ExtendedPoint(
-        x=x_out,
-        y=y_out,
+        x=np.tile(-w.mu / N, (N, 1)),
+        y=np.tile(w.lam / N, (N, 1)),
         sigma=w.mu.copy(),
-        mu=average(w.x, dims.n) - w.sigma,
-        lam=-average(w.y, dims.m),
+        mu=w.x.mean(axis=0) - w.sigma,
+        lam=-w.y.mean(axis=0),
     )
 
 
@@ -148,11 +127,13 @@ class KktResidual:
         return asdict(self)
 
 
-def stationarity_residual(game: GameSpec, x: np.ndarray, lam: np.ndarray) -> float:
-    """Worst-agent natural residual of 0 in grad_i + A_i' lam + normal cone,
-    the gradients taken with the aggregate frozen at the actual average; the
-    projection is warm-started from x."""
-    X = x.reshape(game.dims.N, game.dims.n)
+def stationarity_residual(game: GameSpec, X: np.ndarray, lam: np.ndarray) -> float:
+    """Worst-agent natural residual of 0 in grad_i + A_i' lam + normal cone at
+    the (N, n) decisions ``X``, the gradients taken with the aggregate frozen at
+    the actual average; the projection is warm-started from ``X``.  An ``X`` that
+    is not (N, n) or a ``lam`` that is not (m,) raises :class:`DimensionMismatch`;
+    non-finite entries pass through to the residual."""
+    X, lam = _as_float_array(X, game.upper.shape), _as_float_array(lam, (game.dims.m,))
     G = game.grad(X, X.mean(axis=0)) + game.adjoint(lam)
     P = game.project_each(X - G, guess=X)
     return float(np.max(np.linalg.norm(X - P, axis=1)))
@@ -162,16 +143,14 @@ def kkt_residual(game: GameSpec, w: ExtendedPoint) -> KktResidual:
     """All first-order residuals of an extended point."""
     dims = game.dims
     w.check_dims(dims)
-    X, Y = w.x.reshape(dims.N, dims.n), w.y.reshape(dims.N, dims.m)
-    resid = game.coupling_value(X) - game.b_total
-    links = game.link_values(X)
+    resid = game.coupling_value(w.x) - game.b_total
     return KktResidual(
         stationarity=stationarity_residual(game, w.x, w.lam),
         primal=float(np.max(np.maximum(resid, 0.0), initial=0.0)),
         complementarity=abs(float(w.lam @ resid)),
         dual_sign=float(np.max(np.maximum(-w.lam, 0.0), initial=0.0)),
-        consensus=float(np.max(np.abs(w.sigma - average(w.x, dims.n)))),
-        link=float(np.max(np.abs(Y - links), initial=0.0)),
+        consensus=float(np.max(np.abs(w.sigma - w.x.mean(axis=0)))),
+        link=float(np.max(np.abs(w.y - game.link_values(w.x)), initial=0.0)),
     )
 
 
@@ -213,16 +192,13 @@ def monotonicity_probe(game: GameSpec, sample_count: int = 1000, seed: int = 0) 
     upper_s = upper.mean(axis=0)
 
     def draw():
-        X = upper * rng.random((dims.N, dims.n))
-        s = upper_s * rng.random(dims.n)
-        return X.ravel(), s
+        return upper * rng.random((dims.N, dims.n)), upper_s * rng.random(dims.n)
 
     inners = np.empty(sample_count)
     for k in range(sample_count):
-        x1, s1 = draw()
-        x2, s2 = draw()
-        df = extended_subdifferential(game, x1, s1) - extended_subdifferential(game, x2, s2)
-        inners[k] = float(df @ (x1 - x2))
+        X1, s1 = draw()
+        X2, s2 = draw()
+        inners[k] = float(np.vdot(game.grad(X1, s1) - game.grad(X2, s2), X1 - X2))
     reports[sample_count, seed] = ProbeReport(
         samples=sample_count,
         min_inner=float(inners.min()),

@@ -87,13 +87,10 @@ class StepSizes:
 
     def gamma_inv_inner(self, u: ExtendedPoint, v: ExtendedPoint) -> float:
         """Inner product weighted by the inverse preconditioner."""
-        n = u.sigma.shape[0]
-        m = u.lam.shape[0]
-        gx = np.repeat(self.gamma, n)
-        gy = np.repeat(self.gamma, m)
+        gamma = self.gamma[:, None]
         return (
-            float((u.x / gx) @ v.x)
-            + float((u.y / gy) @ v.y)
+            float(np.vdot(u.x / gamma, v.x))
+            + float(np.vdot(u.y / gamma, v.y))
             + float(u.sigma @ v.sigma) / self.alpha
             + float(u.mu @ v.mu) / self.beta
             + float(u.lam @ v.lam) / self.delta
@@ -205,16 +202,12 @@ def resolvent_A(
         y_i+ = A_i x_i+ - b_i
     The aggregate and multiplier blocks pass through unchanged.
     """
-    dims = game.dims
-    w.check_dims(dims)
-    X = w.x_blocks(dims.n)
-    Y = w.y_blocks(dims.m)
-    gamma = steps.gamma[:, None]
-    linear = game.adjoint(game.link_values(X) - Y) / gamma
-    X_new = decoupled_prox(game, w.sigma, linear, X, steps.gamma, tol)
+    w.check_dims(game.dims)
+    linear = game.adjoint(game.link_values(w.x) - w.y) / steps.gamma[:, None]
+    X_new = decoupled_prox(game, w.sigma, linear, w.x, steps.gamma, tol)
     return ExtendedPoint(
-        x=X_new.ravel(),
-        y=game.link_values(X_new).ravel(),
+        x=X_new,
+        y=game.link_values(X_new),
         sigma=w.sigma.copy(),
         mu=w.mu.copy(),
         lam=w.lam.copy(),
@@ -232,20 +225,19 @@ def resolvent_B(dims, steps: StepSizes, w: ExtendedPoint) -> ExtendedPoint:
     N = dims.N
     gamma = steps.gamma[:, None]
     gamma_hat = steps.gamma_hat
-    X = w.x_blocks(dims.n)
-    Y = w.y_blocks(dims.m)
-    avg_x = X.mean(axis=0)
-    sum_y = Y.sum(axis=0)
+    avg_x = w.x.mean(axis=0)
+    sum_y = w.y.sum(axis=0)
 
     mu_scale = N / ((1.0 + steps.beta * steps.alpha) * N + steps.beta * gamma_hat)
     mu_new = mu_scale * (w.mu + steps.beta * (w.sigma - avg_x))
     lam_new = np.maximum(
         (w.lam + steps.delta * sum_y) / (1.0 + steps.delta * N * gamma_hat), 0.0
     )
-    X_new = X + gamma * (mu_new / N)
-    Y_new = Y - gamma * lam_new
-    sigma_new = w.sigma - steps.alpha * mu_new
     return ExtendedPoint(
-        x=X_new.ravel(), y=Y_new.ravel(), sigma=sigma_new, mu=mu_new, lam=lam_new
+        x=w.x + gamma * (mu_new / N),
+        y=w.y - gamma * lam_new,
+        sigma=w.sigma - steps.alpha * mu_new,
+        mu=mu_new,
+        lam=lam_new,
     )
 

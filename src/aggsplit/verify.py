@@ -19,7 +19,7 @@ import numpy as np
 from .engine import DrEngine, RunConfig, raw_dr_step, run_dr
 from .errors import MaxItersExceeded
 from .game import GameSpec
-from .operators import ExtendedPoint, extended_subdifferential
+from .operators import ExtendedPoint
 from .resolvents import StepSizes, resolvent_A, resolvent_B
 
 @dataclass
@@ -38,8 +38,8 @@ class SuiteResult:
 def random_extended_point(game: GameSpec, rng: np.random.Generator, scale: float = 1.0) -> ExtendedPoint:
     dims = game.dims
     return ExtendedPoint(
-        x=scale * rng.standard_normal(dims.N * dims.n),
-        y=scale * rng.standard_normal(dims.N * dims.m),
+        x=scale * rng.standard_normal((dims.N, dims.n)),
+        y=scale * rng.standard_normal((dims.N, dims.m)),
         sigma=scale * rng.standard_normal(dims.n),
         mu=scale * rng.standard_normal(dims.n),
         lam=scale * rng.standard_normal(dims.m),
@@ -60,12 +60,9 @@ def inclusion_residual_A(
 
         0 in (x+ - x)/gamma_i + grad f_i(x+, sigma) + A_i'(y+ - y)/gamma_i + N(x+)
     """
-    dims = game.dims
-    X, Xp = w.x_blocks(dims.n), w_plus.x_blocks(dims.n)
-    Y, Yp = w.y_blocks(dims.m), w_plus.y_blocks(dims.m)
+    X, Xp, Y, Yp = w.x, w_plus.x, w.y, w_plus.y
     gamma = steps.gamma[:, None]
-    G = extended_subdifferential(game, w_plus.x, w.sigma).reshape(dims.N, dims.n)
-    H = (Xp - X) / gamma + G + game.adjoint((Yp - Y) / gamma)
+    H = (Xp - X) / gamma + game.grad(Xp, w.sigma) + game.adjoint((Yp - Y) / gamma)
     proj = game.project_each(Xp - H)
     r_x = float(np.max(np.linalg.norm(Xp - proj, axis=1)))
     r_y = float(np.max(np.abs(Yp - game.link_values(Xp)), initial=0.0))
@@ -81,11 +78,9 @@ def inclusion_residual_B(
     game: GameSpec, steps: StepSizes, w: ExtendedPoint, w_plus: ExtendedPoint
 ) -> float:
     """Residual of the coupling-half inclusion at a claimed resolvent output."""
-    dims = game.dims
-    N = dims.N
+    N = game.dims.N
     gamma = steps.gamma[:, None]
-    X, Xp = w.x_blocks(dims.n), w_plus.x_blocks(dims.n)
-    Y, Yp = w.y_blocks(dims.m), w_plus.y_blocks(dims.m)
+    X, Xp, Y, Yp = w.x, w_plus.x, w.y, w_plus.y
     r_x = float(np.max(np.abs(Xp - gamma * (w_plus.mu / N) - X)))
     r_y = float(np.max(np.abs(Yp + gamma * w_plus.lam - Y)))
     r_sigma = float(np.max(np.abs(w_plus.sigma + steps.alpha * w_plus.mu - w.sigma)))
@@ -167,7 +162,7 @@ def suite_trajectory(game: GameSpec, steps: StepSizes) -> SuiteResult:
         half, full, tilde = raw_dr_step(tilde, game, steps, 1.0, config.prox_tol)
         worst = max(
             worst,
-            float(np.max(np.abs(engine.X.ravel() - half.x))),
+            float(np.max(np.abs(engine.X - half.x))),
             float(np.max(np.abs(engine.coord.sigma - full.sigma))),
             float(np.max(np.abs(engine.coord.mu - full.mu))),
             float(np.max(np.abs(engine.coord.lam - full.lam))),

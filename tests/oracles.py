@@ -143,8 +143,8 @@ def dense_resolvent_B(dims, steps: StepSizes, w: ExtendedPoint) -> ExtendedPoint
         nu = sol[d:]
         if np.all(lam_plus >= -1e-9) and np.all(nu <= 1e-9):
             return ExtendedPoint(
-                x=sol[sl_x].copy(),
-                y=sol[sl_y].copy(),
+                x=sol[sl_x].reshape(N, n),
+                y=sol[sl_y].reshape(N, m),
                 sigma=sol[sl_s].copy(),
                 mu=sol[sl_mu].copy(),
                 lam=np.maximum(lam_plus, 0.0),
@@ -161,7 +161,7 @@ def reference_rounds(game: GameSpec, steps: StepSizes, iters: int, guess: bool =
     which is validated independently against the active-set oracle).
     With ``guess`` each projection is warm-started from the agent's
     current iterate, as the engine's is.
-    Returns the list of stacked decision iterates x^1 ... x^iters.
+    Returns the list of (N, n) decision iterates x^1 ... x^iters.
     """
     from aggsplit.projections import project_box_simplex
 
@@ -192,7 +192,7 @@ def reference_rounds(game: GameSpec, steps: StepSizes, iters: int, guess: bool =
         mu = mu - steps.beta_c * (2.0 * xhat - xhat_prev - sigma + steps.alpha * mu)
         sigma = sigma - steps.alpha * mu
         xhat_prev, yhat_prev = xhat, yhat
-        out.append(np.concatenate(xs))
+        out.append(np.stack(xs))
     return out
 
 
@@ -201,7 +201,7 @@ def engine_at(game: GameSpec, config: RunConfig, point: ExtendedPoint) -> DrEngi
     recomputed from the decisions and the lagged aggregates set to their averages, as
     if the previous round had landed there."""
     engine = DrEngine(game, config)
-    X = point.x.reshape(game.dims.N, game.dims.n).copy()
+    X = point.x.copy()
     Y = game.link_values(X)
     lam, mu, sigma = point.lam.copy(), point.mu.copy(), point.sigma.copy()
     engine.X, engine.Y = X, Y
@@ -234,7 +234,7 @@ def deviation_gap(
     from aggsplit.projections import dykstra_projection, fista_minimize, halfspace_projector
 
     N, n = game.dims.N, game.dims.n
-    X = np.asarray(x, dtype=np.float64).reshape(N, n)
+    X = np.asarray(x, dtype=np.float64)
     sigma, coupled = X.mean(axis=0), game.coupling_value(X)
     eps = np.empty(N)
     for i, agent in enumerate(game.agents):

@@ -18,7 +18,6 @@ from aggsplit import (
     apply_S,
     benchmark_steps,
     epsilon_nash_gap,
-    extended_subdifferential,
     gae_vi_residual,
     generate_benchmark,
     ground_truth_point,
@@ -28,7 +27,6 @@ from aggsplit import (
     run_dr,
     run_pfb,
 )
-from aggsplit.game import average
 from aggsplit.projections import project_box_simplex
 from aggsplit.resolvents import resolvent_A, resolvent_B
 from aggsplit.verify import (
@@ -102,7 +100,7 @@ def test_criterion_2_trajectory_equivalence(desk):
     for _ in range(50):
         engine.step()
         half, full, tilde = raw_dr_step(tilde, game, steps, 1.0, prox_tol=1e-12)
-        worst = max(worst, float(np.max(np.abs(engine.X.ravel() - half.x))))
+        worst = max(worst, float(np.max(np.abs(engine.X - half.x))))
     elapsed = time.perf_counter() - t0
     print(
         f"\nCRITERION 2 trajectory equivalence: max deviation {worst:.2e}, "
@@ -148,10 +146,9 @@ def test_criterion_4_equilibrium_certification(population_run):
     game, trace, _ = population_run
     point = trace.final_point
     vi = gae_vi_residual(game, point.x, point.lam)
-    dims = game.dims
-    X = point.x.reshape(dims.N, dims.n)
+    X = point.x
     links = np.stack([agent.A @ X[i] - agent.b for i, agent in enumerate(game.agents)])
-    link_gap = float(np.max(np.abs(point.y.reshape(dims.N, dims.m) - links)))
+    link_gap = float(np.max(np.abs(point.y - links)))
     ok = vi <= 1e-5 and link_gap <= 1e-10
     print(
         f"\nCRITERION 4 equilibrium certification: vi residual {vi:.2e}, "
@@ -251,10 +248,10 @@ def test_criterion_7_operator_properties(monotone):
                 steps.gamma_inv_inner(d_out, d_out) - steps.gamma_inv_inner(d_out, d_in),
             )
 
-        x = np.abs(rng.standard_normal(game.dims.N * game.dims.n))
-        sigma = average(x, game.dims.n)
-        frozen = [agent.cost.grad(xi, sigma) for agent, xi in zip(game.agents, x.reshape(game.dims.N, -1))]
-        gap = np.max(np.abs(extended_subdifferential(game, x, sigma) - np.concatenate(frozen)), initial=0.0)
+        X = np.abs(rng.standard_normal((game.dims.N, game.dims.n)))
+        sigma = X.mean(axis=0)
+        frozen = np.stack([agent.cost.grad(xi, sigma) for agent, xi in zip(game.agents, X)])
+        gap = np.max(np.abs(game.grad(X, sigma) - frozen), initial=0.0)
         worst_consistency = max(worst_consistency, float(gap))
     ok = worst_skew <= 1e-10 and worst_firm <= 1e-8 and worst_consistency == 0.0
     print(

@@ -1,11 +1,11 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import aggsplit.benchmark as benchmark_mod
-import aggsplit.operators as operators_mod
 import aggsplit.projections as projections_mod
 from aggsplit import (
     AgentSpec,
@@ -30,9 +30,11 @@ from aggsplit import (
     generate_benchmark,
     ground_truth,
     ground_truth_point,
+    kkt_residual,
     run_comparison,
     run_dr,
     run_pfb,
+    stationarity_residual,
     validate_game,
 )
 from oracles import (
@@ -194,7 +196,7 @@ class TestGroundTruth:
             )
         game = GameSpec(dims=Dimensions(2, 3, 3), agents=agents)
         xbar = ground_truth(game, tol=1e-9, cross_check=False)
-        want = np.concatenate([agent.cost.xtilde for agent in agents])
+        want = np.stack([agent.cost.xtilde for agent in agents])
         assert np.max(np.abs(xbar - want)) <= 1e-8
 
     def test_certified_reference_at_population_scale(self):
@@ -220,12 +222,14 @@ class TestGroundTruth:
 
     def test_probe_runs_once_per_game_and_warns_on_every_call(self, monkeypatch):
         game = generate_benchmark(BenchmarkParams(N=5, n=3, seed=11))  # its probe fails
+        grads = count_calls(monkeypatch, GameSpec, "grad")  # the probe samples through the game's gradient
         with pytest.warns(UserWarning, match="monotonicity probe"):
             ground_truth_point(game, tol=1e-8, cross_check=False)
-        samples = count_calls(monkeypatch, operators_mod, "extended_subdifferential")  # the probe's sampling
+        first = len(grads)
         with pytest.warns(UserWarning, match="monotonicity probe"):
             ground_truth_point(game, tol=1e-8, cross_check=False)
-        assert not samples
+        # the same run twice; only the first call draws the probe's 200 sample pairs
+        assert first - (len(grads) - first) == 2 * 200
 
     def test_uncertifiable_budget_raises(self, desk_game):
         with pytest.raises(NotCertified):
@@ -238,8 +242,7 @@ class TestViResidual:
         assert gae_vi_residual(desk_game, point.x, point.lam) <= 1e-6
 
     def test_large_far_from_solution(self, desk_game):
-        x0 = desk_game.default_points.ravel()
-        value = gae_vi_residual(desk_game, x0)
+        value = gae_vi_residual(desk_game, desk_game.default_points)
         assert value >= 1e-2
 
     def test_zero_at_unconstrained_stationary_point(self):
@@ -249,12 +252,12 @@ class TestViResidual:
             omega=omega, cost=QuadraticAgg(1.0, xt, np.zeros((2, 2))), A=np.eye(2), b=np.full(2, 9.0)
         )
         game = GameSpec(dims=Dimensions(1, 2, 2), agents=[agent])
-        assert gae_vi_residual(game, xt) == pytest.approx(0.0, abs=1e-12)
+        assert gae_vi_residual(game, xt[None]) == pytest.approx(0.0, abs=1e-12)
 
 
 def vi_residual_multiplier(game, lam):
     """The VI residual at the default points with the multiplier ``lam``."""
-    return gae_vi_residual(game, game.default_points.ravel(), lam)
+    return gae_vi_residual(game, game.default_points, lam)
 
 
 def dr_reference(game, reference):
@@ -277,9 +280,9 @@ class TestEpsilonGap:
             omega=omega, cost=QuadraticAgg(2.0, xt, np.zeros((2, 2))), A=np.eye(2), b=np.full(2, 9.0)
         )
         game = GameSpec(dims=Dimensions(1, 2, 2), agents=[agent])
-        assert epsilon_nash_gap(game, xt)[0] == pytest.approx(0.0, abs=1e-10)
+        assert epsilon_nash_gap(game, xt[None])[0] == pytest.approx(0.0, abs=1e-10)
         other = omega.project(np.array([0.8, 0.1]))
-        gap = epsilon_nash_gap(game, other)[0]
+        gap = epsilon_nash_gap(game, other[None])[0]
         # suboptimality of the deviated point equals its cost excess
         want = agent.cost.value(other, other) - agent.cost.value(xt, xt)
         assert gap == pytest.approx(want, rel=1e-6)
@@ -304,12 +307,11 @@ class TestEpsilonGap:
         ]
         game = GameSpec(dims=Dimensions(N, n, n), agents=agents)
         X = game.default_points
-        eps = epsilon_nash_gap(game, X.ravel())
+        eps = epsilon_nash_gap(game, X)
         assert np.allclose(eps, np.einsum("ij,ij->i", C, X) - C.min(axis=1), rtol=0.0, atol=1e-12)
 
     def test_nonnegative_at_arbitrary_feasible_points(self, desk_game):
-        x = desk_game.default_points.ravel()
-        eps = epsilon_nash_gap(desk_game, x)
+        eps = epsilon_nash_gap(desk_game, desk_game.default_points)
         assert np.all(eps >= 0.0)
 
     def test_sampling_mode_lower_bounds_the_exact_gap(self, desk_game):
@@ -327,13 +329,52 @@ class TestEpsilonGap:
         if measure is vi_residual_multiplier:
             v = np.zeros(desk_game.dims.m)
         else:
-            v = desk_game.default_points.ravel().copy()
+            v = desk_game.default_points.copy()
         if fault == "nan":
             v[0] = np.nan
         else:
             v = v[:-1]
-        with pytest.raises(error, match="stacked decision|coupling multiplier|reference"):
+        with pytest.raises(error, match="decision|coupling multiplier|reference"):
             measure(desk_game, v)
+
+
+def stationarity_at_zero_multiplier(game, x):
+    return stationarity_residual(game, x, np.zeros(game.dims.m))
+
+
+def kkt_at_decisions(game, x):
+    """The KKT residuals at the first point of a run, with its decisions replaced by ``x``."""
+    point = DrEngine(game, RunConfig(steps=benchmark_steps(game.dims.N))).point()
+    point.x = x
+    return kkt_residual(game, point)
+
+
+class TestDecisionLayout:
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            epsilon_nash_gap,
+            gae_vi_residual,
+            stationarity_at_zero_multiplier,
+            coupling_violation,
+            dr_reference,
+            kkt_at_decisions,
+        ],
+    )
+    def test_a_flat_decision_vector_is_rejected(self, desk_game, measure):
+        flat = desk_game.default_points.ravel()
+        with pytest.raises(DimensionMismatch, match=re.escape(str(desk_game.upper.shape))):
+            measure(desk_game, flat)
+
+    def test_decisions_come_out_as_rows(self, desk_game):
+        N, n, m = desk_game.dims.N, desk_game.dims.n, desk_game.dims.m
+        assert ground_truth(desk_game, tol=1e-8, cross_check=False).shape == (N, n)
+        assert find_feasible_point(desk_game)[0].shape == (N, n)
+        assert validate_game(desk_game).feasible_point.shape == (N, n)
+        config = RunConfig(steps=benchmark_steps(N), stop_tol=1e-6)
+        for runner in (run_dr, run_pfb):
+            point = runner(desk_game, config, validate=False).final_point
+            assert (point.x.shape, point.y.shape) == ((N, n), (N, m))
 
 
 @pytest.fixture(scope="module")
@@ -348,7 +389,7 @@ def gap_games(desk_game):
 
 def gap_points(game, x_eq):
     """The certified equilibrium, and the default points, where many iterations run."""
-    return {"equilibrium": x_eq, "default": game.default_points.ravel()}
+    return {"equilibrium": x_eq, "default": game.default_points}
 
 
 def count_calls(monkeypatch, module, name):
@@ -392,7 +433,7 @@ class TestBatchedGap:
         game = GameSpec(dims=desk_game.dims, agents=agents)
         fista_calls = count_calls(monkeypatch, benchmark_mod, "fista_minimize")
         with pytest.raises(NonSmoothCost):
-            epsilon_nash_gap(game, game.default_points.ravel())
+            epsilon_nash_gap(game, game.default_points)
         assert len(fista_calls) == 1
 
     def test_one_coupling_block_off_the_family_solves_per_dykstra_row(self, desk_game, monkeypatch):
@@ -416,7 +457,7 @@ class TestBatchedGap:
         engine = DrEngine(game, RunConfig(steps=benchmark_steps(game.dims.N)))
         for _ in range(10):
             engine.step()
-        x = engine.X.ravel()
+        x = engine.X
         assert np.max(coupling_violation(game, x)) > 0.02
         eps = epsilon_nash_gap(game, x)
         assert np.all(eps >= 0.0) and np.max(eps) > 1e-5

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import sys
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 import aggsplit.game
-from aggsplit.cli import main
+from aggsplit.benchmark import BenchmarkParams
+from aggsplit.cli import PRESETS, main
 
 
 def run_cli(argv):
@@ -189,6 +191,16 @@ class TestCompare:
         summary = (out / "summary.csv").read_text().strip().split("\n")
         assert summary[0] == "seed,method,iters_to_tol,final_kkt,wall_ms"
         assert len(summary) == 1 + 2 * 2
+
+    def test_report_names_the_instance_family(self, tmp_path):
+        # the toy preset differs from the default family only in its aggregate-coupling ranges
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--preset", "toy", "--seeds", "1", "--threads", "1", "-o", str(out)]) == 0
+        params = json.loads((out / "report.json").read_text())["params"]
+        want = dataclasses.replace(PRESETS["toy"], seed=0)
+        for field in dataclasses.fields(BenchmarkParams):
+            got = params[field.name]
+            assert (tuple(got) if isinstance(got, list) else got) == getattr(want, field.name), field.name
 
     def test_zero_seeds_is_a_usage_error(self, tmp_path):
         assert run_cli(["compare", "--seeds", "0", "-o", str(tmp_path)]) == 64

@@ -265,9 +265,9 @@ class TestEngineRounds:
         engine = DrEngine(game, RunConfig(steps=steps))
         for k in range(3):
             engine.step()
-            assert np.array_equal(engine.X.ravel(), want[k])
+            assert np.array_equal(engine.X, want[k])
             # the warm start moves a projection by a few ulps at most
-            assert np.max(np.abs(engine.X.ravel() - cold[k])) <= 1e-15
+            assert np.max(np.abs(engine.X - cold[k])) <= 1e-15
 
     def test_batched_and_per_agent_paths_agree(self, desk_game, desk_steps):
         assert desk_game.closed_form
@@ -429,11 +429,10 @@ class TestRunDr:
         tol = 1e-8
         trace = run_dr(desk_game, RunConfig(steps=desk_steps, stop_tol=tol), validate=False)
         point = trace.final_point
-        dims = desk_game.dims
-        xhat = point.x.reshape(dims.N, dims.n).mean(axis=0)
+        xhat = point.x.mean(axis=0)
         assert np.max(np.abs(point.sigma - xhat)) <= 10 * tol
         assert np.max(np.abs(point.mu)) <= 10 * tol
-        resid = desk_game.coupling_value(point.x.reshape(desk_game.dims.N, -1)) - desk_game.b_total
+        resid = desk_game.coupling_value(point.x) - desk_game.b_total
         assert abs(point.lam @ resid) <= 10 * tol * (1.0 + np.linalg.norm(point.lam))
 
     def test_relaxed_runs_reach_the_same_solution(self, desk_game, desk_steps):
@@ -486,6 +485,21 @@ class TestRunDr:
         assert curve[-1] <= 1e-4
         assert curve[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("runner", [run_dr, run_pfb])
+    def test_reference_stop_without_a_reference_raises_before_the_first_round(
+        self, desk_game, desk_steps, monkeypatch, runner
+    ):
+        # with stop_tol = 0 no gate and no stall look can end the run: it would spin to its budget
+        import aggsplit.engine as engine_mod
+
+        rounds = []
+        for cls in (DrEngine, engine_mod._PfbEngine):
+            monkeypatch.setattr(cls, "step", lambda self: rounds.append(1))
+        cfg = RunConfig(steps=desk_steps, stop_tol=0.0, ref_stop=1e-6, max_iters=5000)
+        with pytest.raises(ValueError, match="ref_stop"):
+            runner(desk_game, cfg, validate=False)
+        assert not rounds
+
 
 class TestRawIteration:
     def test_zero_relaxation_freezes_the_iterate(self, desk_game, desk_steps, rng):
@@ -511,7 +525,7 @@ class TestRawIteration:
             for _ in range(30):
                 engine.step()
                 half, full, tilde = raw_dr_step(tilde, desk_game, desk_steps, rho, prox_tol=1e-12)
-                assert np.max(np.abs(engine.X.ravel() - half.x)) <= 1e-9, rho
+                assert np.max(np.abs(engine.X - half.x)) <= 1e-9, rho
                 assert np.max(np.abs(engine.coord.lam - full.lam)) <= 1e-9, rho
 
     def test_tilde_steps_are_nonincreasing_on_monotone_instance(
@@ -669,7 +683,7 @@ class TestMixedMetricDiagonality:
             for _ in range(10):
                 engine.step()
                 half, full, tilde = raw_dr_step(tilde, game, steps, rho, prox_tol=1e-12)
-                assert np.max(np.abs(engine.X.ravel() - half.x)) <= 1e-8, rho
+                assert np.max(np.abs(engine.X - half.x)) <= 1e-8, rho
                 assert np.max(np.abs(engine.coord.lam - full.lam)) <= 1e-8, rho
 
     def test_only_the_dense_agent_takes_the_iterative_prox(self, monkeypatch):
@@ -739,7 +753,7 @@ class TestRunPfb:
         game = zero_coupling_game()
         steps = benchmark_steps(3)
         trace = run_pfb(game, RunConfig(steps=steps, stop_tol=1e-10), validate=False)
-        want = np.concatenate([agent.cost.xtilde for agent in game.agents])
+        want = np.stack([agent.cost.xtilde for agent in game.agents])
         assert np.max(np.abs(trace.final_point.x - want)) <= 1e-8
         assert np.all(trace.final_point.lam == 0.0)
 

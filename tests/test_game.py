@@ -3,8 +3,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from aggsplit import (
     AgentSpec,
@@ -16,7 +14,6 @@ from aggsplit import (
     GenericSmooth,
     Infeasible,
     QuadraticAgg,
-    average,
     coupling_violation,
     validate_game,
 )
@@ -111,40 +108,14 @@ class TestBoxSimplex:
         assert np.array_equal(s.project(e1), e1)
 
 
-class TestAverage:
-    def test_two_agents(self):
-        assert np.allclose(average(np.array([1.0, 2.0, 3.0, 4.0]), 2), [2.0, 3.0])
-
-    def test_identical_blocks_average_to_themselves(self):
-        v = np.array([0.3, -1.2, 4.0])
-        assert np.allclose(average(np.tile(v, 5), 3), v)
-
-    def test_scalars(self):
-        assert average(np.array([1.0, 2.0, 6.0]), 1) == pytest.approx(3.0)
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(DimensionMismatch):
-            average(np.arange(5, dtype=float), 2)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 10**6), st.floats(-5, 5), st.floats(-5, 5))
-    def test_linearity(self, seed, a, b):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(6)
-        z = rng.standard_normal(6)
-        lhs = average(a * x + b * z, 2)
-        rhs = a * average(x, 2) + b * average(z, 2)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, abs(a) + abs(b))
-
-
 class TestCouplingViolation:
     def test_boundary_is_zero(self):
         game = make_single_agent_game([1.0], 1.0, [[2.0]], [2.0])
-        assert np.array_equal(coupling_violation(game, np.array([1.0])), [0.0])
+        assert np.array_equal(coupling_violation(game, np.array([[1.0]])), [0.0])
 
     def test_scalar_excess(self):
         game = make_single_agent_game([1.0], 1.0, [[2.0]], [1.0])
-        assert np.allclose(coupling_violation(game, np.array([1.0])), [1.0])
+        assert np.allclose(coupling_violation(game, np.array([[1.0]])), [1.0])
 
     def test_rejects_bad_length(self):
         game = make_single_agent_game([1.0], 1.0, [[2.0]], [1.0])
@@ -164,7 +135,7 @@ class TestValidateGame:
         game = make_single_agent_game([1.0], 1.0, [[1.0]], [2.0])
         report = validate_game(game)
         assert report.ok
-        assert np.allclose(report.feasible_point, [1.0])
+        assert np.array_equal(report.feasible_point, [[1.0]])
 
     def test_infeasible_coupling_reported(self):
         game = make_single_agent_game([1.0], 1.0, [[1.0]], [0.5])
@@ -264,7 +235,7 @@ class TestLinkInvariant:
         total = sum(agent.A @ x for agent, x in zip(desk_game.agents, X))
         assert np.allclose(st.coupling_value(X), total, atol=1e-14)
         excess = np.maximum(st.coupling_value(X) - st.b_total, 0.0)
-        assert np.array_equal(coupling_violation(desk_game, X.ravel()), excess)
+        assert np.array_equal(coupling_violation(desk_game, X), excess)
         for i, agent in enumerate(desk_game.agents):
             assert np.allclose(st.adjoint(v)[i], agent.A.T @ v, atol=1e-14)
             assert np.allclose(st.adjoint(V)[i], agent.A.T @ V[i], atol=1e-14)
@@ -386,7 +357,7 @@ class TestFeasibleSearch:
         # the only point x = 1 meets A x = b exactly: no margin is possible
         game = make_single_agent_game([1.0], 1.0, [[1.0]], [1.0])
         x, strict = find_feasible_point(game)
-        assert np.array_equal(x, [1.0]) and not strict
+        assert np.array_equal(x, [[1.0]]) and not strict
         report = validate_game(game)
         assert report.ok and report.feasible and not report.strictly_feasible
         assert "no strictly feasible point found; constraint may be tight" in report.messages
@@ -405,12 +376,12 @@ class TestFeasibleSearch:
         monkeypatch.setattr(np.linalg, "norm", spy)
         find_feasible_point(game)
         validate_game(game)
-        x = game.default_points.ravel()
+        X = game.default_points
         pfb_step_sizes(game)
-        epsilon_nash_gap(game, x)
+        epsilon_nash_gap(game, X)
         # ||A||, and the per-row ||A_i||, ||Q_i|| and ||(Q_i + Q_i')/2||: one call each
         assert len(svds) == 4
         pfb_step_sizes(game)
-        epsilon_nash_gap(game, x)
+        epsilon_nash_gap(game, X)
         assert len(svds) == 4
         assert game.coupling_norm == float(real(np.concatenate(game.A, axis=1), 2))

@@ -62,7 +62,7 @@ def test_round_engine_still_matches_raw_iteration(desk_game, het_steps):
             half, full, tilde = raw_dr_step(tilde, desk_game, het_steps, rho, prox_tol=1e-12)
             worst = max(
                 worst,
-                float(np.max(np.abs(engine.X.ravel() - half.x))),
+                float(np.max(np.abs(engine.X - half.x))),
                 float(np.max(np.abs(engine.coord.mu - full.mu))),
                 float(np.max(np.abs(engine.coord.lam - full.lam))),
             )

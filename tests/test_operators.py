@@ -9,22 +9,21 @@ from aggsplit import (
     GameSpec,
     KktResidual,
     QuadraticAgg,
+    DimensionMismatch,
     apply_S,
-    average,
-    extended_subdifferential,
     kkt_residual,
     monotonicity_probe,
+    stationarity_residual,
 )
 from aggsplit.benchmark import BenchmarkParams, generate_benchmark, ground_truth_point
 from oracles import fd_gradient, wrap_costs_in_oracles
 
 
-def chain_rule_gradient(game, x):
-    """Stacked gradients of x_i -> f_i(x_i, average(x)), with the 1/N chain-rule term
+def chain_rule_gradient(game, X):
+    """(N, n) gradients of x_i -> f_i(x_i, avg(X)), with the 1/N chain-rule term
     of each agent's own weight in the average: the exact gap's deviation gradient."""
-    X = x.reshape(game.dims.N, game.dims.n)
-    sigma = average(x, game.dims.n)
-    return game.grad(X, sigma).ravel() + game.grad_sigma(X, sigma).ravel() / game.dims.N
+    sigma = X.mean(axis=0)
+    return game.grad(X, sigma) + game.grad_sigma(X, sigma) / game.dims.N
 
 
 def scalar_game(a=1.0, q=0.0, xtilde=0.0, upper=2.0, total=1.0, A=1.0, b=5.0):
@@ -40,11 +39,11 @@ def scalar_game(a=1.0, q=0.0, xtilde=0.0, upper=2.0, total=1.0, A=1.0, b=5.0):
 class TestSubdifferentials:
     def test_frozen_aggregate_formula(self, desk_game):
         rng = np.random.default_rng(0)
-        x = rng.random(desk_game.dims.N * desk_game.dims.n)
-        sigma = average(x, desk_game.dims.n)
-        got = extended_subdifferential(desk_game, x, sigma).reshape(desk_game.dims.N, -1)
+        X = rng.random((desk_game.dims.N, desk_game.dims.n))
+        sigma = X.mean(axis=0)
+        got = desk_game.grad(X, sigma)
         for i, agent in enumerate(desk_game.agents):
-            xi = x.reshape(desk_game.dims.N, -1)[i]
+            xi = X[i]
             want = agent.cost.a * (xi - agent.cost.xtilde) + agent.cost.Q @ sigma
             assert np.allclose(got[i], want, atol=1e-14)
 
@@ -52,52 +51,51 @@ class TestSubdifferentials:
         # one agent, cost 0.5 x^2 + q * sigma * x with sigma = x
         q = 0.7
         game = scalar_game(a=1.0, q=q)
-        x = np.array([0.4])
-        assert chain_rule_gradient(game, x) == pytest.approx((1 + 2 * q) * 0.4)
-        assert extended_subdifferential(game, x, average(x, 1)) == pytest.approx((1 + q) * 0.4)
+        X = np.array([[0.4]])
+        assert chain_rule_gradient(game, X) == pytest.approx((1 + 2 * q) * 0.4)
+        assert game.grad(X, X.mean(axis=0)) == pytest.approx((1 + q) * 0.4)
         # finite differences of the fully substituted cost confirm the full variant
         f = lambda z: game.agents[0].cost.value(z, z)
-        assert chain_rule_gradient(game, x) == pytest.approx(fd_gradient(f, x)[0], rel=1e-6)
+        assert chain_rule_gradient(game, X) == pytest.approx(fd_gradient(f, X[0])[0], rel=1e-6)
 
     def test_chain_rule_equals_the_oracle_costs_bitwise(self, desk_game):
-        x = np.random.default_rng(4).random(desk_game.dims.N * desk_game.dims.n)
+        X = np.random.default_rng(4).random((desk_game.dims.N, desk_game.dims.n))
         wrapped = wrap_costs_in_oracles(desk_game)
-        assert np.array_equal(chain_rule_gradient(desk_game, x), chain_rule_gradient(wrapped, x))
+        assert np.array_equal(chain_rule_gradient(desk_game, X), chain_rule_gradient(wrapped, X))
 
     def test_zero_at_target_with_no_coupling(self):
         game = scalar_game(a=2.0, q=0.0, xtilde=0.3)
-        x = np.array([0.3])
-        assert chain_rule_gradient(game, x) == pytest.approx(0.0)
-        assert extended_subdifferential(game, x, average(x, 1)) == pytest.approx(0.0)
+        X = np.array([[0.3]])
+        assert chain_rule_gradient(game, X) == pytest.approx(0.0)
+        assert game.grad(X, X.mean(axis=0)) == pytest.approx(0.0)
 
     def test_extended_matches_frozen_at_the_average(self, desk_game):
         rng = np.random.default_rng(1)
-        x = rng.random(desk_game.dims.N * desk_game.dims.n)
-        sigma = average(x, desk_game.dims.n)
-        lhs = extended_subdifferential(desk_game, x, sigma)
-        X = x.reshape(desk_game.dims.N, -1)
-        rhs = np.concatenate([agent.cost.grad(xi, sigma) for agent, xi in zip(desk_game.agents, X)])
+        X = rng.random((desk_game.dims.N, desk_game.dims.n))
+        sigma = X.mean(axis=0)
+        lhs = desk_game.grad(X, sigma)
+        rhs = np.stack([agent.cost.grad(xi, sigma) for agent, xi in zip(desk_game.agents, X)])
         assert np.array_equal(lhs, rhs)  # the stacked rows round like each agent's own
 
     def test_extended_matches_finite_differences(self, desk_game):
         rng = np.random.default_rng(2)
         dims = desk_game.dims
-        x = rng.random(dims.N * dims.n)
+        X = rng.random((dims.N, dims.n))
         sigma = rng.random(dims.n)
-        got = extended_subdifferential(desk_game, x, sigma).reshape(dims.N, dims.n)
+        got = desk_game.grad(X, sigma)
         for i, agent in enumerate(desk_game.agents):
-            xi = x.reshape(dims.N, dims.n)[i]
+            xi = X[i]
             fd = fd_gradient(lambda z: agent.cost.value(z, sigma), xi)
             assert np.allclose(got[i], fd, rtol=1e-6, atol=1e-6)
 
     def test_frozen_variant_matches_finite_differences(self, desk_game):
         rng = np.random.default_rng(3)
         dims = desk_game.dims
-        x = rng.random(dims.N * dims.n)
-        sigma = average(x, dims.n)
-        got = extended_subdifferential(desk_game, x, sigma).reshape(dims.N, dims.n)
+        X = rng.random((dims.N, dims.n))
+        sigma = X.mean(axis=0)
+        got = desk_game.grad(X, sigma)
         for i, agent in enumerate(desk_game.agents):
-            xi = x.reshape(dims.N, dims.n)[i]
+            xi = X[i]
             fd = fd_gradient(lambda z: agent.cost.value(z, sigma), xi)
             assert np.allclose(got[i], fd, rtol=1e-6, atol=1e-6)
 
@@ -106,8 +104,8 @@ class TestSkewMap:
     def test_zero_maps_to_zero(self, desk_game):
         dims = desk_game.dims
         w = ExtendedPoint(
-            x=np.zeros(dims.N * dims.n),
-            y=np.zeros(dims.N * dims.m),
+            x=np.zeros((dims.N, dims.n)),
+            y=np.zeros((dims.N, dims.m)),
             sigma=np.zeros(dims.n),
             mu=np.zeros(dims.n),
             lam=np.zeros(dims.m),
@@ -118,8 +116,8 @@ class TestSkewMap:
     def test_skew_symmetry_on_random_points(self, desk_game, rng):
         for _ in range(100):
             w = ExtendedPoint(
-                x=rng.standard_normal(desk_game.dims.N * desk_game.dims.n),
-                y=rng.standard_normal(desk_game.dims.N * desk_game.dims.m),
+                x=rng.standard_normal((desk_game.dims.N, desk_game.dims.n)),
+                y=rng.standard_normal((desk_game.dims.N, desk_game.dims.m)),
                 sigma=rng.standard_normal(desk_game.dims.n),
                 mu=rng.standard_normal(desk_game.dims.n),
                 lam=rng.standard_normal(desk_game.dims.m),
@@ -140,7 +138,7 @@ class TestSkewMap:
             ],
             dtype=float,
         )
-        w = ExtendedPoint(x=np.ones(1), y=np.ones(1), sigma=np.ones(1), mu=np.ones(1), lam=np.ones(1))
+        w = ExtendedPoint(x=np.ones((1, 1)), y=np.ones((1, 1)), sigma=np.ones(1), mu=np.ones(1), lam=np.ones(1))
         want = S @ np.ones(5)
         got = apply_S(dims, w).as_vector()
         assert np.array_equal(got, want)
@@ -164,22 +162,30 @@ class TestKktResidual:
     def test_zero_at_interior_stationary_point(self):
         # target interior to the local set, no coupling pressure, lam = 0
         game = scalar_game(a=1.0, q=0.0, xtilde=0.5, upper=2.0, total=0.5, b=5.0)
-        x = np.array([0.5])
+        X = np.array([[0.5]])
         w = ExtendedPoint(
-            x=x,
-            y=game.agents[0].A @ x - game.agents[0].b,
-            sigma=average(x, 1),
+            x=X,
+            y=game.link_values(X),
+            sigma=X.mean(axis=0),
             mu=np.zeros(1),
             lam=np.zeros(1),
         )
         kkt = kkt_residual(game, w)
         assert kkt.max_value() == pytest.approx(0.0, abs=1e-12)
 
+    def test_stationarity_rejects_a_multiplier_of_the_wrong_length(self, desk_game):
+        # a capped game's adjoint would broadcast a one-entry lam across all m rows
+        X, m = desk_game.default_points, desk_game.dims.m
+        with pytest.raises(DimensionMismatch, match=rf"\({m},\)"):
+            stationarity_residual(desk_game, X, np.array([0.5]))
+        # only shapes are checked: a diverging iterate's NaN reaches the residual
+        assert np.isnan(stationarity_residual(desk_game, X, np.full(m, np.nan)))
+
     def test_perturbation_shows_up_in_stationarity(self, desk_game):
         point, _ = ground_truth_point(desk_game, tol=1e-8, cross_check=False)
         bumped = point.copy()
         bumped.x = bumped.x.copy()
-        bumped.x[0] += 1e-3
+        bumped.x[0, 0] += 1e-3
         kkt = kkt_residual(desk_game, bumped)
         assert kkt.stationarity > 1e-5
 
@@ -212,18 +218,16 @@ class TestMonotonicityProbe:
         assert report.min_inner < 0.0
 
     def test_report_is_computed_once_per_game_and_key(self, monkeypatch):
-        import aggsplit.operators as operators_mod
-
         game = generate_benchmark(BenchmarkParams(N=5, n=3, seed=11))
         first = monotonicity_probe(game, 50, seed=0)
         calls = []
-        real = operators_mod.extended_subdifferential
+        real = GameSpec.grad
 
         def spy(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(operators_mod, "extended_subdifferential", spy)
+        monkeypatch.setattr(GameSpec, "grad", spy)
         assert monotonicity_probe(game, 50, seed=0) is first
         assert not calls  # no sampling for a (sample count, seed) already probed
         monotonicity_probe(game, 50, seed=1)

@@ -164,8 +164,8 @@ class TestResolventA:
         X = np.stack([agent.cost.xtilde for agent in monotone_game.agents])
         Y = np.stack([agent.A @ X[i] - agent.b for i, agent in enumerate(monotone_game.agents)])
         w = ExtendedPoint(
-            x=X.ravel(),
-            y=Y.ravel(),
+            x=X,
+            y=Y,
             sigma=np.full(monotone_game.dims.n, 0.2),
             mu=np.full(monotone_game.dims.n, -0.4),
             lam=np.full(monotone_game.dims.m, 0.7),
@@ -187,13 +187,12 @@ class TestResolventA:
         assert np.array_equal(out.lam, w.lam)
 
     def test_links_and_membership_by_construction(self, desk_game, desk_steps, rng):
-        dims = desk_game.dims
         w = random_extended_point(desk_game, rng)
         out = resolvent_A(desk_game, desk_steps, w)
-        X = out.x_blocks(dims.n)
+        X = out.x
         for i, agent in enumerate(desk_game.agents):
             assert in_box_simplex(X[i], agent.omega, tol=1e-9)
-            assert np.allclose(out.y_blocks(dims.m)[i], agent.A @ X[i] - agent.b, atol=1e-14)
+            assert np.allclose(out.y[i], agent.A @ X[i] - agent.b, atol=1e-14)
 
     def test_general_coupling_blocks_through_fista(self, rng):
         # non-diagonal A' A exercises the dense-metric path inside the resolvent
@@ -219,8 +218,8 @@ class TestResolventB:
     def test_zero_is_fixed(self, desk_game, desk_steps):
         dims = desk_game.dims
         w = ExtendedPoint(
-            x=np.zeros(dims.N * dims.n),
-            y=np.zeros(dims.N * dims.m),
+            x=np.zeros((dims.N, dims.n)),
+            y=np.zeros((dims.N, dims.m)),
             sigma=np.zeros(dims.n),
             mu=np.zeros(dims.n),
             lam=np.zeros(dims.m),
@@ -231,7 +230,7 @@ class TestResolventB:
     def test_scalar_hand_values(self):
         dims = Dimensions(1, 1, 1)
         steps = StepSizes(gamma=np.array([1.0]), alpha=1.0, beta=1.0, delta=1.0)
-        w = ExtendedPoint(x=np.ones(1), y=np.ones(1), sigma=np.zeros(1), mu=np.zeros(1), lam=np.zeros(1))
+        w = ExtendedPoint(x=np.ones((1, 1)), y=np.ones((1, 1)), sigma=np.zeros(1), mu=np.zeros(1), lam=np.zeros(1))
         out = resolvent_B(dims, steps, w)
         assert out.mu == pytest.approx(-1.0 / 3.0)
         assert out.lam == pytest.approx(0.5)
