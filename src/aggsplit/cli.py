@@ -49,10 +49,10 @@ def _positive_int(value: str) -> int:
     return n
 
 
-def _nonnegative_float(value: str) -> float:
+def _positive_float(value: str) -> float:
     x = float(value)
-    if not x >= 0:  # NaN included
-        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {value}")
+    if not 0.0 < x < float("inf"):  # NaN included
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {value}")
     return x
 
 
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a game file and write trace + report")
     p_solve.add_argument("game", help="game JSON file")
     p_solve.add_argument("--method", choices=("dr", "pfb"), default="dr")
-    p_solve.add_argument("--tol", type=_nonnegative_float, default=1e-8)
+    p_solve.add_argument("--tol", type=_positive_float, default=1e-8)
     p_solve.add_argument("--max-iters", type=_positive_int, default=100_000)
     p_solve.add_argument("--relaxation", type=float, default=1.0)
     p_solve.add_argument("--record-every", type=_positive_int, default=1)
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="multi-seed comparison of the two methods")
     _add_instance_args(p_cmp)
     p_cmp.add_argument("--seeds", type=_positive_int, required=True)
-    p_cmp.add_argument("--tol", type=_nonnegative_float, default=1e-6)
+    p_cmp.add_argument("--tol", type=_positive_float, default=1e-6)
     p_cmp.add_argument("--max-iters", type=_positive_int, default=200_000)
     p_cmp.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p_cmp.add_argument("-o", "--out", default="compare_out")

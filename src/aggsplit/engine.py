@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, InvalidStepSizes, MaxItersExceeded
-from .game import Dimensions, GameSpec, _finite_array, coupling_violation, validate_game
+from .game import Dimensions, GameSpec, coupling_violation, validate_game
 from .operators import ExtendedPoint, KktResidual, kkt_residual
 from .resolvents import (
     DEFAULT_PROX_TOL,
@@ -95,10 +95,8 @@ class RunConfig:
     with ``stop_reason="stalled"``; one stalled above the gate as well
     ends unconverged with ``stop_reason="floor"``, or ``"diverged"`` when its
     optimality residual there is no lower than at round 0 or when a round's
-    stopping metric or optimality residual is not finite.
-    ``ref_stop`` stops the run once ||x - ref|| / ||x^0 - ref|| drops below
-    it (comparison runs); a run given it without a reference point raises
-    ``ValueError`` before its first round.
+    stopping metric or optimality residual is not finite.  ``stop_tol`` must
+    be a positive finite number, so that every run can meet its gate.
     """
 
     steps: StepSizes
@@ -107,15 +105,14 @@ class RunConfig:
     stop_tol: float = 1e-8
     record_every: int = 1
     prox_tol: float = DEFAULT_PROX_TOL
-    ref_stop: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.relaxation < 2.0:
             raise InvalidStepSizes("relaxation must lie in (0, 2)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (self.stop_tol >= 0 and (self.ref_stop is None or self.ref_stop >= 0)):
-            raise ValueError("stop_tol and ref_stop must be nonnegative numbers")
+        if not 0.0 < self.stop_tol < np.inf:
+            raise ValueError("stop_tol must be a positive finite number")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
         if not 0.0 < self.prox_tol < np.inf:
@@ -125,13 +122,12 @@ class RunConfig:
 @dataclass
 class TraceRow:
     iter: int
-    dist_to_ref: float | None
     kkt: KktResidual
     step_norm: float
     wall_nanos: int
 
 
-CSV_HEADER = "iter,dist_to_ref,stationarity,primal,complementarity,consensus,link,step_norm,wall_nanos"
+CSV_HEADER = "iter,stationarity,primal,complementarity,consensus,link,step_norm,wall_nanos"
 
 
 def _fmt(v: float) -> str:
@@ -149,7 +145,6 @@ class RunTrace:
     converged: bool = False
     iterations: int = 0
     stop_reason: str = ""
-    dist_curve: np.ndarray | None = None
 
     def to_csv(self, include_wall: bool = True) -> str:
         header = CSV_HEADER if include_wall else CSV_HEADER.rsplit(",", 1)[0]
@@ -157,7 +152,6 @@ class RunTrace:
         for r in self.rows:
             cells = [
                 str(r.iter),
-                "" if r.dist_to_ref is None else _fmt(r.dist_to_ref),
                 _fmt(r.kkt.stationarity),
                 _fmt(r.kkt.primal),
                 _fmt(r.kkt.complementarity),
@@ -354,12 +348,7 @@ def _require_valid(game: GameSpec) -> None:
         raise Infeasible("game failed validation before the run:\n" + report.summary())
 
 
-def _run_loop(
-    engine,
-    config: RunConfig,
-    reference: np.ndarray | None,
-    method: str,
-) -> RunTrace:
+def _run_loop(engine, config: RunConfig, method: str) -> RunTrace:
     """Step ``engine`` until the stopping metric and the optimality gate pass.
 
     A run whose stopping metric has set no new low for ``GATE_RECHECK``
@@ -369,29 +358,18 @@ def _run_loop(
     previous failed look ends the run unconverged: ``"diverged"`` when that
     residual is no lower than at round 0, else ``"floor"``.  A round whose
     stopping-metric terms, or whose KKT residual where the round computed
-    one, are not finite ends the run ``"diverged"`` at once.  With
-    ``stop_tol=0`` no gate can pass, so such runs (the comparison runs
-    that stop on ``ref_stop``) skip the stall check.  A ``reference`` that is
-    not an (N, n) array raises :class:`DimensionMismatch`, and one with a
-    non-finite entry ``ValueError``.
+    one, are not finite ends the run ``"diverged"`` at once.  Otherwise the
+    run ends at its round budget, ``"max_iters"``.
     """
     game, steps = engine.game, config.steps
-    if config.ref_stop is not None and reference is None:
-        raise ValueError("ref_stop needs a reference point")
     t0 = time.perf_counter_ns()
     trace = RunTrace(method=method)
-    dists: list[float] = []
-
     point = engine.point()
-    if reference is not None:
-        reference = _finite_array(reference, game.upper.shape, "reference")
-        dists.append(float(np.linalg.norm(point.x - reference)))
 
     def record(k: int, step_norm: float, kkt: KktResidual) -> None:
         trace.rows.append(
             TraceRow(
                 iter=k,
-                dist_to_ref=dists[-1] if dists else None,
                 kkt=kkt,
                 step_norm=step_norm,
                 wall_nanos=time.perf_counter_ns() - t0,
@@ -414,13 +392,6 @@ def _run_loop(
         step_plain = diff.norm()
         kkt = None
 
-        if reference is not None:
-            dist = float(np.linalg.norm(point.x - reference))
-            dists.append(dist)
-            if config.ref_stop is not None and dist <= config.ref_stop * max(dists[0], 1e-300):
-                reason = "ref_stop"
-                break
-
         consensus = float(np.max(np.abs(point.sigma - point.x.mean(axis=0))))
         primal = float(np.max(coupling_violation(game, point.x), initial=0.0))
         if not all(map(math.isfinite, (step_gamma, consensus, primal))):
@@ -436,7 +407,7 @@ def _run_loop(
             gate_block_until = k + GATE_RECHECK
         if cheap < best_cheap:
             best_cheap, window_start = cheap, k
-        elif config.stop_tol > 0 and k - window_start >= GATE_RECHECK:
+        elif k - window_start >= GATE_RECHECK:
             if kkt is None:
                 kkt = kkt_residual(game, point)
             if kkt.max_value() <= GATE_FACTOR * config.stop_tol:
@@ -459,10 +430,9 @@ def _run_loop(
 
     trace.final_point = point
     trace.final_kkt = trace.rows[-1].kkt
-    trace.converged = reason in ("stop_tol", "stalled", "ref_stop")  # the others raise
+    trace.converged = reason in ("stop_tol", "stalled")  # the others raise
     trace.iterations = k
     trace.stop_reason = reason
-    trace.dist_curve = np.asarray(dists) if reference is not None else None
     if not trace.converged:
         raise MaxItersExceeded(trace)
     return trace
@@ -471,7 +441,6 @@ def _run_loop(
 def run_dr(
     game: GameSpec,
     config: RunConfig,
-    reference: np.ndarray | None = None,
     validate: bool = True,
 ) -> RunTrace:
     """Run the splitting to convergence and return the full trace.
@@ -481,7 +450,7 @@ def run_dr(
     """
     if validate:
         _require_valid(game)
-    return _run_loop(DrEngine(game, config), config, reference, "dr")
+    return _run_loop(DrEngine(game, config), config, "dr")
 
 
 # -- projected pseudo-gradient baseline --------------------------------------------------
@@ -504,8 +473,8 @@ def pfb_step_sizes(game: GameSpec) -> tuple[np.ndarray, float]:
     return 0.4 / L, tau_lam
 
 
-class _PfbEngine:
-    """The baseline's decisions and multiplier behind the run loop's ``step`` and ``point``."""
+class PfbEngine:
+    """The baseline's decisions and multiplier behind ``step`` and ``point``, as in :class:`DrEngine`."""
 
     def __init__(self, game: GameSpec, config: RunConfig):
         self.game = game
@@ -533,7 +502,6 @@ class _PfbEngine:
 def run_pfb(
     game: GameSpec,
     config: RunConfig,
-    reference: np.ndarray | None = None,
     validate: bool = True,
 ) -> RunTrace:
     """Projected pseudo-gradient baseline with an extrapolated dual update.
@@ -545,4 +513,4 @@ def run_pfb(
         raise InvalidStepSizes("the pfb baseline runs unrelaxed; relaxation must be 1")
     if validate:
         _require_valid(game)
-    return _run_loop(_PfbEngine(game, config), config, reference, "pfb")
+    return _run_loop(PfbEngine(game, config), config, "pfb")

@@ -37,6 +37,7 @@ from aggsplit import (
     stationarity_residual,
     validate_game,
 )
+from aggsplit.engine import PfbEngine
 from oracles import (
     dense_coupling_draw,
     deviation_gap,
@@ -235,6 +236,20 @@ class TestGroundTruth:
         with pytest.raises(NotCertified):
             ground_truth_point(desk_game, tol=1e-13, max_iters=40, cross_check=False)
 
+    def test_a_nan_reference_is_not_certified(self):
+        # agent 0's gradient turns NaN after the monotonicity probe's 400 calls: the run
+        # diverges in its first round with a NaN residual, which passes no certificate
+        game = wrap_costs_in_oracles(generate_benchmark(BenchmarkParams(N=10, n=3, seed=0)))
+        first, calls = game.agents[0], []
+
+        def grad(x, sigma):
+            calls.append(1)
+            return first.cost.grad(x, sigma) + (np.nan if len(calls) > 400 else 0.0)
+
+        agents = [replace(first, cost=replace(first.cost, grad_fn=grad)), *game.agents[1:]]
+        with pytest.raises(NotCertified, match="nan"):
+            ground_truth_point(GameSpec(dims=game.dims, agents=agents), tol=1e-9)
+
 
 class TestViResidual:
     def test_small_at_certified_solution(self, desk_game):
@@ -258,18 +273,6 @@ class TestViResidual:
 def vi_residual_multiplier(game, lam):
     """The VI residual at the default points with the multiplier ``lam``."""
     return gae_vi_residual(game, game.default_points, lam)
-
-
-def dr_reference(game, reference):
-    """A short unvalidated splitting run measured against ``reference``."""
-    config = RunConfig(steps=benchmark_steps(game.dims.N), max_iters=5)
-    return run_dr(game, config, reference, validate=False)
-
-
-def pfb_reference(game, reference):
-    """A short unvalidated baseline run measured against ``reference``."""
-    config = RunConfig(steps=benchmark_steps(game.dims.N), max_iters=5)
-    return run_pfb(game, config, reference, validate=False)
 
 
 class TestEpsilonGap:
@@ -322,7 +325,7 @@ class TestEpsilonGap:
         assert np.all(sampled >= 0.0)
 
     @pytest.mark.parametrize(
-        "measure", [epsilon_nash_gap, gae_vi_residual, vi_residual_multiplier, dr_reference, pfb_reference]
+        "measure", [epsilon_nash_gap, gae_vi_residual, vi_residual_multiplier]
     )
     @pytest.mark.parametrize("fault, error", [("short", DimensionMismatch), ("nan", ValueError)])
     def test_malformed_decisions_are_rejected(self, desk_game, measure, fault, error):
@@ -334,7 +337,7 @@ class TestEpsilonGap:
             v[0] = np.nan
         else:
             v = v[:-1]
-        with pytest.raises(error, match="decision|coupling multiplier|reference"):
+        with pytest.raises(error, match="decision|coupling multiplier"):
             measure(desk_game, v)
 
 
@@ -357,7 +360,6 @@ class TestDecisionLayout:
             gae_vi_residual,
             stationarity_at_zero_multiplier,
             coupling_violation,
-            dr_reference,
             kkt_at_decisions,
         ],
     )
@@ -514,6 +516,36 @@ class TestComparison:
         assert [rec.error for rec in report.records] == [None, None]
         run_comparison(BenchmarkParams(N=10, n=4, seed=31), num_seeds=1, tol=1e-5, workers=8)
         assert pools == [2]  # one seed runs in process
+
+    def test_the_curve_is_the_engines_distance_to_the_reference(self):
+        params, tol = BenchmarkParams(N=50, n=5), 1e-6  # the desk preset
+        res = run_comparison(params, num_seeds=1, tol=tol).records[0].results["dr"]
+        game = generate_benchmark(params)
+        xbar = ground_truth(game, tol=1e-8, cross_check=False)  # the comparison's reference
+        engine = DrEngine(game, RunConfig(steps=benchmark_steps(params.N)))
+        dists = [np.linalg.norm(engine.X - xbar)]
+        for _ in range(len(res.curve) - 1):
+            engine.step()
+            dists.append(np.linalg.norm(engine.X - xbar))
+        assert np.array_equal(res.curve, np.asarray(dists) / dists[0])
+        assert res.curve[0] == 1.0 and res.curve[-1] <= tol
+        assert len(res.curve) == res.iters_to_tol + 1
+
+    def test_a_decision_turning_nan_ends_that_methods_run(self, monkeypatch):
+        real_step, rounds = PfbEngine.step, []
+
+        def step(self):
+            real_step(self)
+            rounds.append(1)
+            if len(rounds) == 7:
+                self.X[0, 0] = np.nan
+
+        monkeypatch.setattr(PfbEngine, "step", step)
+        record = run_comparison(BenchmarkParams(N=10, n=4, seed=31), num_seeds=1, tol=1e-5).records[0]
+        res = record.results["pfb"]
+        assert (len(res.curve), res.iters_to_tol) == (8, None)
+        assert np.isnan(res.curve[-1]) and np.isnan(res.final_kkt)
+        assert record.results["dr"].iters_to_tol is not None
 
     def test_seed_count_validated(self):
         with pytest.raises(ValueError):

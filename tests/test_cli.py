@@ -150,7 +150,7 @@ class TestSolve:
             err = capsys.readouterr().err
             assert expected in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("tol", ["nan", "-1e-8"])
+    @pytest.mark.parametrize("tol", ["nan", "-1e-8", "0", "inf"])
     def test_nan_or_negative_tolerance_is_a_usage_error(self, tmp_path, game_file, tol):
         assert run_cli(["solve", str(game_file), f"--tol={tol}", "-o", str(tmp_path / "o")]) == 64
         assert run_cli(["compare", "--seeds", "1", f"--tol={tol}", "-o", str(tmp_path / "c")]) == 64

@@ -357,12 +357,12 @@ class TestRunDr:
         assert (trace.stop_reason, trace.iterations) == (reason, rounds)
         assert trace.final_kkt.max_value() < trace.rows[0].kkt.max_value()
 
-    @pytest.mark.parametrize("reason", ["stop_tol", "stalled", "floor", "diverged", "max_iters", "ref_stop"])
+    @pytest.mark.parametrize("reason", ["stop_tol", "stalled", "floor", "diverged", "max_iters"])
     def test_every_stop_writes_one_last_row(self, desk_game, desk_steps, reason):
         # the floor runs of the two tests above, and rho = 1.9 on the desk preset, whose KKT
         # residual stops falling 57 rounds in, above its round-0 value; every run stops
         # before its first recorded round
-        game, reference = desk_game, None
+        game = desk_game
         config = RunConfig(steps=desk_steps, stop_tol=1e-8, record_every=1000)
         if reason == "diverged":
             game = generate_benchmark(BenchmarkParams(N=50, n=5, seed=0))
@@ -373,16 +373,13 @@ class TestRunDr:
             config = RunConfig(steps=benchmark_steps(100), stop_tol=tol, max_iters=600, record_every=1000)
         elif reason == "max_iters":
             config = dataclasses.replace(config, stop_tol=1e-14, max_iters=26)
-        elif reason == "ref_stop":
-            reference = ground_truth_point(game, tol=1e-9, cross_check=False)[0].x
-            config = dataclasses.replace(config, stop_tol=0.0, ref_stop=1e-4)
         try:
-            trace = run_dr(game, config, reference=reference, validate=False)
+            trace = run_dr(game, config, validate=False)
         except MaxItersExceeded as exc:
             trace = exc.trace
         iters = [row.iter for row in trace.rows]
         assert trace.stop_reason == reason
-        assert trace.converged == (reason in ("stop_tol", "stalled", "ref_stop"))
+        assert trace.converged == (reason in ("stop_tol", "stalled"))
         assert iters == [0, trace.iterations]
         assert trace.final_kkt is trace.rows[-1].kkt
         assert trace.final_kkt == kkt_residual(game, trace.final_point)
@@ -397,7 +394,7 @@ class TestRunDr:
         import aggsplit.engine as engine_mod
 
         k, rounds = 7, []
-        engine_cls = DrEngine if method == "dr" else engine_mod._PfbEngine
+        engine_cls = DrEngine if method == "dr" else engine_mod.PfbEngine
         real_step = engine_cls.step
 
         def counted_step(self):
@@ -471,34 +468,12 @@ class TestRunDr:
         with pytest.raises(ValueError, match="prox_tol"):
             RunConfig(steps=desk_steps, prox_tol=prox_tol)
 
-    @pytest.mark.parametrize("tols", [{"stop_tol": np.nan}, {"stop_tol": -1e-8}, {"ref_stop": np.nan}])
+    @pytest.mark.parametrize(
+        "tols", [{"stop_tol": np.nan}, {"stop_tol": -1e-8}, {"stop_tol": 0.0}, {"stop_tol": np.inf}]
+    )
     def test_nan_or_negative_tolerance_rejected(self, desk_steps, tols):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="stop_tol"):
             RunConfig(steps=desk_steps, **tols)
-
-    def test_reference_stop_halts_on_normalized_distance(self, desk_game, desk_steps):
-        point, _ = ground_truth_point(desk_game, tol=1e-9, cross_check=False)
-        cfg = RunConfig(steps=desk_steps, stop_tol=0.0, ref_stop=1e-4, max_iters=10_000)
-        trace = run_dr(desk_game, cfg, reference=point.x, validate=False)
-        assert trace.stop_reason == "ref_stop"
-        curve = trace.dist_curve / trace.dist_curve[0]
-        assert curve[-1] <= 1e-4
-        assert curve[0] == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("runner", [run_dr, run_pfb])
-    def test_reference_stop_without_a_reference_raises_before_the_first_round(
-        self, desk_game, desk_steps, monkeypatch, runner
-    ):
-        # with stop_tol = 0 no gate and no stall look can end the run: it would spin to its budget
-        import aggsplit.engine as engine_mod
-
-        rounds = []
-        for cls in (DrEngine, engine_mod._PfbEngine):
-            monkeypatch.setattr(cls, "step", lambda self: rounds.append(1))
-        cfg = RunConfig(steps=desk_steps, stop_tol=0.0, ref_stop=1e-6, max_iters=5000)
-        with pytest.raises(ValueError, match="ref_stop"):
-            runner(desk_game, cfg, validate=False)
-        assert not rounds
 
 
 class TestRawIteration:
@@ -839,19 +814,8 @@ class TestTraceFormat:
         csv = trace.to_csv()
         lines = csv.strip().split("\n")
         assert lines[0] == CSV_HEADER
-        assert all(len(line.split(",")) == 9 for line in lines[1:])
-        # no reference: the distance column is empty, not a proxy value
-        assert lines[1].split(",")[1] == ""
+        assert CSV_HEADER == "iter,stationarity,primal,complementarity,consensus,link,step_norm,wall_nanos"
+        assert all(len(line.split(",")) == 8 for line in lines[1:])
+        assert all(cell != "" for line in lines[1:] for cell in line.split(","))
         iters = [row.iter for row in trace.rows]
         assert iters == sorted(set(iters))
-
-    def test_dist_column_filled_when_reference_given(self, desk_game, desk_steps):
-        point, _ = ground_truth_point(desk_game, tol=1e-9, cross_check=False)
-        trace = run_dr(
-            desk_game,
-            RunConfig(steps=desk_steps, stop_tol=1e-7),
-            reference=point.x,
-            validate=False,
-        )
-        cells = trace.to_csv().strip().split("\n")[1].split(",")
-        assert float(cells[1]) > 0.0
