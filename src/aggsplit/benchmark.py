@@ -56,6 +56,8 @@ class BenchmarkParams:
     def __post_init__(self):
         if self.N < 1 or self.n < 1:
             raise ValueError("N and n must be at least 1")
+        if self.seed < 0:  # SeedSequence takes nonnegative entropy only
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def benchmark_steps(
@@ -207,9 +209,9 @@ def _deviation_groups(game: GameSpec, X: np.ndarray) -> list[tuple[np.ndarray, C
         caps = np.maximum(caps, np.minimum(X[rows], part.upper))
         groups.append((rows, lambda Z: project_box_simplex_batch(Z, caps, part.total)))
     for i in np.flatnonzero(~capped):
-        agent, room = game.agents[i], np.maximum(slack[i], own[i])
-        halfspaces = [halfspace_projector(a, float(s)) for a, s in zip(agent.A, room)]
-        sets = [agent.omega.project] + halfspaces
+        one, room = game.take(np.array([i])), np.maximum(slack[i], own[i])
+        halfspaces = [halfspace_projector(a, float(s)) for a, s in zip(game.A[i], room)]
+        sets = [lambda v, one=one: one.project_each(v[None])[0]] + halfspaces
         groups.append((np.array([i]), lambda Z, sets=sets: dykstra_projection(Z[0], sets)[None]))
     return groups
 
@@ -387,10 +389,12 @@ def run_comparison(
 
     Per-seed failures are recorded and skipped; at least one seed must
     succeed.  Seed k uses ``params.seed + k``; results are assembled in
-    seed order regardless of worker scheduling.
+    seed order regardless of worker scheduling.  ``tol`` must lie in (0, 1).
     """
     if num_seeds < 1:
         raise ValueError("num_seeds must be at least 1")
+    if not 0.0 < tol < 1.0:  # a curve starts at 1, so a larger tol is met at round 0; NaN is never met
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     seeds = [params.seed + k for k in range(num_seeds)]
     jobs = [(params, s, tol, max_iters) for s in seeds]
     workers = min(workers, num_seeds)  # a process pool starts all its workers at once

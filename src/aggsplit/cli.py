@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -42,25 +43,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return n
+def _bounded(kind: type, low: float, high: float, expected: str):
+    """An argparse type: a ``kind`` number strictly between ``low`` and ``high``, NaN excluded."""
+
+    def number(value: str):  # argparse names it in "invalid number value" when ``kind`` rejects the text
+        x = kind(value)
+        if not low < x < high:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value}")
+        return x
+
+    return number
 
 
-def _positive_float(value: str) -> float:
-    x = float(value)
-    if not 0.0 < x < float("inf"):  # NaN included
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {value}")
-    return x
+_positive_int = _bounded(int, 0, math.inf, "a positive integer")
+_nonnegative_int = _bounded(int, -1, math.inf, "a nonnegative integer")
+_positive_float = _bounded(float, 0.0, math.inf, "a positive finite number")
+_fraction = _bounded(float, 0.0, 1.0, "a number in (0, 1)")
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
     p.add_argument("--N", type=_positive_int, help="number of agents")
     p.add_argument("--n", type=_positive_int, help="decision dimension per agent")
-    p.add_argument("--seed", type=int, default=0, help="instance seed")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="instance seed")
 
 
 def _add_step_args(p: argparse.ArgumentParser) -> None:
@@ -71,14 +76,8 @@ def _add_step_args(p: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args) -> BenchmarkParams:
-    params = PRESETS.get(args.preset, BenchmarkParams(N=50, n=5))
-    overrides = {}
-    if args.N is not None:
-        overrides["N"] = args.N
-    if args.n is not None:
-        overrides["n"] = args.n
-    overrides["seed"] = args.seed
-    return replace(params, **overrides)
+    sizes = {name: size for name, size in (("N", args.N), ("n", args.n)) if size is not None}
+    return replace(PRESETS.get(args.preset, BenchmarkParams(N=50, n=5)), seed=args.seed, **sizes)
 
 
 # -- subcommands -------------------------------------------------------------------------
@@ -203,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="multi-seed comparison of the two methods")
     _add_instance_args(p_cmp)
     p_cmp.add_argument("--seeds", type=_positive_int, required=True)
-    p_cmp.add_argument("--tol", type=_positive_float, default=1e-6)
+    p_cmp.add_argument("--tol", type=_fraction, default=1e-6)
     p_cmp.add_argument("--max-iters", type=_positive_int, default=200_000)
     p_cmp.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p_cmp.add_argument("-o", "--out", default="compare_out")

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, InvalidStepSizes, MaxItersExceeded
-from .game import Dimensions, GameSpec, coupling_violation, validate_game
+from .game import GameSpec, coupling_violation, validate_game
 from .operators import ExtendedPoint, KktResidual, kkt_residual
 from .resolvents import (
     DEFAULT_PROX_TOL,
@@ -202,29 +202,29 @@ def dr_init(game: GameSpec, config: RunConfig) -> tuple[np.ndarray, np.ndarray, 
 
 
 def agent_update(
-    agent,
+    game: GameSpec,
+    i: int,
     state: AgentState,
     bcast: BroadcastMessage,
     gamma_i: float,
-    n_agents: int,
     tol: float = DEFAULT_PROX_TOL,
 ) -> AgentState:
-    """One agent's row of a unit-relaxation round's decoupled-half prox.
+    """Agent ``i``'s row of a unit-relaxation round's decoupled-half prox.
 
     minimize over the local set:
         f_i(z, sigma) + (A_i' lam - mu / N)' z
         + ||z - x_i||^2 in the metric (I + A_i' A_i) / (2 gamma_i)
     then recompute the link block.  :meth:`DrEngine.step` solves all rows
     at once through :func:`decoupled_prox`; this is the message-passing
-    view of one of them.
+    view of one of them, the same call on the one-row game ``game.take([i])``.
     """
     if np.any(bcast.lam < 0):
         raise ValueError("broadcast coupling multiplier must be nonnegative")
     if not gamma_i > 0:
         raise InvalidStepSizes("gamma_i must be positive")
-    linear = agent.A.T @ bcast.lam - bcast.mu / n_agents
-    one, gamma = GameSpec(Dimensions(1, *agent.A.shape[::-1]), [agent]), np.array([gamma_i], dtype=np.float64)
-    X_new = decoupled_prox(one, bcast.sigma, linear[None], state.x[None], gamma, tol)
+    one, gamma = game.take(np.array([i])), np.array([gamma_i], dtype=np.float64)
+    linear = one.adjoint(bcast.lam) - bcast.mu / game.dims.N
+    X_new = decoupled_prox(one, bcast.sigma, linear, state.x[None], gamma, tol)
     return AgentState(x=X_new[0], y=one.link_values(X_new)[0])
 
 

@@ -4,8 +4,8 @@ An instance couples N agents through the average of their decisions and
 through m affine constraints ``A x <= b`` with ``A = [A_1 ... A_N]`` and
 ``b = sum_i b_i``.  A ``GameSpec`` is every agent's data stacked by row,
 checked once when it is built; ``BoxSimplex``, ``QuadraticAgg`` and
-``AgentSpec`` are row records.  The solver modules treat a ``GameSpec`` as
-shared read-only data.
+``AgentSpec`` are row records, read and built in this module alone.  The
+solver modules treat a ``GameSpec`` as shared read-only data.
 """
 
 from __future__ import annotations
@@ -95,14 +95,6 @@ class QuadraticAgg:
     def grad_sigma(self, x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return self.Q.T @ x
 
-    @property
-    def curvature(self) -> float:
-        return self.a
-
-    @property
-    def strong_convexity(self) -> float:
-        return self.a
-
 
 @dataclass(frozen=True)
 class GenericSmooth:
@@ -171,13 +163,13 @@ class GameSpec:
     conjunctions.  ``upper``/``total`` are the box-simplex sets; ``a``/``xtilde``/``Q``
     hold the quadratic rows, in row order.  ``value``, ``grad`` and ``grad_sigma``
     take a shared or a row-wise aggregate: the quadratic rule when every cost is
-    quadratic, else each agent's oracles.  ``link_values``, ``coupling_value``
-    and ``adjoint`` are the only products with the coupling blocks A_i; when
-    ``all_capped``, they scale by ``capped_weight`` instead of contracting A.
+    quadratic, else each of the (N,) cost records ``costs``.  ``link_values``,
+    ``coupling_value`` and ``adjoint`` are the only products with the blocks A_i;
+    when ``all_capped``, they scale by ``capped_weight`` instead of contracting A.
     ``dims`` and the constants derived from the agents alone are cached
-    properties, computed on first use.  The columns are the game's only store,
-    and :meth:`_build` the only home of its data rules: the first row that
-    breaks one raises naming its agent.
+    properties, computed on first use.  The columns and ``costs`` are the game's
+    only store, ``agents`` a view of them, and :meth:`_build` the only home of
+    its data rules: the first row that breaks one raises naming its agent.
     """
 
     A: np.ndarray  # (N, m, n) coupling blocks
@@ -198,7 +190,7 @@ class GameSpec:
     Q: np.ndarray  # (q, n, n) aggregate coupling matrices
 
     def __init__(self, dims: Dimensions, agents):
-        """The game of the row records ``agents``, in order; ``agents`` keeps them."""
+        """The game of the row records ``agents``, in order; it keeps their columns and ``costs``."""
         agents = tuple(agents)
         if len(agents) != dims.N:
             raise DimensionMismatch("agent list length differs from N")
@@ -207,17 +199,17 @@ class GameSpec:
             shapes = (agent.A.shape, agent.b.shape, agent.omega.upper.shape, target.shape)
             if shapes != ((dims.m, dims.n), (dims.m,), (dims.n,), (dims.n,)):
                 raise DimensionMismatch(f"agent {i}: A, b, upper, xtilde are {shapes}, with {dims}")
-        costs = [agent.cost for agent in agents]
+        costs = tuple(agent.cost for agent in agents)
         quadratic = [isinstance(cost, QuadraticAgg) for cost in costs]
         quads, n = [cost for cost, quad in zip(costs, quadratic) if quad], dims.n
+        moduli = [(c.a, c.a) if q else (c.curvature, c.strong_convexity) for c, q in zip(costs, quadratic)]
         self._build(
             [agent.omega.upper for agent in agents], [agent.omega.total for agent in agents],
             [cost.a for cost in quads], np.reshape([cost.xtilde for cost in quads], (-1, n)),
             np.reshape([cost.Q for cost in quads], (-1, n, n)), [agent.A for agent in agents],
-            [agent.b for agent in agents], quadratic,
-            [cost.curvature for cost in costs], [cost.strong_convexity for cost in costs],
+            [agent.b for agent in agents], quadratic, *np.transpose(moduli),
         )
-        self.__dict__["agents"] = agents  # the records themselves, oracle costs and all
+        self.__dict__["costs"] = costs
 
     @classmethod
     def from_columns(cls, dims: Dimensions, upper, total, a, xtilde, Q, A, b) -> "GameSpec":
@@ -270,9 +262,13 @@ class GameSpec:
         return Dimensions(N, n, m)
 
     @cached_property
-    def agents(self) -> tuple[AgentSpec, ...]:  # the row records: the record constructor keeps its own
-        rows = zip(*(getattr(self, name) for name in _COLUMNS))
-        return tuple(AgentSpec(BoxSimplex(u, t), QuadraticAgg(a, x, Q), A, b) for u, t, a, x, Q, A, b in rows)
+    def costs(self) -> tuple:  # (N,) cost records; the record constructor keeps its own: oracles fit no column
+        return tuple(map(QuadraticAgg, self.a, self.xtilde, self.Q))
+
+    @cached_property
+    def agents(self) -> tuple[AgentSpec, ...]:  # the row records: a view of the columns and costs
+        rows = zip(self.upper, self.total, self.costs, self.A, self.b)
+        return tuple(AgentSpec(BoxSimplex(u, t), cost, A, b) for u, t, cost, A, b in rows)
 
     @cached_property
     def _parts(self) -> dict:  # row-array bytes -> take(rows), filled on demand
@@ -356,14 +352,14 @@ class GameSpec:
             D, QS = X - self.xtilde, (self.Q @ sigma[..., None])[..., 0]
             return 0.5 * self.a * np.einsum("ij,ij->i", D, D) + np.einsum("ij,ij->i", QS, X)
         S = np.broadcast_to(sigma, X.shape)
-        return np.array([agent.cost.value(x, s) for agent, x, s in zip(self.agents, X, S)])
+        return np.array([cost.value(x, s) for cost, x, s in zip(self.costs, X, S)])
 
     def grad(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         """(N, n) gradients in x, row r at ``X[r]`` with the aggregate ``sigma`` or ``sigma[r]``."""
         if self.all_quadratic:
             return self.a[:, None] * (X - self.xtilde) + (self.Q @ sigma[..., None])[..., 0]
         S = np.broadcast_to(sigma, X.shape)
-        return np.array([agent.cost.grad(x, s) for agent, x, s in zip(self.agents, X, S)])
+        return np.array([cost.grad(x, s) for cost, x, s in zip(self.costs, X, S)])
 
     def grad_sigma(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         """(N, n) gradients in the aggregate, as ``grad``; a cost with no such
@@ -371,7 +367,7 @@ class GameSpec:
         if self.all_quadratic:  # row r rounds like the per-agent Q_r.T @ X[r]
             return (np.swapaxes(self.Q, 1, 2) @ X[..., None])[..., 0]
         S = np.broadcast_to(sigma, X.shape)
-        return np.array([agent.cost.grad_sigma(x, s) for agent, x, s in zip(self.agents, X, S)])
+        return np.array([cost.grad_sigma(x, s) for cost, x, s in zip(self.costs, X, S)])
 
     def project_each(
         self, X: np.ndarray, weights: np.ndarray | None = None, guess: np.ndarray | None = None

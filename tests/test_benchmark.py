@@ -51,6 +51,10 @@ class TestParams:
         p = BenchmarkParams()
         assert (p.N, p.n) == (1000, 10)
 
+    def test_a_negative_seed_is_rejected_naming_it(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            BenchmarkParams(N=4, n=3, seed=-1)
+
 
 class TestGenerate:
     def test_generated_instance_validates(self, desk_game):
@@ -550,3 +554,9 @@ class TestComparison:
     def test_seed_count_validated(self):
         with pytest.raises(ValueError):
             run_comparison(BenchmarkParams(N=10, n=4), num_seeds=0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, 1.0, 2.0, float("nan")])
+    def test_a_tolerance_outside_the_unit_interval_is_rejected(self, tol):
+        # every curve starts at 1: a tol of 1 or more is met before any round
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            run_comparison(BenchmarkParams(N=10, n=4), num_seeds=1, tol=tol, max_iters=5)

@@ -51,6 +51,13 @@ class TestGenerate:
         code = run_cli(["generate", "--N", "0", "-o", str(tmp_path / "x.json")])
         assert code == 64
 
+    def test_a_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        assert run_cli(["generate", "--seed", "-1", "-o", str(tmp_path / "g.json")]) == 64
+        argv = ["compare", "--preset", "toy", "--seeds", "1", "--seed", "-3", "-o", str(tmp_path / "c")]
+        assert run_cli(argv) == 64
+        assert "expected a nonnegative integer, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "g.json").exists() and not (tmp_path / "c").exists()
+
 
 @pytest.fixture()
 def game_file(tmp_path):
@@ -204,6 +211,11 @@ class TestCompare:
 
     def test_zero_seeds_is_a_usage_error(self, tmp_path):
         assert run_cli(["compare", "--seeds", "0", "-o", str(tmp_path)]) == 64
+
+    @pytest.mark.parametrize("tol", ["1", "2.5"])
+    def test_a_tolerance_of_one_or_more_is_a_usage_error(self, tmp_path, tol):
+        argv = ["compare", "--preset", "toy", "--seeds", "1", "--threads", "1", f"--tol={tol}"]
+        assert run_cli([*argv, "-o", str(tmp_path / "c")]) == 64
 
     def test_unusable_instances_exit_three(self, tmp_path):
         # n = 1 cannot satisfy the cap law, so every seed fails to generate

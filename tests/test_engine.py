@@ -45,14 +45,14 @@ def assert_rounds_match_row_views(game, steps, rounds=5):
     for _ in range(rounds):
         rows = [
             agent_update(
-                agent,
+                game,
+                i,
                 AgentState(x=engine.X[i], y=engine.Y[i]),
                 engine.bcast,
                 steps.gamma[i],
-                game.dims.N,
                 tol=cfg.prox_tol,
             )
-            for i, agent in enumerate(game.agents)
+            for i in range(game.dims.N)
         ]
         engine.step()
         assert np.array_equal(engine.X, np.stack([row.x for row in rows]))
@@ -143,7 +143,7 @@ class TestAgentUpdate:
         )
         state = AgentState(x=np.array([1.0]), y=np.array([99.0]))
         bcast = BroadcastMessage(lam=np.array([0.3]), mu=np.array([0.1]), sigma=np.array([0.2]))
-        out = agent_update(agent, state, bcast, gamma_i=1.0, n_agents=4)
+        out = agent_update(game_of([agent]), 0, state, bcast, gamma_i=1.0)
         assert np.allclose(out.x, [1.0])
         assert np.allclose(out.y, [1.5])
 
@@ -159,7 +159,7 @@ class TestAgentUpdate:
         )
         state = AgentState(x=xt.copy(), y=agent.A @ xt - agent.b)
         bcast = BroadcastMessage(lam=np.zeros(2), mu=np.zeros(2), sigma=np.zeros(2))
-        out = agent_update(agent, state, bcast, gamma_i=0.7, n_agents=3)
+        out = agent_update(game_of([agent]), 0, state, bcast, gamma_i=0.7)
         assert np.max(np.abs(out.x - xt)) <= 1e-10
 
     def test_matches_generic_solver_on_random_broadcasts(self, desk_game, rng):
@@ -173,7 +173,7 @@ class TestAgentUpdate:
                 sigma=rng.standard_normal(n),
             )
             state = AgentState(x=agent.omega.project(np.zeros(n)), y=np.zeros(desk_game.dims.m))
-            out = agent_update(agent, state, bcast, gamma_i, desk_game.dims.N, tol=1e-12)
+            out = agent_update(desk_game, 2, state, bcast, gamma_i, tol=1e-12)
             metric = (1.0 + np.diag(agent.A.T @ agent.A)) / gamma_i
             linear = agent.A.T @ bcast.lam - bcast.mu / desk_game.dims.N
 
@@ -199,7 +199,7 @@ class TestAgentUpdate:
             sigma=np.zeros(desk_game.dims.n),
         )
         with pytest.raises(ValueError):
-            agent_update(agent, state, bcast, 1.0, desk_game.dims.N)
+            agent_update(desk_game, 0, state, bcast, 1.0)
 
 
 class TestCoordinatorUpdate:
@@ -566,7 +566,7 @@ def mixed_metric_game():
 
 
 class TestOneAgentGames:
-    """The one-agent games that ``agent_update`` builds are the rows of the game."""
+    """The one-agent games ``take([i])`` that ``agent_update`` solves are the rows of the game."""
 
     def test_one_agent_games_equal_the_game_rows_bitwise(self, desk_game):
         games = (
@@ -576,10 +576,10 @@ class TestOneAgentGames:
         )
         for game in games:  # one cost type each, so all_quadratic carries over
             full = game
-            for i, agent in enumerate(game.agents):
-                one = game_of([agent])
+            for i in range(full.dims.N):
+                one = full.take(np.array([i]))
                 dense = i in full.dense_rows
-                assert one.agents == (agent,) and full.agents[i] is agent
+                assert len(one.costs) == 1 and one.costs[0] is full.costs[i]
                 for f in dataclasses.fields(GameSpec):
                     mine, theirs = getattr(one, f.name), getattr(full, f.name)
                     if f.name == "dense_rows":
@@ -749,7 +749,7 @@ class TestRunPfb:
             N = game.dims.N
             L = np.empty(N)
             for i, agent in enumerate(game.agents):
-                curv = getattr(agent.cost, "curvature", 1.0)
+                curv = agent.cost.a if isinstance(agent.cost, QuadraticAgg) else agent.cost.curvature
                 coupling = 0.0
                 if hasattr(agent.cost, "Q"):
                     coupling = float(np.linalg.norm(agent.cost.Q, 2)) / N

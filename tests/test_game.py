@@ -300,8 +300,18 @@ class TestOneClass:
         for rows in (np.array([2, 0, 1]), np.array([0, 0, 1])):  # every size, none of them every row in order
             part = game.take(rows)
             assert part is not game and game.take(rows.copy()) is part
-            assert np.array_equal(part.upper, game.upper[rows]) and np.array_equal(part.A, game.A[rows])
-            assert part.agents == tuple(game.agents[r] for r in rows)
+            assert len(part.costs) == rows.size and all(c is game.costs[r] for c, r in zip(part.costs, rows))
+            for name in ("upper", "total", "a", "xtilde", "Q", "A", "b"):
+                assert getattr(part, name).tobytes() == getattr(game, name)[rows].tobytes(), name
+
+    def test_a_record_built_game_keeps_its_columns_and_costs_alone(self, desk_game):
+        records = wrap_costs_in_oracles(desk_game).agents[:2] + desk_game.agents[2:]  # oracle and quadratic rows
+        game = GameSpec(desk_game.dims, records)
+        assert "agents" not in vars(game)
+        for view, record in zip(game.agents, records, strict=True):  # a view built from the columns
+            assert view.cost is record.cost and view.omega.total == record.omega.total
+            for mine, theirs in ((view.omega.upper, record.omega.upper), (view.A, record.A), (view.b, record.b)):
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
 
     def test_project_each_checks_the_shape_of_its_rows(self, desk_game):
         N, n = desk_game.dims.N, desk_game.dims.n
